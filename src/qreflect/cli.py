@@ -13,7 +13,7 @@ Reports are JSON on stdout (``--plain`` switches to aligned text).  Exit
 codes: 0 success, 1 failed property suite, 2 unreadable input, 3 dimension
 mismatch.  Entanglement verdicts never affect the exit code.  The
 ``QREFLECT_TOL`` environment variable overrides the default positivity
-tolerance.
+tolerance; it must be a finite float >= 0 (otherwise exit 2).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .criteria import (
     reflection_report,
     total_reflection_feasible,
 )
-from .io import StateFormatError, load_density
+from .io import StateFormatError, parse_density
 from .linalg import min_eig
 from .properties import run_suite
 from .reflections import (
@@ -71,10 +72,13 @@ def _tolerance() -> float:
     if raw is None:
         return PSD_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        print(f"error: QREFLECT_TOL must be a float, got {raw!r}", file=sys.stderr)
+        tol = np.nan
+    if not 0 <= tol < np.inf:
+        print(f"error: QREFLECT_TOL must be a finite float >= 0, got {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
+    return tol
 
 
 def _parse_subset(text: str, n: int) -> tuple[int, ...]:
@@ -161,8 +165,8 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     tol = _tolerance()
     try:
-        raw = open(args.state, "rb").read()
-        rho = load_density(args.state)
+        raw = Path(args.state).read_bytes()
+        rho = parse_density(raw, args.state)
     except (OSError, StateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -14,9 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .reflections import SignMask
-from .stokes import DensityState, HermitianOperator, StokesTensor, from_stokes
-
-_STATE_KEYS = {"n", "format", "re", "im", "values"}
+from .stokes import QUBIT_LIMIT, DensityState, HermitianOperator, StokesTensor, from_stokes
 
 
 class StateFormatError(ValueError):
@@ -45,8 +43,10 @@ def state_from_dict(doc: dict):
         raise StateFormatError("state document must be a JSON object")
     fmt = doc.get("format")
     n = doc.get("n")
-    if not isinstance(n, int) or fmt not in ("hermitian", "stokes"):
+    if not isinstance(n, int) or isinstance(n, bool) or fmt not in ("hermitian", "stokes"):
         raise StateFormatError("state document needs integer 'n' and format 'hermitian' or 'stokes'")
+    if not 1 <= n <= QUBIT_LIMIT:
+        raise StateFormatError(f"'n' must lie in 1..{QUBIT_LIMIT}, got {n}")
     try:
         if fmt == "stokes":
             values = np.asarray(doc["values"], dtype=float)
@@ -61,23 +61,32 @@ def state_from_dict(doc: dict):
         return HermitianOperator(re + 1j * im)
     except KeyError as exc:
         raise StateFormatError(f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise StateFormatError(str(exc)) from exc
 
 
-def load_density(path) -> DensityState:
-    """Load a state file and validate it as a density operator."""
+def parse_density(raw: bytes, source) -> DensityState:
+    """Parse the bytes of a state file and validate them as a density operator."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StateFormatError(f"cannot read state file {path}: {exc}") from exc
+        doc = json.loads(raw)
+    except (RecursionError, ValueError) as exc:
+        raise StateFormatError(f"cannot parse state file {source}: {exc}") from exc
     state = state_from_dict(doc)
     if isinstance(state, StokesTensor):
         state = from_stokes(state)
     try:
         return DensityState(state.matrix)
     except ValueError as exc:
-        raise StateFormatError(f"state in {path} is not a density operator: {exc}") from exc
+        raise StateFormatError(f"state in {source} is not a density operator: {exc}") from exc
+
+
+def load_density(path) -> DensityState:
+    """Load a state file and validate it as a density operator."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise StateFormatError(f"cannot read state file {path}: {exc}") from exc
+    return parse_density(raw, path)
 
 
 def write_state(path, state, **annotations) -> None:
@@ -93,15 +102,3 @@ def mask_from_dict(doc: dict) -> SignMask:
         return SignMask(np.asarray(doc["signs"], dtype=np.int8), name=str(doc.get("name", "")))
     except (KeyError, ValueError) as exc:
         raise StateFormatError(f"bad mask document: {exc}") from exc
-
-
-def write_mask(path, mask: SignMask) -> None:
-    Path(path).write_text(json.dumps(mask_to_dict(mask), indent=2) + "\n")
-
-
-def load_mask(path) -> SignMask:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StateFormatError(f"cannot read mask file {path}: {exc}") from exc
-    return mask_from_dict(doc)

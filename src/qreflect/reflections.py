@@ -24,6 +24,7 @@ from .stokes import (
     QUBIT_LIMIT,
     RealDensityMatrix,
     StokesTensor,
+    _apply_per_qubit,
     _as_operator,
     _check_subset,
     from_stokes,
@@ -76,10 +77,14 @@ class MapClassification:
     sign_change_count: int
 
 
-def _digit_table(n: int) -> np.ndarray:
-    """Row m holds the base-4 digit of qubit m+1 for every linear index."""
+def _digit_count(n: int, subset, hit) -> np.ndarray:
+    """Per linear index, the number of ``subset`` qubits whose digit is in ``hit``."""
     idx = np.arange(4**n)
-    return np.stack([(idx // 4 ** (n - 1 - m)) % 4 for m in range(n)])
+    is_hit = np.array([d in hit for d in range(4)])
+    count = np.zeros(4**n, dtype=int)
+    for q in subset:
+        count += is_hit[(idx >> 2 * (n - q)) & 3]
+    return count
 
 
 def _subset_label(subset) -> str:
@@ -93,22 +98,14 @@ def mask_identity(n: int) -> SignMask:
 def mask_partial_transpose(n: int, subset) -> SignMask:
     """Flip the sign wherever an odd number of subset digits equals 2."""
     subset = _check_subset(subset, n)
-    digits = _digit_table(n)
-    count = np.zeros(4**n, dtype=int)
-    for q in subset:
-        count += digits[q - 1] == 2
-    signs = np.where(count % 2 == 1, -1, 1)
+    signs = np.where(_digit_count(n, subset, (2,)) % 2 == 1, -1, 1)
     return SignMask(signs, name=f"partial_transpose[{_subset_label(subset)}]")
 
 
 def mask_spin_flip(n: int, subset) -> SignMask:
     """Per-qubit Bloch inversion: factor -1 on digits 1, 2, 3; signs multiply."""
     subset = _check_subset(subset, n)
-    digits = _digit_table(n)
-    count = np.zeros(4**n, dtype=int)
-    for q in subset:
-        count += digits[q - 1] != 0
-    signs = np.where(count % 2 == 1, -1, 1)
+    signs = np.where(_digit_count(n, subset, (1, 2, 3)) % 2 == 1, -1, 1)
     return SignMask(signs, name=f"spin_flip[{_subset_label(subset)}]")
 
 
@@ -121,11 +118,7 @@ def mask_total_reflection(n: int, subset=None) -> SignMask:
     subset = tuple(range(1, n + 1)) if subset is None else _check_subset(subset, n)
     if not subset:
         raise ValueError("the reflected subset must contain at least one qubit")
-    digits = _digit_table(n)
-    nonzero = np.zeros(4**n, dtype=int)
-    for q in subset:
-        nonzero += digits[q - 1] != 0
-    signs = np.where(nonzero > 0, -1, 1)
+    signs = np.where(_digit_count(n, subset, (1, 2, 3)) > 0, -1, 1)
     return SignMask(signs, name=f"total_reflection[{_subset_label(subset)}]")
 
 
@@ -237,10 +230,7 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
     if isinstance(state, StokesTensor):
         if lomap.n != state.n:
             raise ValueError(f"map acts on {lomap.n} qubits, state has {state.n}")
-        v = state.values.reshape((4,) * state.n)
-        for m, block in enumerate(lomap.blocks):
-            v = np.moveaxis(np.tensordot(block, v, axes=([1], [m])), 0, m)
-        return StokesTensor(v.reshape(-1))
+        return StokesTensor(_apply_per_qubit(lomap.blocks, state.values))
     op = _as_operator(state)
     return from_stokes(apply_local_orthogonal(lomap, to_stokes(op)))
 

@@ -18,13 +18,16 @@ The real unfolding ``sigma(rho)`` maps the one-qubit basis as
 
 extended linearly and multiplicatively over tensor factors.  Column-stacking
 the result and dividing by sqrt(2) per factor recovers the Stokes values.
+
+Every conversion is one per-qubit kernel loop: the row and column bits of
+each qubit are interleaved into one base-4 digit ``2 * row + col``, and a
+4x4 matrix is applied to each digit axis in turn.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +49,10 @@ PAULI = np.array(
 
 LAMBDA = PAULI / math.sqrt(2.0)
 
-_LETTERS = string.ascii_lowercase
+# On the digit 2r+c, _K_TO[j, 2r+c] = lambda_j[c, r] gives tr(rho lambda_j)
+# and _K_FROM[2r+c, j] = lambda_j[r, c] sums the basis back.
+_K_TO = LAMBDA.transpose(0, 2, 1).reshape(4, 4)
+_K_FROM = LAMBDA.reshape(4, 4).T
 
 
 def qubit_count(dim: int) -> int:
@@ -64,14 +70,6 @@ def qubit_count(dim: int) -> int:
 def multi_indices(n: int) -> Iterable[tuple[int, ...]]:
     """All base-4 multi-indices for ``n`` qubits, in linear (row-major) order."""
     return itertools.product(range(4), repeat=n)
-
-
-def index_offset(index: Sequence[int]) -> int:
-    """Linear offset of a multi-index in the base-4 row-major layout."""
-    offset = 0
-    for digit in index:
-        offset = 4 * offset + digit
-    return offset
 
 
 def basis_element(index: Sequence[int]) -> np.ndarray:
@@ -105,6 +103,8 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         n = qubit_count(m.shape[0])
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         herm_defect = np.abs(m - m.conj().T).max()
         if herm_defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
@@ -155,6 +155,8 @@ class StokesTensor:
         n = round(math.log(v.size, 4)) if v.size > 1 else 0
         if n < 1 or 4**n != v.size or n > QUBIT_LIMIT:
             raise ValueError(f"value count {v.size} is not 4**n for n in 1..{QUBIT_LIMIT}")
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         affine = 2.0 ** (-n / 2)
         if abs(v[0] - affine) > TRACE_TOL:
             raise ValueError(f"affine component must equal 2**(-{n}/2), got {v[0]:.12g}")
@@ -187,6 +189,8 @@ class RealDensityMatrix:
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {e.shape}")
         n = qubit_count(e.shape[0])
+        if not np.isfinite(e).all():
+            raise ValueError("entries must be finite")
         if abs(e[0, 0] - 1.0) > TRACE_TOL:
             raise ValueError(f"top-left entry must equal 1, got {e[0, 0]:.12g}")
         e.setflags(write=False)
@@ -211,26 +215,35 @@ def _as_operator(op) -> HermitianOperator:
     return HermitianOperator(op)
 
 
+def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
+    """Apply ``kernels[m]`` to the base-4 axis of qubit m+1; each step rotates that axis to the back."""
+    for k in kernels:
+        values = (k @ values.reshape(4, -1)).T
+    return values.reshape(-1)
+
+
+def _interleaved(m: np.ndarray, n: int) -> np.ndarray:
+    """Flatten a ``2**n x 2**n`` array so qubit k's (row, col) bits form digit k."""
+    perm = [axis for k in range(n) for axis in (k, n + k)]
+    return m.reshape((2,) * (2 * n)).transpose(perm).reshape(-1)
+
+
+def _deinterleaved(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_interleaved`."""
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return v.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+
+
 def to_stokes(op) -> StokesTensor:
     """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator."""
     op = _as_operator(op)
-    n = op.n
-    t = op.matrix.reshape((2,) * (2 * n))
-    rows, cols, outs = _LETTERS[:n], _LETTERS[n : 2 * n], _LETTERS[2 * n : 3 * n]
-    terms = [rows + cols] + [f"{outs[m]}{cols[m]}{rows[m]}" for m in range(n)]
-    expr = ",".join(terms) + "->" + outs
-    values = np.einsum(expr, t, *([LAMBDA] * n), optimize=True)
-    return StokesTensor(values.real.reshape(-1))
+    values = _apply_per_qubit([_K_TO] * op.n, _interleaved(op.matrix, op.n))
+    return StokesTensor(values.real)
 
 
 def _matrix_from_values(n: int, values: np.ndarray) -> np.ndarray:
     """Contract arbitrary real coefficients against the lambda basis."""
-    t = np.asarray(values, dtype=float).reshape((4,) * n)
-    rows, cols, outs = _LETTERS[:n], _LETTERS[n : 2 * n], _LETTERS[2 * n : 3 * n]
-    terms = [outs] + [f"{outs[m]}{rows[m]}{cols[m]}" for m in range(n)]
-    expr = ",".join(terms) + "->" + rows + cols
-    out = np.einsum(expr, t, *([LAMBDA] * n), optimize=True)
-    return out.reshape(2**n, 2**n)
+    return _deinterleaved(_apply_per_qubit([_K_FROM] * n, values), n)
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
@@ -240,22 +253,15 @@ def from_stokes(s: StokesTensor) -> HermitianOperator:
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
     """Real unfolding of a Stokes tensor, multiplicative over tensor factors."""
-    n = s.n
-    v = s.values.reshape((2,) * (2 * n))
-    # Splitting each base-4 axis in C order yields axis pairs (col, row).
-    perm = list(range(1, 2 * n, 2)) + list(range(0, 2 * n, 2))
-    entries = v.transpose(perm).reshape(2**n, 2**n) * 2.0 ** (n / 2)
-    return RealDensityMatrix(entries)
+    # Each digit splits as 2 * col + row, so it de-interleaves to the transpose.
+    return RealDensityMatrix(_deinterleaved(s.values, s.n).T * 2.0 ** (s.n / 2))
 
 
 def real_density_to_stokes(sigma) -> StokesTensor:
     """Recover Stokes values by column-stacking, one sqrt(2) per factor."""
     entries = sigma.entries if isinstance(sigma, RealDensityMatrix) else np.asarray(sigma, dtype=float)
     n = qubit_count(entries.shape[0])
-    t = entries.reshape((2,) * (2 * n))
-    perm = [axis for m in range(n) for axis in (n + m, m)]
-    values = t.transpose(perm).reshape(4**n) / 2.0 ** (n / 2)
-    return StokesTensor(values)
+    return StokesTensor(_interleaved(entries.T, n) / 2.0 ** (n / 2))
 
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:
@@ -353,7 +359,7 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     values = np.zeros((4,) * op.n)
     picker = tuple(slice(None) if q in kept else 0 for q in range(1, op.n + 1))
     values[picker] = reduced.values.reshape((4,) * len(kept)) * math.sqrt(2.0) ** len(subset)
-    return _matrix_from_values(op.n, values.reshape(-1))
+    return _matrix_from_values(op.n, values)
 
 
 def permute_qubits(op, order) -> HermitianOperator:

@@ -1,8 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracle helpers below deliberately avoid the library's einsum and
-reshape paths: they loop over explicit Kronecker products and traces so the
-two implementations can check each other.
+The oracle helpers below deliberately avoid the library's per-qubit kernel
+and its reshape/transpose bookkeeping: they loop over explicit Kronecker
+products and traces so the two implementations can check each other.
 """
 
 import itertools

@@ -115,6 +115,35 @@ class TestAnalyze:
         assert report["verdict"] == "separable-consistent"
         assert report["tolerance"] == 1.0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance_exits_2(self, tol):
+        proc = run_cli("analyze", str(BELL), "--ppt", "A", env_extra={"QREFLECT_TOL": tol})
+        assert proc.returncode == 2
+        assert "QREFLECT_TOL" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "format": "hermitian", "re": [[float("nan"), 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 0.0, float("inf")]},
+        ],
+        ids=["hermitian-nan", "stokes-inf"],
+    )
+    def test_non_finite_state_exits_2(self, tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", str(path), "--feasible")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe\x00garbage", b"[" * 100000], ids=["bad-utf8", "deep-nesting"])
+    def test_undecodable_file_exits_2(self, tmp_path, raw):
+        path = tmp_path / "state.json"
+        path.write_bytes(raw)
+        proc = run_cli("analyze", str(path), "--ppt", "A")
+        assert proc.returncode == 2
+        assert "error" in proc.stderr
+
 
 class TestUpbDemo:
     def test_full_chain(self):

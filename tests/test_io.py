@@ -51,6 +51,25 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             state_from_dict({"n": 3, "format": "stokes", "values": [0.5] + [0.0] * 15})
 
+    @pytest.mark.parametrize("n", [True, 0, 10**100])
+    def test_bad_qubit_count_rejected(self, n):
+        with pytest.raises(StateFormatError):
+            state_from_dict({"n": n, "format": "hermitian", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+
+    def test_non_numeric_values_rejected(self):
+        with pytest.raises(StateFormatError):
+            state_from_dict({"n": 1, "format": "stokes", "values": {"a": 1}})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, tmp_path, bad):
+        hermitian = {"n": 1, "format": "hermitian", "re": [[bad, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        stokes = {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, bad, 0.0]}
+        for doc in (hermitian, stokes):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(StateFormatError, match="finite"):
+                load_density(path)
+
     def test_nondensity_content_rejected(self, tmp_path):
         operator = qr.complement(qr.bell_state())  # valid Hermitian, not PSD
         path = tmp_path / "op.json"

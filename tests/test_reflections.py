@@ -262,6 +262,17 @@ class TestLocalOrthogonal:
             image = qr.apply_local_orthogonal(lomap, rho)
             assert np.abs(image.matrix - u @ rho.matrix @ u.conj().T).max() < 1e-10
 
+    def test_distinct_rotation_on_every_qubit(self, rng):
+        us = [qr.random_unitary(2, rng) for _ in range(3)]
+        blocks = [np.eye(4) for _ in us]
+        for block, u in zip(blocks, us):
+            block[1:, 1:] = qr.rotation_from_unitary(u)
+        lomap = qr.LocalOrthogonalMap(blocks)
+        rho = qr.random_density(3, "mixed_dirichlet", rng)
+        u = np.kron(np.kron(us[0], us[1]), us[2])
+        image = qr.apply_local_orthogonal(lomap, rho)
+        assert np.abs(image.matrix - u @ rho.matrix @ u.conj().T).max() < 1e-10
+
     def test_transpose_rotation_matches_mask(self, rng):
         r_t = np.diag([1.0, -1.0, 1.0])
         lomap = qr.LocalOrthogonalMap.single_qubit(2, 1, r_t)

@@ -72,12 +72,12 @@ class TestStokesConversion:
         np.testing.assert_allclose(s.values, expected, atol=1e-14)
         np.testing.assert_allclose(oracle_stokes(qr.bell_state().matrix, 2), expected, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_trace_oracle(self, n, rng):
         rho = random_mixed(n, rng)
         np.testing.assert_allclose(qr.to_stokes(rho).values, oracle_stokes(rho.matrix, n), atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_round_trip_both_ways(self, n, rng):
         rho = random_mixed(n, rng)
         s = qr.to_stokes(rho)
@@ -112,6 +112,20 @@ class TestStokesConversion:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             qr.to_stokes(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        matrix = np.eye(2, dtype=complex) / 2
+        matrix[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qr.HermitianOperator(matrix)
+        values = np.array([1 / SQ2, 0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            StokesTensor(values)
+        entries = np.eye(2)
+        entries[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qr.RealDensityMatrix(entries)
 
     def test_qubit_limit_enforced(self):
         with pytest.raises(ValueError):
