@@ -10,8 +10,9 @@ Subcommands:
 * ``prop``     -- seeded randomised invariant suite.
 
 Reports are JSON on stdout (``--plain`` switches to aligned text).  Exit
-codes: 0 success, 1 failed property suite, 2 unreadable input, 3 dimension
-mismatch.  Entanglement verdicts never affect the exit code.  The
+codes: 0 success, 1 failed property suite, 2 unreadable input (state file
+or qubit subset), 3 dimension mismatch (including a subset naming a qubit
+the state lacks).  Entanglement verdicts never affect the exit code.  The
 ``QREFLECT_TOL`` environment variable overrides the default positivity
 tolerance; it must be a finite float >= 0 (otherwise exit 2).
 """
@@ -76,8 +77,7 @@ def _tolerance() -> float:
     except ValueError:
         tol = np.nan
     if not 0 <= tol < np.inf:
-        print(f"error: QREFLECT_TOL must be a finite float >= 0, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        raise SystemExit(_error(EXIT_BAD_INPUT, f"QREFLECT_TOL must be a finite float >= 0, got {raw!r}"))
     return tol
 
 
@@ -85,24 +85,24 @@ def _parse_subset(text: str, n: int) -> tuple[int, ...]:
     """Accept qubit letters ('A', 'AB') or 1-based digits ('1', '1,3')."""
     cleaned = text.replace(",", "").strip()
     if not cleaned:
-        raise ValueError("empty qubit subset")
+        raise SystemExit(_error(EXIT_BAD_INPUT, "empty qubit subset"))
     labels = []
     for ch in cleaned:
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             labels.append(ord(ch.upper()) - ord("A") + 1)
-        elif ch.isdigit():
+        elif ch.isascii() and ch.isdigit():
             labels.append(int(ch))
         else:
-            raise ValueError(f"cannot parse qubit label {ch!r}")
+            raise SystemExit(_error(EXIT_BAD_INPUT, f"cannot parse qubit label {ch!r} in {text!r}"))
     subset = tuple(sorted(set(labels)))
     if any(q < 1 or q > n for q in subset):
-        raise SystemExit(_dimension_error(f"subset {text!r} is outside qubits 1..{n}"))
+        raise SystemExit(_error(EXIT_DIMENSION, f"subset {text!r} is outside qubits 1..{n}"))
     return subset
 
 
-def _dimension_error(message: str) -> int:
+def _error(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_DIMENSION
+    return code
 
 
 def _emit(report: dict, plain_text: str | None, plain: bool) -> None:
@@ -168,8 +168,7 @@ def cmd_analyze(args) -> int:
         raw = Path(args.state).read_bytes()
         rho = parse_density(raw, args.state)
     except (OSError, StateFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(EXIT_BAD_INPUT, str(exc))
     digest = hashlib.sha256(raw).hexdigest()
     n = rho.n
     reports = []
@@ -178,11 +177,11 @@ def cmd_analyze(args) -> int:
             reports.append(ppt_test(rho, _parse_subset(text, n), tol))
         if args.ccn:
             if n % 2 != 0:
-                return _dimension_error(f"--ccn needs an even qubit count, state has n={n}")
+                return _error(EXIT_DIMENSION, f"--ccn needs an even qubit count, state has n={n}")
             reports.append(ccn_report(rho, tuple(range(1, n // 2 + 1)), tol))
         if args.concurrence:
             if n != 2:
-                return _dimension_error(f"--concurrence needs n=2, state has n={n}")
+                return _error(EXIT_DIMENSION, f"--concurrence needs n=2, state has n={n}")
             reports.append(concurrence_report(rho, tol))
         for text in args.reflect or ():
             reports.append(reflection_report(rho, _parse_subset(text, n), tol))
@@ -191,7 +190,7 @@ def cmd_analyze(args) -> int:
         for text in args.reduction or ():
             reports.append(reduction_criterion(rho, _parse_subset(text, n), tol))
     except ValueError as exc:
-        return _dimension_error(str(exc))
+        return _error(EXIT_DIMENSION, str(exc))
     result = {
         "n": n,
         "purity": purity(to_stokes(rho)),
@@ -211,16 +210,15 @@ def cmd_upb_demo(args) -> int:
     tol = _tolerance()
     separable = upb_separable()
     feasibility = total_reflection_feasible(separable, tol)
-    reflected = apply_mask(mask_total_reflection(3), separable)
+    reflection = mask_total_reflection(3)
+    reflected = apply_mask(reflection, separable)
     reflected_min = min_eig(reflected.matrix)
-    ppt_reports = [ppt_test(DensityState(reflected.matrix), (q,), tol) for q in (1, 2, 3)]
-    component_minima = []
-    for vec in upb_kets():
-        projector = np.outer(vec, vec.conj())
-        image = apply_mask(mask_total_reflection(3), DensityState(projector))
-        component_minima.append(min_eig(image.matrix))
-    overlaps = [float((vec.conj() @ reflected.matrix @ vec).real) for vec in upb_kets()]
-    cross_norms = {f"cut_{q}": ccn(DensityState(reflected.matrix), (q,)) for q in (1, 2, 3)}
+    bound_entangled = DensityState(reflected.matrix)
+    ppt_reports = [ppt_test(bound_entangled, (q,), tol) for q in (1, 2, 3)]
+    kets = upb_kets()
+    component_minima = [min_eig(apply_mask(reflection, np.outer(vec, vec.conj())).matrix) for vec in kets]
+    overlaps = [float((vec.conj() @ reflected.matrix @ vec).real) for vec in kets]
+    cross_norms = {f"cut_{q}": ccn(bound_entangled, (q,)) for q in (1, 2, 3)}
     result = {
         "separable_feasible": feasibility.extra,
         "reflected_min_eig": reflected_min,
@@ -246,8 +244,7 @@ def cmd_prop(args) -> int:
     try:
         results = run_suite(seed=args.seed, trials=args.trials, corrupt_mask=args.inject_mask_corruption)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(EXIT_BAD_INPUT, str(exc))
     all_passed = all(r.passed for r in results)
     result = {
         "seed": args.seed,

@@ -10,21 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, min_eig, rank, svd_values
-from .reflections import apply_mask, mask_partial_transpose, mask_total_reflection, spin_flipped_partner
+from .linalg import eig_hermitian, min_eig, svd_values
+from .reflections import apply_mask, mask_partial_transpose, mask_total_reflection
 from .stokes import (
+    PAULI,
     HermitianOperator,
     PSD_TOL,
     StokesTensor,
     _as_operator,
     _check_subset,
-    choi_reshuffle,
     identity_times_reduction,
     permute_qubits,
-    purity,
     realigned_matrix,
     stokes_as_matrix,
-    to_stokes,
 )
 
 
@@ -73,9 +71,8 @@ def ccn(rho, block=None) -> float:
     """Trace norm of the realigned matrix across a bipartition.
 
     ``block`` lists the qubits of the left factor (default: the first half).
-    Square bipartitions reduce to the reshuffling map; rectangular ones use
-    the general realignment, which shares its singular values in the square
-    case.
+    Every cut uses the rectangular realignment; on square cuts it has the
+    singular values of the reshuffling map :func:`choi_reshuffle`.
     """
     op = _as_operator(rho)
     if block is None:
@@ -85,10 +82,7 @@ def ccn(rho, block=None) -> float:
     block = _proper_subset(block, op.n)
     rest = tuple(q for q in range(1, op.n + 1) if q not in block)
     arranged = permute_qubits(op, block + rest)
-    d_left, d_right = 2 ** len(block), 2 ** len(rest)
-    if d_left == d_right:
-        return float(np.sum(svd_values(choi_reshuffle(arranged.matrix))))
-    return float(np.sum(svd_values(realigned_matrix(arranged.matrix, d_left, d_right))))
+    return float(np.sum(svd_values(realigned_matrix(arranged.matrix, 2 ** len(block), 2 ** len(rest)))))
 
 
 def ccn_via_stokes(s: StokesTensor) -> float:
@@ -105,19 +99,20 @@ def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
 
 
 def concurrence(rho) -> float:
-    """Two-qubit concurrence from the spectrum of ``rho`` times its flip.
+    """Two-qubit concurrence from the singular values of ``sqrt(rho) YY sqrt(rho)*``.
 
-    The four numbers entering the max are the square roots of the
-    (clamped-nonnegative) eigenvalues of ``rho rho'``, sorted descending.
+    With ``YY = sigma_y (x) sigma_y`` these are the square roots of the
+    eigenvalues of ``rho rho'`` without the square root's amplification of
+    rounding error.
     """
     op = _as_operator(rho)
     if op.n != 2:
         raise ValueError(f"concurrence is defined for two qubits, got n={op.n}")
-    partner = spin_flipped_partner(op)
-    vals = np.linalg.eigvals(op.matrix @ partner.matrix).real
-    nu = np.sqrt(np.clip(vals, 0.0, None))
-    nu.sort()
-    return float(max(0.0, nu[3] - nu[2] - nu[1] - nu[0]))
+    spectrum = eig_hermitian(op, vectors=True)
+    vecs = spectrum.eigenvectors
+    root = (vecs * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))) @ vecs.conj().T
+    nu = svd_values(root @ np.kron(PAULI[2], PAULI[2]) @ root.conj())
+    return float(max(0.0, nu[0] - nu[1] - nu[2] - nu[3]))
 
 
 def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
@@ -138,7 +133,9 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
     """Positivity of ``identity on traced qubits (x) reduced state - rho``.
 
     A necessary condition for separability; the comparison operator has
-    trace ``2**len(traced) - 1`` and so is not itself a state.
+    trace ``2**len(traced) - 1`` and so is not itself a state.  The lift is
+    ``2**(|S|-1) (rho + R_S rho)`` (``R_S``: partial reflection on ``S``), so
+    for one traced qubit the comparison operator is ``R_S rho`` itself.
     """
     op = _as_operator(rho)
     traced = _proper_subset(traced, op.n)
@@ -158,25 +155,27 @@ def complement(rho) -> HermitianOperator:
 
 
 def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
-    """Whether the total reflection of a state is again a state.
+    """Whether the total reflection ``2**(1-n) identity - rho`` is a state.
 
-    Reports the spectral sufficient condition (largest eigenvalue at most
-    ``2**(1-n)``), the exact positivity of the reflected operator, the
-    purity bound ``tr(rho**2) <= 2**(1-n)``, and the rank bound
-    ``rank >= 2**(n-1)``.
+    All flags come from one spectrum ``lambda`` of ``rho``.  The reflected
+    spectrum is ``2**(1-n) - lambda``, so the witness is
+    ``2**(1-n) - max(lambda)`` and the largest-eigenvalue test is exact:
+    ``sufficient_max_eig`` and ``exact_psd`` agree by construction (both
+    names stay in the schema).  The necessary bounds are
+    ``tr(rho**2) <= 2**(1-n)`` and ``rank >= 2**(n-1)``.
     """
     op = _as_operator(rho)
     bound = 2.0 ** (1 - op.n)
     spectrum = eig_hermitian(op).eigenvalues
-    reflected = complement(op)
-    witness = min_eig(reflected)
+    witness = float(bound - spectrum[0])
+    reflectable = bool(witness >= -tol)
     flags = {
-        "sufficient_max_eig": bool(spectrum[0] <= bound + tol),
-        "exact_psd": bool(witness >= -tol),
-        "purity_bound": bool(purity(to_stokes(op)) <= bound + 1e-12),
-        "rank_bound": bool(rank(op, tol) >= 2 ** (op.n - 1)),
+        "sufficient_max_eig": reflectable,
+        "exact_psd": reflectable,
+        "purity_bound": bool(np.dot(spectrum, spectrum) <= bound + 1e-12),
+        "rank_bound": bool(np.count_nonzero(np.abs(spectrum) > tol) >= 2 ** (op.n - 1)),
     }
-    verdict = "feasible" if flags["exact_psd"] else "infeasible"
+    verdict = "feasible" if reflectable else "infeasible"
     return CriterionReport("total-reflection", verdict, witness, None, tol, flags)
 
 

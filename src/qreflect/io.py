@@ -61,7 +61,7 @@ def state_from_dict(doc: dict):
         return HermitianOperator(re + 1j * im)
     except KeyError as exc:
         raise StateFormatError(f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise StateFormatError(str(exc)) from exc
 
 
@@ -72,9 +72,9 @@ def parse_density(raw: bytes, source) -> DensityState:
     except (RecursionError, ValueError) as exc:
         raise StateFormatError(f"cannot parse state file {source}: {exc}") from exc
     state = state_from_dict(doc)
-    if isinstance(state, StokesTensor):
-        state = from_stokes(state)
     try:
+        if isinstance(state, StokesTensor):
+            state = from_stokes(state)
         return DensityState(state.matrix)
     except ValueError as exc:
         raise StateFormatError(f"state in {source} is not a density operator: {exc}") from exc
@@ -99,6 +99,6 @@ def mask_to_dict(mask: SignMask) -> dict:
 
 def mask_from_dict(doc: dict) -> SignMask:
     try:
-        return SignMask(np.asarray(doc["signs"], dtype=np.int8), name=str(doc.get("name", "")))
-    except (KeyError, ValueError) as exc:
+        return SignMask(doc["signs"], name=str(doc.get("name", "")))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StateFormatError(f"bad mask document: {exc}") from exc

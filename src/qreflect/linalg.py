@@ -36,13 +36,17 @@ def _symmetrized(h) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _eigenvalues(h) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(_symmetrized(h))
+
+
 def eig_hermitian(h, vectors: bool = False) -> Spectrum:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m = _symmetrized(h)
     if vectors:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(_symmetrized(h))
         return Spectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
-    return Spectrum(np.linalg.eigvalsh(m)[::-1].copy())
+    return Spectrum(_eigenvalues(h)[::-1].copy())
 
 
 def svd_values(m) -> np.ndarray:
@@ -51,11 +55,11 @@ def svd_values(m) -> np.ndarray:
 
 
 def min_eig(h) -> float:
-    return float(np.linalg.eigvalsh(_symmetrized(h))[0])
+    return float(_eigenvalues(h)[0])
 
 
 def max_eig(h) -> float:
-    return float(np.linalg.eigvalsh(_symmetrized(h))[-1])
+    return float(_eigenvalues(h)[-1])
 
 
 def is_psd(h, tol: float = PSD_TOL) -> bool:
@@ -64,8 +68,7 @@ def is_psd(h, tol: float = PSD_TOL) -> bool:
 
 def rank(h, tol: float = PSD_TOL) -> int:
     """Number of eigenvalues with magnitude above ``tol``."""
-    vals = np.linalg.eigvalsh(_symmetrized(h))
-    return int(np.count_nonzero(np.abs(vals) > tol))
+    return int(np.count_nonzero(np.abs(_eigenvalues(h)) > tol))
 
 
 def hs_norm(m) -> float:

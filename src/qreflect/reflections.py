@@ -43,7 +43,7 @@ class SignMask:
     __slots__ = ("_n", "_signs", "name")
 
     def __init__(self, signs, name: str = ""):
-        s = np.array(signs, dtype=np.int8)
+        s = np.array(signs, dtype=float)
         if s.ndim != 1:
             raise ValueError(f"expected a flat sign array, got shape {s.shape}")
         n = round(math.log(s.size, 4)) if s.size > 1 else 0
@@ -51,6 +51,7 @@ class SignMask:
             raise ValueError(f"sign count {s.size} is not 4**n for n in 1..{QUBIT_LIMIT}")
         if not np.all(np.abs(s) == 1):
             raise ValueError("sign entries must be +1 or -1")
+        s = s.astype(np.int8)
         if s[0] != 1:
             raise ValueError("the trace component sign must be +1")
         s.setflags(write=False)
@@ -307,11 +308,7 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    if op.n == 2:
-        lifted = np.eye(4)
-    else:
-        lifted = identity_times_reduction(op, pair)
-    return HermitianOperator((lifted - op.matrix) / 3)
+    return HermitianOperator((identity_times_reduction(op, pair) - op.matrix) / 3)
 
 
 def choi_matrix_of_map(apply_fn, dim: int) -> np.ndarray:

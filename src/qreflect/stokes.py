@@ -348,17 +348,18 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     """Matrix of ``identity on subset (x) partial trace over subset``.
 
     The identity factors sit at the subset positions in qubit order.  The
-    result has trace ``2**len(subset)``, so it is returned as a plain array.
+    lift keeps the Stokes values whose subset digits are all 0, times
+    ``2**len(subset)``, so it equals ``2**(len(subset)-1) (rho + R_S rho)``
+    with ``R_S`` the partial reflection on the subset (the full set gives
+    the identity).  The trace is ``2**len(subset)``, hence a plain array.
     """
     op = _as_operator(op)
     subset = _check_subset(subset, op.n)
-    if not subset or len(subset) >= op.n:
-        raise ValueError("subset must be a nonempty proper subset of the qubits")
-    kept = [q for q in range(1, op.n + 1) if q not in subset]
-    reduced = to_stokes(partial_trace(op, kept))
+    if not subset:
+        raise ValueError("subset must contain at least one qubit")
+    picker = tuple(0 if q in subset else slice(None) for q in range(1, op.n + 1))
     values = np.zeros((4,) * op.n)
-    picker = tuple(slice(None) if q in kept else 0 for q in range(1, op.n + 1))
-    values[picker] = reduced.values.reshape((4,) * len(kept)) * math.sqrt(2.0) ** len(subset)
+    values[picker] = to_stokes(op).values.reshape((4,) * op.n)[picker] * 2.0 ** len(subset)
     return _matrix_from_values(op.n, values)
 
 

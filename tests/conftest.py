@@ -62,6 +62,14 @@ def oracle_partial_transpose(matrix, n, subset):
     return out
 
 
+def oracle_label(index, n, qubits):
+    """Integer formed by the bits of ``qubits`` (1-based, in order) in a basis label."""
+    out = 0
+    for q in qubits:
+        out = 2 * out + ((index >> (n - q)) & 1)
+    return out
+
+
 def oracle_partial_trace(matrix, n, keep):
     """Reduced matrix via explicit sums over computational basis labels."""
     kept = sorted(keep)

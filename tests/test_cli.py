@@ -126,8 +126,9 @@ class TestAnalyze:
         [
             {"n": 1, "format": "hermitian", "re": [[float("nan"), 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 0.0, float("inf")]},
+            {"n": 1, "format": "stokes", "values": [10**400, 0, 0, 0]},
         ],
-        ids=["hermitian-nan", "stokes-inf"],
+        ids=["hermitian-nan", "stokes-inf", "stokes-beyond-float"],
     )
     def test_non_finite_state_exits_2(self, tmp_path, doc):
         path = tmp_path / "state.json"
@@ -135,6 +136,13 @@ class TestAnalyze:
         proc = run_cli("analyze", str(path), "--feasible")
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flag,text", [("--ppt", ""), ("--reflect", "A?"), ("--reduction", "\u00b2")])
+    def test_unparseable_subset_exits_2(self, flag, text):
+        proc = run_cli("analyze", str(BELL), flag, text)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error" in proc.stderr
 
     @pytest.mark.parametrize("raw", [b"\xff\xfe\x00garbage", b"[" * 100000], ids=["bad-utf8", "deep-nesting"])
     def test_undecodable_file_exits_2(self, tmp_path, raw):

@@ -1,10 +1,11 @@
 """Entanglement and feasibility criteria."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, oracle_label
 
 import qreflect as qr
 from qreflect.io import load_density
@@ -19,6 +20,13 @@ def random_separable(rng, terms=3):
             qr.random_density(1, "mixed_dirichlet", rng).matrix,
         )
     return qr.DensityState(acc)
+
+
+def random_rank(n, r, rng):
+    """Equal-weight mixture of ``r`` random pure states (rank ``r`` generically)."""
+    z = rng.standard_normal((2**n, r)) + 1j * rng.standard_normal((2**n, r))
+    z /= np.linalg.norm(z, axis=0)
+    return qr.DensityState(z @ z.conj().T / r)
 
 
 class TestPpt:
@@ -94,6 +102,22 @@ class TestCcn:
         with pytest.raises(ValueError):
             qr.ccn(qr.upb_bound_entangled())
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_cut_matches_realignment_oracle(self, n, rng):
+        rho = qr.random_density(n, "mixed_dirichlet", rng)
+        for size in range(1, n):
+            for block in itertools.combinations(range(1, n + 1), size):
+                rest = [q for q in range(1, n + 1) if q not in block]
+                d_left, d_right = 2**size, 2 ** (n - size)
+                realigned = np.zeros((d_left**2, d_right**2), dtype=complex)
+                for r in range(2**n):
+                    for c in range(2**n):
+                        row = oracle_label(r, n, block) * d_left + oracle_label(c, n, block)
+                        col = oracle_label(r, n, rest) * d_right + oracle_label(c, n, rest)
+                        realigned[row, col] = rho.matrix[r, c]
+                oracle = np.linalg.svd(realigned, compute_uv=False).sum()
+                assert abs(qr.ccn(rho, block) - oracle) < 1e-12
+
 
 class TestConcurrence:
     def test_bell(self):
@@ -108,6 +132,22 @@ class TestConcurrence:
     def test_never_negative(self, rng):
         for _ in range(50):
             assert qr.concurrence(qr.random_density(2, "mixed_dirichlet", rng)) >= 0.0
+
+    def test_product_pure_states_are_separable_consistent(self, rng):
+        for _ in range(200):
+            a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            psi = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+            report = qr.concurrence_report(qr.DensityState(np.outer(psi, psi.conj())))
+            assert report.verdict == "separable-consistent"
+
+    def test_pure_states_match_closed_form(self, rng):
+        sigma_y = np.array([[0, -1j], [1j, 0]])
+        yy = np.kron(sigma_y, sigma_y)
+        for _ in range(200):
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            rho = qr.DensityState(np.outer(psi, psi.conj()))
+            assert abs(qr.concurrence(rho) - abs(psi @ yy @ psi)) < 1e-12
 
 
 class TestLorentzMetric:
@@ -187,6 +227,25 @@ class TestTotalReflectionFeasibility:
                 assert (not flags["sufficient_max_eig"]) or flags["exact_psd"]
                 assert (not flags["exact_psd"]) or flags["purity_bound"]
                 assert (not flags["exact_psd"]) or flags["rank_bound"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_spectrum_matches_numpy_oracles(self, n, rng):
+        bound = 2.0 ** (1 - n)
+        states = [
+            qr.random_density(n, "mixed_dirichlet", rng),
+            qr.random_density(n, "bounded_spectrum", rng, c=bound),
+        ]
+        states += [random_rank(n, r, rng) for r in sorted({1, max(1, 2 ** (n - 1) - 1), 2 ** (n - 1)})]
+        for rho in states:
+            m = rho.matrix
+            report = qr.total_reflection_feasible(rho)
+            witness = np.linalg.eigvalsh(bound * np.eye(2**n) - m)[0]
+            rank = np.linalg.matrix_rank(m, tol=1e-10)
+            assert abs(report.witness - witness) < 1e-12
+            assert report.extra["exact_psd"] == report.extra["sufficient_max_eig"] == (witness >= -1e-10)
+            assert report.extra["purity_bound"] == (np.trace(m @ m).real <= bound + 1e-12)
+            assert report.extra["rank_bound"] == (rank >= 2 ** (n - 1))
+            assert qr.rank(rho, 1e-10) == rank
 
     def test_pinned_counterexample_purity_without_feasibility(self):
         doc = json.loads((FIXTURES / "purity_bound_counterexample.json").read_text())

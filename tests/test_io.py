@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qreflect as qr
 from qreflect.io import (
@@ -11,9 +13,35 @@ from qreflect.io import (
     load_density,
     mask_from_dict,
     mask_to_dict,
+    parse_density,
     state_from_dict,
     state_to_dict,
     write_state,
+)
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+ENTRIES = st.floats(min_value=-1.0, max_value=1.0) | JSON_SCALARS
+STATE_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {"n": st.integers(min_value=-1, max_value=7) | JSON_SCALARS, "format": st.sampled_from(["hermitian", "stokes", "csv"])},
+    optional={
+        "values": st.lists(ENTRIES, max_size=17) | JSON_VALUES,
+        "re": st.lists(st.lists(ENTRIES, max_size=4), max_size=4) | JSON_VALUES,
+        "im": st.lists(st.lists(ENTRIES, max_size=4), max_size=4) | JSON_VALUES,
+    },
+) | st.builds(
+    lambda rest: {"n": 1, "format": "stokes", "values": [2**-0.5, *rest]},
+    st.lists(ENTRIES, min_size=3, max_size=3),
 )
 
 
@@ -56,9 +84,10 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             state_from_dict({"n": n, "format": "hermitian", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
 
-    def test_non_numeric_values_rejected(self):
+    @pytest.mark.parametrize("values", [{"a": 1}, [10**400, 0, 0, 0]], ids=["dict", "beyond-float"])
+    def test_non_numeric_values_rejected(self, values):
         with pytest.raises(StateFormatError):
-            state_from_dict({"n": 1, "format": "stokes", "values": {"a": 1}})
+            state_from_dict({"n": 1, "format": "stokes", "values": values})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, tmp_path, bad):
@@ -83,6 +112,19 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             load_density(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(doc=STATE_DOCUMENTS)
+    def test_fuzzed_documents_parse_to_a_density_or_fail_cleanly(self, doc):
+        try:
+            rho = parse_density(json.dumps(doc).encode(), "fuzz")
+        except StateFormatError:
+            return
+        m = rho.matrix
+        assert np.isfinite(m).all()
+        assert np.abs(m - m.conj().T).max() <= 1e-10
+        assert abs(np.trace(m) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(m)[0] >= -1e-10
+
     def test_serialising_other_types_rejected(self):
         with pytest.raises(TypeError):
             state_to_dict(np.eye(2))
@@ -98,9 +140,14 @@ class TestMaskFiles:
         assert np.array_equal(back.signs, mask.signs)
         assert back.name == mask.name
 
-    def test_bad_signs_rejected(self):
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n": 1, "signs": [1, 0, 1, 1]}, None, {"signs": None}, {"signs": [1.5, 1, 1, 1]}],
+        ids=["zero", "none", "none-signs", "fractional"],
+    )
+    def test_bad_signs_rejected(self, doc):
         with pytest.raises(StateFormatError):
-            mask_from_dict({"n": 1, "signs": [1, 0, 1, 1]})
+            mask_from_dict(doc)
 
 
 class TestReportSerialisation:

@@ -8,12 +8,13 @@ import pytest
 from conftest import (
     oracle_basis,
     oracle_from_stokes,
+    oracle_label,
     oracle_partial_trace,
     oracle_stokes,
 )
 
 import qreflect as qr
-from qreflect.stokes import StokesTensor
+from qreflect.stokes import StokesTensor, identity_times_reduction
 
 SQ2 = math.sqrt(2.0)
 
@@ -272,6 +273,24 @@ class TestProductsAndReductions:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             qr.partial_trace(qr.bell_state(), keep=())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_identity_times_reduction_matches_oracle(self, n, rng):
+        rho = random_mixed(n, rng)
+        dim = 2**n
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                kept = [q for q in range(1, n + 1) if q not in subset]
+                reduced = oracle_partial_trace(rho.matrix, n, kept)
+                explicit = np.zeros((dim, dim), dtype=complex)
+                for r in range(dim):
+                    for c in range(dim):
+                        if oracle_label(r, n, subset) == oracle_label(c, n, subset):
+                            explicit[r, c] = reduced[oracle_label(r, n, kept), oracle_label(c, n, kept)]
+                lift = identity_times_reduction(rho, subset)
+                assert np.abs(lift - explicit).max() < 1e-12
+                reflected = qr.apply_mask(qr.mask_total_reflection(n, subset), rho).matrix
+                assert np.abs(lift - 2 ** (size - 1) * (rho.matrix + reflected)).max() < 1e-12
 
     def test_permute_qubits_round_trip(self, rng):
         rho = random_mixed(3, rng)
