@@ -18,7 +18,7 @@ from .stokes import (
     PSD_TOL,
     StokesTensor,
     _as_operator,
-    _check_subset,
+    _nonempty_subset,
     identity_times_reduction,
     permute_qubits,
     realigned_matrix,
@@ -47,9 +47,9 @@ class CriterionReport:
 
 
 def _proper_subset(subset, n: int) -> tuple[int, ...]:
-    subset = _check_subset(subset, n)
-    if not subset or len(subset) >= n:
-        raise ValueError(f"need a nonempty proper subset of 1..{n}, got {subset}")
+    subset = _nonempty_subset(subset, n)
+    if len(subset) >= n:
+        raise ValueError(f"need a proper subset of 1..{n}, got {subset}")
     return subset
 
 
@@ -182,9 +182,7 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
 def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     """Positivity of the (possibly partial) reflection across ``subset``."""
     op = _as_operator(rho)
-    subset = _check_subset(subset, op.n)
-    if not subset:
-        raise ValueError("the reflected subset must contain at least one qubit")
+    subset = _nonempty_subset(subset, op.n)
     image = apply_mask(mask_total_reflection(op.n, subset), op)
     witness = min_eig(image)
     verdict = "feasible" if witness >= -tol else "infeasible"

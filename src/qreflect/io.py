@@ -8,6 +8,7 @@ row-major multi-index order), plus free-form annotation fields such as
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -37,6 +38,14 @@ def state_to_dict(state, **annotations) -> dict:
     return doc
 
 
+def _numbers(entries, ndim: int = 1) -> np.ndarray:
+    """Float array of an ``ndim``-deep JSON list whose leaves are numbers, never bools or strings."""
+    leaves = itertools.chain.from_iterable(entries) if ndim == 2 else entries
+    if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, leaves))):
+        raise StateFormatError("array entries must be JSON numbers")
+    return np.asarray(entries, dtype=float)
+
+
 def state_from_dict(doc: dict):
     """Rebuild a state; hermitian documents load as operators, stokes as tensors."""
     if not isinstance(doc, dict):
@@ -49,13 +58,11 @@ def state_from_dict(doc: dict):
         raise StateFormatError(f"'n' must lie in 1..{QUBIT_LIMIT}, got {n}")
     try:
         if fmt == "stokes":
-            values = np.asarray(doc["values"], dtype=float)
-            tensor = StokesTensor(values)
+            tensor = StokesTensor(_numbers(doc["values"]))
             if tensor.n != n:
                 raise StateFormatError(f"'values' length implies n={tensor.n}, document says {n}")
             return tensor
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        re, im = _numbers(doc["re"], 2), _numbers(doc["im"], 2)
         if re.shape != (2**n, 2**n) or im.shape != re.shape:
             raise StateFormatError(f"'re'/'im' must be {2**n}x{2**n} arrays")
         return HermitianOperator(re + 1j * im)
@@ -73,9 +80,7 @@ def parse_density(raw: bytes, source) -> DensityState:
         raise StateFormatError(f"cannot parse state file {source}: {exc}") from exc
     state = state_from_dict(doc)
     try:
-        if isinstance(state, StokesTensor):
-            state = from_stokes(state)
-        return DensityState(state.matrix)
+        return DensityState(from_stokes(state) if isinstance(state, StokesTensor) else state)
     except ValueError as exc:
         raise StateFormatError(f"state in {source} is not a density operator: {exc}") from exc
 
@@ -99,6 +104,6 @@ def mask_to_dict(mask: SignMask) -> dict:
 
 def mask_from_dict(doc: dict) -> SignMask:
     try:
-        return SignMask(doc["signs"], name=str(doc.get("name", "")))
+        return SignMask(_numbers(doc["signs"]), name=str(doc.get("name", "")))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise StateFormatError(f"bad mask document: {exc}") from exc

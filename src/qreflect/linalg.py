@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stokes import HERMITICITY_TOL, PSD_TOL, HermitianOperator
+from .stokes import HERMITICITY_TOL, PSD_TOL, DensityState, HermitianOperator
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ def _symmetrized(h) -> np.ndarray:
 
 
 def _eigenvalues(h) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
+    """Eigenvalues of a Hermitian matrix, ascending; a state's are the ones it was validated with."""
+    if isinstance(h, DensityState):
+        return h.spectrum
     return np.linalg.eigvalsh(_symmetrized(h))
 
 

@@ -27,6 +27,7 @@ from .stokes import (
     _apply_per_qubit,
     _as_operator,
     _check_subset,
+    _nonempty_subset,
     from_stokes,
     identity_times_reduction,
     LAMBDA,
@@ -116,9 +117,7 @@ def mask_total_reflection(n: int, subset=None) -> SignMask:
     With the full qubit set this negates the whole homogeneous part; on a
     proper subset it fixes only the complementary reduced-state block.
     """
-    subset = tuple(range(1, n + 1)) if subset is None else _check_subset(subset, n)
-    if not subset:
-        raise ValueError("the reflected subset must contain at least one qubit")
+    subset = tuple(range(1, n + 1)) if subset is None else _nonempty_subset(subset, n)
     signs = np.where(_digit_count(n, subset, (1, 2, 3)) > 0, -1, 1)
     return SignMask(signs, name=f"total_reflection[{_subset_label(subset)}]")
 

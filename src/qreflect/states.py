@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .stokes import DensityState, HermitianOperator, QUBIT_LIMIT, qubit_count
+from .stokes import DensityState, QUBIT_LIMIT, _as_operator, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -70,11 +70,7 @@ def upb_bound_entangled() -> DensityState:
     This is the three-qubit bound entangled state: positive semidefinite,
     positive under every partial transpose, yet nonseparable.
     """
-    d = 8
-    acc = np.zeros((d, d), dtype=complex)
-    for vec in upb_kets():
-        acc += np.outer(vec, vec.conj())
-    return DensityState((np.eye(d) - acc) / 4)
+    return DensityState(np.eye(8) / 4 - upb_separable().matrix)
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -152,6 +148,6 @@ def remix(rho, w: float) -> DensityState:
     """Convex mixture ``(1 - w) * maximally mixed + w * rho``."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w}")
-    op = rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
+    op = _as_operator(rho)
     dim = 2**op.n
     return DensityState((1.0 - w) * np.eye(dim) / dim + w * op.matrix)

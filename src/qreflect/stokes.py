@@ -128,15 +128,28 @@ class HermitianOperator:
 
 
 class DensityState(HermitianOperator):
-    """A positive-semidefinite trace-one operator (a physical state)."""
+    """A positive-semidefinite trace-one operator (a physical state).
 
-    __slots__ = ()
+    Shares the checked matrix of a :class:`HermitianOperator` argument and
+    keeps its positivity check's ascending eigenvalues as ``spectrum``.
+    """
+
+    __slots__ = ("_spectrum",)
 
     def __init__(self, matrix, tol: float = PSD_TOL):
-        super().__init__(matrix)
-        smallest = np.linalg.eigvalsh((self._matrix + self._matrix.conj().T) / 2)[0]
-        if smallest < -tol:
-            raise ValueError(f"matrix has a negative eigenvalue {smallest:.3e}")
+        if isinstance(matrix, HermitianOperator):
+            self._n, self._matrix = matrix.n, matrix.matrix
+        else:
+            super().__init__(matrix)
+        spectrum = np.linalg.eigvalsh((self._matrix + self._matrix.conj().T) / 2)
+        if spectrum[0] < -tol:
+            raise ValueError(f"matrix has a negative eigenvalue {spectrum[0]:.3e}")
+        spectrum.setflags(write=False)
+        self._spectrum = spectrum
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self._spectrum
 
 
 class StokesTensor:
@@ -317,12 +330,17 @@ def _check_subset(subset, n: int) -> tuple[int, ...]:
     return tuple(qubits)
 
 
+def _nonempty_subset(subset, n: int) -> tuple[int, ...]:
+    qubits = _check_subset(subset, n)
+    if not qubits:
+        raise ValueError("the qubit subset must contain at least one qubit")
+    return qubits
+
+
 def partial_trace(op, keep) -> HermitianOperator:
     """Reduced operator on the kept qubits (1-based), in their original order."""
     op = _as_operator(op)
-    kept = _check_subset(keep, op.n)
-    if not kept:
-        raise ValueError("must keep at least one qubit")
+    kept = _nonempty_subset(keep, op.n)
     traced = [q for q in range(1, op.n + 1) if q not in kept]
     t = op.matrix.reshape((2,) * (2 * op.n))
     remaining = op.n
@@ -335,9 +353,7 @@ def partial_trace(op, keep) -> HermitianOperator:
 
 def partial_trace_stokes(s: StokesTensor, keep) -> StokesTensor:
     """Stokes-domain partial trace: keep the sub-tensor with traced digits 0."""
-    kept = _check_subset(keep, s.n)
-    if not kept:
-        raise ValueError("must keep at least one qubit")
+    kept = _nonempty_subset(keep, s.n)
     v = s.values.reshape((4,) * s.n)
     picker = tuple(slice(None) if q in kept else 0 for q in range(1, s.n + 1))
     scale = math.sqrt(2.0) ** (s.n - len(kept))
@@ -354,9 +370,7 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     the identity).  The trace is ``2**len(subset)``, hence a plain array.
     """
     op = _as_operator(op)
-    subset = _check_subset(subset, op.n)
-    if not subset:
-        raise ValueError("subset must contain at least one qubit")
+    subset = _nonempty_subset(subset, op.n)
     picker = tuple(0 if q in subset else slice(None) for q in range(1, op.n + 1))
     values = np.zeros((4,) * op.n)
     values[picker] = to_stokes(op).values.reshape((4,) * op.n)[picker] * 2.0 ** len(subset)

@@ -6,8 +6,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from conftest import FIXTURES
+
+from qreflect import cli
 
 BELL = FIXTURES / "bell.json"
 BELL_STOKES = FIXTURES / "bell_stokes.json"
@@ -127,8 +130,9 @@ class TestAnalyze:
             {"n": 1, "format": "hermitian", "re": [[float("nan"), 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 0.0, float("inf")]},
             {"n": 1, "format": "stokes", "values": [10**400, 0, 0, 0]},
+            {"n": 1, "format": "stokes", "values": [2**-0.5, 1.7e308, 1.7e308, 1.7e308]},
         ],
-        ids=["hermitian-nan", "stokes-inf", "stokes-beyond-float"],
+        ids=["hermitian-nan", "stokes-inf", "stokes-beyond-float", "stokes-cancelling"],
     )
     def test_non_finite_state_exits_2(self, tmp_path, doc):
         path = tmp_path / "state.json"
@@ -151,6 +155,23 @@ class TestAnalyze:
         proc = run_cli("analyze", str(path), "--ppt", "A")
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+
+class TestSolveOnce:
+    def test_feasible_analyze_solves_the_state_once(self, monkeypatch, capsys):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(matrix, *args, **kwargs):
+            solved.append(np.shape(matrix))
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert cli.main(["analyze", str(UPB), "--feasible"]) == 0
+        assert solved == [(8, 8)]
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["purity"] == pytest.approx(0.25, abs=1e-14)
+        assert result["min_eig"] == pytest.approx(0.0, abs=1e-14)
 
 
 class TestUpbDemo:

@@ -84,10 +84,26 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             state_from_dict({"n": n, "format": "hermitian", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
 
-    @pytest.mark.parametrize("values", [{"a": 1}, [10**400, 0, 0, 0]], ids=["dict", "beyond-float"])
+    @pytest.mark.parametrize(
+        "values",
+        [{"a": 1}, [10**400, 0, 0, 0], ["0.7071067811865476", "0", "0", "0"], [2**-0.5, True, False, 0]],
+        ids=["dict", "beyond-float", "numeric-strings", "bools"],
+    )
     def test_non_numeric_values_rejected(self, values):
         with pytest.raises(StateFormatError):
             state_from_dict({"n": 1, "format": "stokes", "values": values})
+
+    @pytest.mark.parametrize(
+        "re",
+        [[[True, False], [False, False]], [[True, 0], [0, 0]], [[1, 0], [0, "0"]]],
+        ids=["all-bool", "bool-and-int", "string"],
+    )
+    def test_non_numeric_hermitian_entries_rejected(self, re):
+        doc = {"n": 1, "format": "hermitian", "re": re, "im": [[0, 0], [0, 0]]}
+        with pytest.raises(StateFormatError):
+            state_from_dict(doc)
+        with pytest.raises(StateFormatError):
+            parse_density(json.dumps(doc).encode(), "doc")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, tmp_path, bad):
@@ -142,8 +158,15 @@ class TestMaskFiles:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"n": 1, "signs": [1, 0, 1, 1]}, None, {"signs": None}, {"signs": [1.5, 1, 1, 1]}],
-        ids=["zero", "none", "none-signs", "fractional"],
+        [
+            {"n": 1, "signs": [1, 0, 1, 1]},
+            None,
+            {"signs": None},
+            {"signs": [1.5, 1, 1, 1]},
+            {"signs": ["1", "-1", "1", "1"]},
+            {"signs": [True, -1, 1, 1]},
+        ],
+        ids=["zero", "none", "none-signs", "fractional", "numeric-strings", "bool"],
     )
     def test_bad_signs_rejected(self, doc):
         with pytest.raises(StateFormatError):

@@ -105,3 +105,27 @@ class TestPredicates:
     def test_full_rank_mixed(self):
         assert qr.rank(qr.maximally_mixed(3), 1e-10) == 8
         assert qr.max_eig(qr.maximally_mixed(3)) == pytest.approx(0.125)
+
+
+class TestDensityStateSpectrum:
+    def test_reuses_the_checked_operator(self, rng):
+        op = qr.HermitianOperator(qr.random_density(3, "mixed_dirichlet", rng).matrix)
+        rho = qr.DensityState(op)
+        assert rho.matrix is op.matrix
+        assert not rho.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.0
+
+    def test_non_positive_operator_still_rejected(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            qr.DensityState(qr.complement(qr.bell_state()))
+
+    @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kept_spectrum_matches_the_array_route_exactly(self, n, mode, rng):
+        rho = qr.random_density(n, mode, rng)
+        raw = np.array(rho.matrix)
+        assert qr.min_eig(rho) == qr.min_eig(raw)
+        assert qr.max_eig(rho) == qr.max_eig(raw)
+        assert qr.rank(rho) == qr.rank(raw)
+        assert np.array_equal(qr.eig_hermitian(rho).eigenvalues, qr.eig_hermitian(raw).eigenvalues)

@@ -128,6 +128,13 @@ class TestStokesConversion:
         with pytest.raises(ValueError, match="finite"):
             qr.RealDensityMatrix(entries)
 
+    def test_cancelling_trace_rejected_by_from_stokes(self):
+        # Finite values with the right affine component whose trace cancels
+        # to 0 in floating point: only the operator's trace check catches it.
+        tensor = StokesTensor([2**-0.5, 1.7e308, 1.7e308, 1.7e308])
+        with pytest.raises(ValueError, match="trace"):
+            qr.from_stokes(tensor)
+
     def test_qubit_limit_enforced(self):
         with pytest.raises(ValueError):
             qr.HermitianOperator(np.eye(2**7) / 2**7)
@@ -273,6 +280,21 @@ class TestProductsAndReductions:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             qr.partial_trace(qr.bell_state(), keep=())
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda rho: qr.partial_trace(rho, ()),
+            lambda rho: qr.partial_trace_stokes(qr.to_stokes(rho), ()),
+            lambda rho: identity_times_reduction(rho, ()),
+            lambda rho: qr.mask_total_reflection(rho.n, ()),
+            lambda rho: qr.reflection_report(rho, ()),
+        ],
+        ids=["partial_trace", "partial_trace_stokes", "identity_times_reduction", "mask_total_reflection", "reflection_report"],
+    )
+    def test_empty_subset_rejected_everywhere(self, entry):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            entry(qr.bell_state())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_identity_times_reduction_matches_oracle(self, n, rng):
