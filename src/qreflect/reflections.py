@@ -195,6 +195,8 @@ class LocalOrthogonalMap:
             b = np.array(b, dtype=float)
             if b.shape != (4, 4):
                 raise ValueError(f"each block must be 4x4, got {b.shape}")
+            if not np.isfinite(b).all():
+                raise ValueError("block entries must be finite")
             if abs(b[0, 0] - 1.0) > 1e-10 or np.abs(b[0, 1:]).max() > 1e-10 or np.abs(b[1:, 0]).max() > 1e-10:
                 raise ValueError("block must have the affine form diag(1, R)")
             r = b[1:, 1:]
@@ -209,6 +211,8 @@ class LocalOrthogonalMap:
     @classmethod
     def single_qubit(cls, n: int, qubit: int, rotation) -> "LocalOrthogonalMap":
         """Act with ``diag(1, rotation)`` on one qubit, identity elsewhere."""
+        if not 1 <= qubit <= n:
+            raise ValueError(f"qubit {qubit} is outside 1..{n}")
         r = np.asarray(rotation, dtype=float)
         blocks = [np.eye(4) for _ in range(n)]
         block = np.eye(4)

@@ -300,6 +300,20 @@ class TestLocalOrthogonal:
         with pytest.raises(ValueError):
             qr.LocalOrthogonalMap.single_qubit(1, 1, np.array([[1.0, 0.2, 0], [0, 1, 0], [0, 0, 1]]))
 
+    @pytest.mark.parametrize("qubit", [0, 3])
+    def test_single_qubit_out_of_range_rejected(self, qubit):
+        # qubit 0 used to index blocks[-1] and rotate the last qubit instead
+        with pytest.raises(ValueError, match="outside 1..2"):
+            qr.LocalOrthogonalMap.single_qubit(2, qubit, np.diag([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_block_rejected(self, value):
+        # a NaN compares false against every tolerance, so it used to pass both block checks
+        block = np.eye(4)
+        block[1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            qr.LocalOrthogonalMap([block, np.eye(4)])
+
 
 class TestOperatorSums:
     def test_transpose_route(self, rng):
