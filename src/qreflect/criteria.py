@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import eig_hermitian, min_eig, svd_values
-from .reflections import apply_mask, mask_partial_transpose, mask_total_reflection
 from .stokes import (
     PAULI,
     HermitianOperator,
@@ -20,6 +19,7 @@ from .stokes import (
     _as_operator,
     _nonempty_subset,
     identity_times_reduction,
+    partial_transpose,
     permute_qubits,
     realigned_matrix,
     stokes_as_matrix,
@@ -57,12 +57,13 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     """Partial-transpose positivity across the given qubit subset.
 
     Exact for two qubits; for more qubits a negative witness still certifies
-    entanglement across the cut.
+    entanglement across the cut.  The witness is the smallest eigenvalue of
+    the axis-swap :func:`partial_transpose`; the sign mask
+    ``mask_partial_transpose`` defines the same image and is its test oracle.
     """
     op = _as_operator(rho)
     subset = _proper_subset(subset, op.n)
-    image = apply_mask(mask_partial_transpose(op.n, subset), op)
-    witness = min_eig(image)
+    witness = min_eig(partial_transpose(op, subset))
     verdict = "entangled" if witness < -tol else "separable-consistent"
     return CriterionReport("ppt", verdict, witness, subset, tol)
 
@@ -180,10 +181,17 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
 
 
 def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
-    """Positivity of the (possibly partial) reflection across ``subset``."""
+    """Positivity of the (possibly partial) reflection across ``subset``.
+
+    The image is ``R_S rho = 2**(1-|S|) lift - rho`` with the lift of
+    :func:`identity_times_reduction`; the full set gives the complement
+    ``2**(1-n) identity - rho``.  The sign mask ``mask_total_reflection``
+    defines the same image and is its test oracle.  For one qubit the image
+    is the comparison operator of :func:`reduction_criterion`, so the two
+    witnesses are equal.
+    """
     op = _as_operator(rho)
     subset = _nonempty_subset(subset, op.n)
-    image = apply_mask(mask_total_reflection(op.n, subset), op)
-    witness = min_eig(image)
+    witness = min_eig(2.0 ** (1 - len(subset)) * identity_times_reduction(op, subset) - op.matrix)
     verdict = "feasible" if witness >= -tol else "infeasible"
     return CriterionReport("reflection", verdict, witness, subset, tol)

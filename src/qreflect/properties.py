@@ -321,6 +321,25 @@ def concurrence_lorentz(rng, k):
     return gap
 
 
+def hermitian_kernels(rng, k):
+    n = int(rng.integers(1, 4))
+    rho = states.random_density(n, "mixed_dirichlet", rng)
+    bits = int(rng.integers(1, 2**n))
+    subset = tuple(q for q in range(1, n + 1) if bits >> (q - 1) & 1)
+    pairs = (
+        (
+            stokes.partial_transpose(rho, subset),
+            reflections.apply_mask(reflections.mask_partial_transpose(n, subset), rho),
+        ),
+        (
+            2.0 ** (1 - len(subset)) * stokes.identity_times_reduction(rho, subset) - rho.matrix,
+            reflections.apply_mask(reflections.mask_total_reflection(n, subset), rho),
+        ),
+    )
+    gaps = (float(np.abs(kernel - mask.matrix).max()) for kernel, mask in pairs)
+    return max(_within(gap, 1e-12, rho, f"matrix kernel and mask disagreed on {subset}") for gap in gaps)
+
+
 _CHECKS = [
     (fn.__name__, fn)
     for fn in (
@@ -343,6 +362,7 @@ _CHECKS = [
         complement_mixture,
         relaxed_reflection,
         concurrence_lorentz,
+        hermitian_kernels,
     )
 ]
 

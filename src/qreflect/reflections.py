@@ -10,10 +10,17 @@ reflections are all of this form.  Continuous local actions are covered by
 A mask is orientation changing exactly when its number of sign flips is odd,
 and it factors into per-qubit operations exactly when the sign array is an
 outer product of per-qubit sign 4-vectors.
+
+The named constructors return one shared mask per ``(n, subset)``; a mask's
+signs and name are read-only, so sharing it is safe.  Criteria evaluate the
+same images with matrix kernels (``stokes.partial_transpose``,
+``stokes.identity_times_reduction``), and these masks stay their definition
+and test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +48,7 @@ from .stokes import (
 class SignMask:
     """A diagonal +/-1 involution of the ``4**n`` Stokes components."""
 
-    __slots__ = ("_n", "_signs", "name")
+    __slots__ = ("_n", "_signs", "_name")
 
     def __init__(self, signs, name: str = ""):
         s = np.array(signs, dtype=float)
@@ -58,7 +65,7 @@ class SignMask:
         s.setflags(write=False)
         self._n = n
         self._signs = s
-        self.name = name
+        self._name = name
 
     @property
     def n(self) -> int:
@@ -68,8 +75,12 @@ class SignMask:
     def signs(self) -> np.ndarray:
         return self._signs
 
+    @property
+    def name(self) -> str:
+        return self._name
+
     def __repr__(self) -> str:
-        return f"SignMask(n={self._n}, name={self.name!r})"
+        return f"SignMask(n={self._n}, name={self._name!r})"
 
 
 @dataclass(frozen=True)
@@ -93,22 +104,26 @@ def _subset_label(subset) -> str:
     return ",".join(str(q) for q in subset)
 
 
+@functools.cache
+def _digit_rule_mask(kind: str, n: int, subset: tuple[int, ...], hit: tuple[int, ...], odd: bool) -> SignMask:
+    """Shared named mask flipping where the count of subset digits in ``hit`` is odd (``odd``) or nonzero."""
+    count = _digit_count(n, subset, hit)
+    flip = count % 2 == 1 if odd else count > 0
+    return SignMask(np.where(flip, -1, 1), name=f"{kind}[{_subset_label(subset)}]")
+
+
 def mask_identity(n: int) -> SignMask:
     return SignMask(np.ones(4**n, dtype=np.int8), name="identity")
 
 
 def mask_partial_transpose(n: int, subset) -> SignMask:
     """Flip the sign wherever an odd number of subset digits equals 2."""
-    subset = _check_subset(subset, n)
-    signs = np.where(_digit_count(n, subset, (2,)) % 2 == 1, -1, 1)
-    return SignMask(signs, name=f"partial_transpose[{_subset_label(subset)}]")
+    return _digit_rule_mask("partial_transpose", n, _check_subset(subset, n), (2,), True)
 
 
 def mask_spin_flip(n: int, subset) -> SignMask:
     """Per-qubit Bloch inversion: factor -1 on digits 1, 2, 3; signs multiply."""
-    subset = _check_subset(subset, n)
-    signs = np.where(_digit_count(n, subset, (1, 2, 3)) % 2 == 1, -1, 1)
-    return SignMask(signs, name=f"spin_flip[{_subset_label(subset)}]")
+    return _digit_rule_mask("spin_flip", n, _check_subset(subset, n), (1, 2, 3), True)
 
 
 def mask_total_reflection(n: int, subset=None) -> SignMask:
@@ -118,8 +133,7 @@ def mask_total_reflection(n: int, subset=None) -> SignMask:
     proper subset it fixes only the complementary reduced-state block.
     """
     subset = tuple(range(1, n + 1)) if subset is None else _nonempty_subset(subset, n)
-    signs = np.where(_digit_count(n, subset, (1, 2, 3)) > 0, -1, 1)
-    return SignMask(signs, name=f"total_reflection[{_subset_label(subset)}]")
+    return _digit_rule_mask("total_reflection", n, subset, (1, 2, 3), False)
 
 
 def mask_two_body_flip() -> SignMask:

@@ -254,14 +254,9 @@ def to_stokes(op) -> StokesTensor:
     return StokesTensor(values.real)
 
 
-def _matrix_from_values(n: int, values: np.ndarray) -> np.ndarray:
-    """Contract arbitrary real coefficients against the lambda basis."""
-    return _deinterleaved(_apply_per_qubit([_K_FROM] * n, values), n)
-
-
 def from_stokes(s: StokesTensor) -> HermitianOperator:
     """Inverse of :func:`to_stokes`."""
-    return HermitianOperator(_matrix_from_values(s.n, s.values))
+    return HermitianOperator(_deinterleaved(_apply_per_qubit([_K_FROM] * s.n, s.values), s.n))
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
@@ -360,21 +355,49 @@ def partial_trace_stokes(s: StokesTensor, keep) -> StokesTensor:
     return StokesTensor(v[picker].reshape(-1) * scale)
 
 
+def partial_transpose(op, subset) -> np.ndarray:
+    """Transpose the subset qubits' factors: swap their row and column axes.
+
+    The matrix-domain form of :func:`reflections.mask_partial_transpose`,
+    which stays its definition and test oracle.  The image is a plain array
+    with the input's Hermiticity defect.
+    """
+    op = _as_operator(op)
+    n = op.n
+    perm = list(range(2 * n))
+    for q in _check_subset(subset, n):
+        perm[q - 1], perm[n + q - 1] = n + q - 1, q - 1
+    return op.matrix.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+
+
 def identity_times_reduction(op, subset) -> np.ndarray:
     """Matrix of ``identity on subset (x) partial trace over subset``.
 
-    The identity factors sit at the subset positions in qubit order.  The
-    lift keeps the Stokes values whose subset digits are all 0, times
-    ``2**len(subset)``, so it equals ``2**(len(subset)-1) (rho + R_S rho)``
-    with ``R_S`` the partial reflection on the subset (the full set gives
-    the identity).  The trace is ``2**len(subset)``, hence a plain array.
+    The identity factors sit at the subset positions in qubit order.  For
+    each subset qubit the two diagonal blocks of that qubit are summed and
+    the sum written onto both (its off-diagonal blocks become 0), which is
+    ``O(d**2)`` per qubit and needs no Pauli transform.  The lift acts on
+    the Hermitian part ``(m + m^dagger) / 2``, the part that
+    :func:`to_stokes` keeps, so the image is exactly Hermitian.
+
+    It equals ``2**(len(subset)-1) (rho + R_S rho)`` with ``R_S`` the
+    partial reflection on the subset (the full set gives the identity), so
+    ``R_S rho = 2**(1-len(subset)) lift - rho``.  The trace is
+    ``2**len(subset)``, hence a plain array.
     """
     op = _as_operator(op)
-    subset = _nonempty_subset(subset, op.n)
-    picker = tuple(0 if q in subset else slice(None) for q in range(1, op.n + 1))
-    values = np.zeros((4,) * op.n)
-    values[picker] = to_stokes(op).values.reshape((4,) * op.n)[picker] * 2.0 ** len(subset)
-    return _matrix_from_values(op.n, values)
+    n = op.n
+    subset = _nonempty_subset(subset, n)
+    m = op.matrix
+    lift = (m + m.conj().T) / 2
+    for q in subset:
+        blocks = lift.reshape(2 ** (q - 1), 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
+        total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
+        blocks[:, 0, :, :, 0] = total
+        blocks[:, 1, :, :, 1] = total
+        blocks[:, 0, :, :, 1] = 0
+        blocks[:, 1, :, :, 0] = 0
+    return lift
 
 
 def permute_qubits(op, order) -> HermitianOperator:

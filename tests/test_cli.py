@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from conftest import FIXTURES
 
-from qreflect import cli
+from qreflect import cli, reflections, stokes
 
 BELL = FIXTURES / "bell.json"
 BELL_STOKES = FIXTURES / "bell_stokes.json"
 UPB = FIXTURES / "upb_separable.json"
 MIXED = FIXTURES / "maximally_mixed_2q.json"
+NEAR_HERMITIAN = FIXTURES / "near_hermitian_3q.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -172,6 +173,52 @@ class TestSolveOnce:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["purity"] == pytest.approx(0.25, abs=1e-14)
         assert result["min_eig"] == pytest.approx(0.0, abs=1e-14)
+
+
+    def test_kernel_verdicts_make_no_stokes_hops(self, monkeypatch, capsys):
+        calls = {"eigvalsh": 0, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
+
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        for name in ("to_stokes", "from_stokes"):
+            # bound by name in several modules, so patch every binding of the original
+            original = getattr(stokes, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("qreflect.")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        monkeypatch.setattr(reflections.SignMask, "__init__", counting("SignMask", reflections.SignMask.__init__))
+        argv = ["analyze", str(UPB), "--ppt", "A", "--ppt", "B", "--ppt", "C", "--reflect", "A", "--feasible"]
+        assert cli.main(argv + ["--reduction", "A"]) == 0
+        assert calls == {"eigvalsh": 6, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
+        assert len(json.loads(capsys.readouterr().out)["result"]["criteria"]) == 6
+
+
+class TestInProcess:
+    def test_repeated_calls_do_not_share_options(self, capsys):
+        assert cli.main(["analyze", str(BELL), "--ppt", "A", "--reflect", "A"]) == 0
+        first = json.loads(capsys.readouterr().out)["result"]["criteria"]
+        assert [c["criterion"] for c in first] == ["ppt", "reflection"]
+        assert cli.main(["analyze", str(BELL), "--feasible"]) == 0
+        second = json.loads(capsys.readouterr().out)["result"]["criteria"]
+        assert [c["criterion"] for c in second] == ["total-reflection"]
+
+    def test_the_parser_is_built_once_and_stays_public(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_near_tolerance_input_keeps_its_verdicts(self, capsys):
+        # the anti-Hermitian defect (9e-11) passes the input check; a lift summed
+        # without taking the Hermitian part first would push it past the tolerance
+        argv = ["analyze", str(NEAR_HERMITIAN), "--ppt", "A", "--reflect", "AB", "--reduction", "AB"]
+        assert cli.main(argv) == 0
+        witnesses = [c["witness"] for c in json.loads(capsys.readouterr().out)["result"]["criteria"]]
+        assert np.abs(np.array(witnesses) - [0.125, 0.125, 0.375]).max() < 1e-12
 
 
 class TestUpbDemo:

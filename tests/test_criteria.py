@@ -195,6 +195,25 @@ class TestReduction:
             qr.reduction_criterion(qr.bell_state(), (1, 2))
 
 
+class TestMatrixKernelWitnesses:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witnesses_match_the_sign_mask_images(self, n, rng):
+        rho = qr.random_density(n, "mixed_dirichlet", rng)
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                reflected = qr.apply_mask(qr.mask_total_reflection(n, subset), rho)
+                assert abs(qr.reflection_report(rho, subset).witness - qr.min_eig(reflected)) < 1e-12
+                if size < n:
+                    transposed = qr.apply_mask(qr.mask_partial_transpose(n, subset), rho)
+                    assert abs(qr.ppt_test(rho, subset).witness - qr.min_eig(transposed)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_qubit_reflection_is_the_reduction_criterion(self, n, rng):
+        rho = qr.random_density(n, "mixed_dirichlet", rng)
+        for q in range(1, n + 1):
+            assert qr.reflection_report(rho, (q,)).witness == qr.reduction_criterion(rho, (q,)).witness
+
+
 class TestTotalReflectionFeasibility:
     def test_maximally_mixed_all_flags(self):
         for n in (1, 2, 3):

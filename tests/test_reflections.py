@@ -84,6 +84,34 @@ TABLE1_BUILDERS = [
 ]
 
 
+class TestNamedMaskCache:
+    def test_one_mask_per_checked_subset(self):
+        assert qr.mask_partial_transpose(3, [2, 1]) is qr.mask_partial_transpose(3, (1, 2))
+        assert qr.mask_spin_flip(2, {2, 1}) is qr.mask_spin_flip(2, (1, 2))
+        assert qr.mask_total_reflection(3) is qr.mask_total_reflection(3, (3, 2, 1))
+        assert qr.mask_total_reflection(3, (1,)) is not qr.mask_total_reflection(3)
+
+    def test_name_is_read_only(self):
+        mask = qr.mask_partial_transpose(2, (1,))
+        with pytest.raises(AttributeError):
+            mask.name = "renamed"
+        assert qr.mask_partial_transpose(2, (1,)).name == "partial_transpose[1]"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qr.mask_partial_transpose(2, (3,)),
+            lambda: qr.mask_spin_flip(2, (0,)),
+            lambda: qr.mask_total_reflection(2, ()),
+        ],
+        ids=["partial_transpose", "spin_flip", "total_reflection"],
+    )
+    def test_bad_subset_rejected_on_every_call(self, build):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                build()
+
+
 class TestMaskInvariants:
     @pytest.mark.parametrize("builder", TABLE1_BUILDERS)
     def test_involution_exact(self, builder, rng):

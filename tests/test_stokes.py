@@ -10,11 +10,12 @@ from conftest import (
     oracle_from_stokes,
     oracle_label,
     oracle_partial_trace,
+    oracle_partial_transpose,
     oracle_stokes,
 )
 
 import qreflect as qr
-from qreflect.stokes import StokesTensor, identity_times_reduction
+from qreflect.stokes import StokesTensor, identity_times_reduction, partial_transpose
 
 SQ2 = math.sqrt(2.0)
 
@@ -318,6 +319,37 @@ class TestProductsAndReductions:
         rho = random_mixed(3, rng)
         swapped = qr.permute_qubits(qr.permute_qubits(rho, (2, 1, 3)), (2, 1, 3))
         assert np.array_equal(swapped.matrix, rho.matrix)
+
+
+class TestMatrixKernels:
+    """The matrix kernels against the sign masks that define their images."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kernels_match_the_sign_masks_on_every_subset(self, n, rng):
+        rho = random_mixed(n, rng)
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                transposed = qr.apply_mask(qr.mask_partial_transpose(n, subset), rho).matrix
+                assert np.abs(partial_transpose(rho, subset) - transposed).max() < 1e-12
+                reflected = qr.apply_mask(qr.mask_total_reflection(n, subset), rho).matrix
+                lifted = 2.0 ** (1 - size) * identity_times_reduction(rho, subset) - rho.matrix
+                assert np.abs(lifted - reflected).max() < 1e-12
+
+    def test_partial_transpose_matches_entrywise_oracle(self, rng):
+        rho = random_mixed(3, rng)
+        for subset in [(), (1,), (2,), (1, 3), (1, 2, 3)]:
+            image = partial_transpose(rho, subset)
+            assert type(image) is np.ndarray
+            assert np.array_equal(image, oracle_partial_transpose(rho.matrix, 3, subset))
+
+    def test_lift_acts_on_the_hermitian_part(self):
+        dim = 8
+        m = np.eye(dim) / dim + 0.45e-10 * (np.triu(np.ones((dim, dim)), 1) - np.tril(np.ones((dim, dim)), -1))
+        op = qr.HermitianOperator(m)
+        for subset in [(1,), (1, 2), (1, 2, 3)]:
+            lift = identity_times_reduction(op, subset)
+            assert np.array_equal(lift, lift.conj().T)
+            assert np.array_equal(lift, identity_times_reduction((m + m.T) / 2, subset))
 
 
 class TestPurityAndSpectrum:
