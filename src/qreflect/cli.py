@@ -13,8 +13,9 @@ Reports are JSON on stdout (``--plain`` switches to aligned text).  Exit
 codes: 0 success, 1 failed property suite, 2 unreadable input (state file
 or qubit subset), 3 dimension mismatch (including a subset naming a qubit
 the state lacks).  Entanglement verdicts never affect the exit code.  The
-``QREFLECT_TOL`` environment variable overrides the default positivity
-tolerance; it must be a finite float >= 0 (otherwise exit 2).
+``QREFLECT_TOL`` environment variable sets the verdict thresholds (default
+``1e-10``); it must be a finite float >= 0 (otherwise exit 2).  It does not
+change the positivity check a state file passes when it is loaded.
 """
 
 from __future__ import annotations
@@ -178,8 +179,6 @@ def cmd_analyze(args) -> int:
                 return _error(EXIT_DIMENSION, f"--ccn needs an even qubit count, state has n={n}")
             reports.append(ccn_report(rho, tuple(range(1, n // 2 + 1)), tol))
         if args.concurrence:
-            if n != 2:
-                return _error(EXIT_DIMENSION, f"--concurrence needs n=2, state has n={n}")
             reports.append(concurrence_report(rho, tol))
         for text in args.reflect or ():
             reports.append(reflection_report(rho, _parse_subset(text), tol))

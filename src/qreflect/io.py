@@ -1,4 +1,4 @@
-"""JSON state, mask, and report files.
+"""JSON state files.
 
 State files carry ``n``, a ``format`` of either ``hermitian`` (row-major
 ``re``/``im`` arrays) or ``stokes`` (a flat ``values`` array in base-4
@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .reflections import SignMask
 from .stokes import QUBIT_LIMIT, DensityState, HermitianOperator, StokesTensor, from_stokes
 
 
 class StateFormatError(ValueError):
-    """Raised when a state or mask document does not match the schema."""
+    """Raised when a state document does not match the schema."""
 
 
 def state_to_dict(state, **annotations) -> dict:
@@ -97,13 +96,3 @@ def load_density(path) -> DensityState:
 def write_state(path, state, **annotations) -> None:
     Path(path).write_text(json.dumps(state_to_dict(state, **annotations), indent=2) + "\n")
 
-
-def mask_to_dict(mask: SignMask) -> dict:
-    return {"n": mask.n, "name": mask.name, "signs": [int(s) for s in mask.signs]}
-
-
-def mask_from_dict(doc: dict) -> SignMask:
-    try:
-        return SignMask(_numbers(doc["signs"]), name=str(doc.get("name", "")))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise StateFormatError(f"bad mask document: {exc}") from exc

@@ -29,12 +29,13 @@ def _as_matrix(h) -> np.ndarray:
 
 
 def _symmetrized(h) -> np.ndarray:
-    """Hermitian part of ``h``; only a raw array is checked, an operator was checked when built."""
-    m = _as_matrix(h)
-    if not isinstance(h, HermitianOperator):
-        defect = np.abs(m - m.conj().T).max()
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    """Hermitian part of ``h``; an operator keeps the one it checked, a raw array is checked here."""
+    if isinstance(h, HermitianOperator):
+        return h.matrix
+    m = np.asarray(h, dtype=complex)
+    defect = np.abs(m - m.conj().T).max()
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return (m + m.conj().T) / 2
 
 

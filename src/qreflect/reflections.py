@@ -31,6 +31,7 @@ from .stokes import (
     QUBIT_LIMIT,
     RealDensityMatrix,
     StokesTensor,
+    _Checked,
     _apply_per_qubit,
     _as_operator,
     _check_subset,
@@ -45,35 +46,23 @@ from .stokes import (
 )
 
 
-class SignMask:
+class SignMask(_Checked):
     """A diagonal +/-1 involution of the ``4**n`` Stokes components."""
 
-    __slots__ = ("_n", "_signs", "_name")
+    __slots__ = ("_name",)
 
     def __init__(self, signs, name: str = ""):
-        s = np.array(signs, dtype=float)
-        if s.ndim != 1:
-            raise ValueError(f"expected a flat sign array, got shape {s.shape}")
-        n = round(math.log(s.size, 4)) if s.size > 1 else 0
-        if n < 1 or 4**n != s.size or n > QUBIT_LIMIT:
-            raise ValueError(f"sign count {s.size} is not 4**n for n in 1..{QUBIT_LIMIT}")
+        s = self._shaped(signs, float, 1)
         if not np.all(np.abs(s) == 1):
             raise ValueError("sign entries must be +1 or -1")
-        s = s.astype(np.int8)
         if s[0] != 1:
             raise ValueError("the trace component sign must be +1")
-        s.setflags(write=False)
-        self._n = n
-        self._signs = s
+        self._keep(s.astype(np.int8))
         self._name = name
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def signs(self) -> np.ndarray:
-        return self._signs
+        return self._array
 
     @property
     def name(self) -> str:

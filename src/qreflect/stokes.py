@@ -89,42 +89,65 @@ def basis_element(index: Sequence[int]) -> np.ndarray:
     return out
 
 
-class HermitianOperator:
-    """A trace-one Hermitian operator on ``n`` qubits.
+class _Checked:
+    """Shared core of the validated array types: a checked read-only array and its qubit count."""
 
-    Positivity is not required, so images of density operators under
-    nonpositive maps remain representable.
-    """
+    __slots__ = ("_n", "_array")
 
-    __slots__ = ("_n", "_matrix")
+    def _shaped(self, data, dtype, ndim: int) -> np.ndarray:
+        """Copy ``data`` to ``dtype`` and set ``n``.
 
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        n = qubit_count(m.shape[0])
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        herm_defect = np.abs(m - m.conj().T).max()
-        if herm_defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        trace = m.trace()
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must equal 1, got {trace:.12g}")
-        m.setflags(write=False)
-        self._n = n
-        self._matrix = m
+        The copy must be a square ``2**n`` matrix (``ndim=2``) or a flat
+        ``4**n`` array (``ndim=1``); both have side ``isqrt(size)``, which
+        :func:`qubit_count` turns into ``n``.  Every entry must be finite.
+        """
+        a = np.array(data, dtype=dtype)
+        side = math.isqrt(a.size)
+        if a.shape != ((side, side) if ndim == 2 else (side * side,)):
+            raise ValueError(f"expected {'a square' if ndim == 2 else 'a flat 4**n'} array, got shape {a.shape}")
+        self._n = qubit_count(side)
+        if not np.isfinite(a).all():
+            raise ValueError("entries must be finite")
+        return a
+
+    def _keep(self, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        self._array = array
 
     @property
     def n(self) -> int:
         return self._n
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self._n})"
+
+
+class HermitianOperator(_Checked):
+    """A trace-one Hermitian operator on ``n`` qubits.
+
+    Positivity is not required, so images of density operators under
+    nonpositive maps remain representable.  The Hermiticity defect and the
+    trace are measured on the input; ``matrix`` is the input's Hermitian
+    part ``(m + m^dagger) / 2``, so every consumer reads an exactly
+    Hermitian matrix and none symmetrizes it again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, matrix):
+        m = self._shaped(matrix, complex, 2)
+        adjoint = m.conj().T
+        herm_defect = np.abs(m - adjoint).max()
+        if herm_defect > HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+        trace = m.trace()
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must equal 1, got {trace:.12g}")
+        self._keep((m + adjoint) / 2)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._array
 
 
 class DensityState(HermitianOperator):
@@ -136,13 +159,13 @@ class DensityState(HermitianOperator):
 
     __slots__ = ("_spectrum",)
 
-    def __init__(self, matrix, tol: float = PSD_TOL):
+    def __init__(self, matrix):
         if isinstance(matrix, HermitianOperator):
-            self._n, self._matrix = matrix.n, matrix.matrix
+            self._n, self._array = matrix.n, matrix.matrix
         else:
             super().__init__(matrix)
-        spectrum = np.linalg.eigvalsh((self._matrix + self._matrix.conj().T) / 2)
-        if spectrum[0] < -tol:
+        spectrum = np.linalg.eigvalsh(self._array)
+        if spectrum[0] < -PSD_TOL:
             raise ValueError(f"matrix has a negative eigenvalue {spectrum[0]:.3e}")
         spectrum.setflags(write=False)
         self._spectrum = spectrum
@@ -152,74 +175,43 @@ class DensityState(HermitianOperator):
         return self._spectrum
 
 
-class StokesTensor:
+class StokesTensor(_Checked):
     """Real coefficients of a trace-one operator in the lambda tensor basis.
 
     ``values`` has length ``4**n`` in base-4 row-major multi-index order and
     ``values[0]`` equals ``2**(-n/2)``.
     """
 
-    __slots__ = ("_n", "_values")
+    __slots__ = ()
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a flat value array, got shape {v.shape}")
-        n = round(math.log(v.size, 4)) if v.size > 1 else 0
-        if n < 1 or 4**n != v.size or n > QUBIT_LIMIT:
-            raise ValueError(f"value count {v.size} is not 4**n for n in 1..{QUBIT_LIMIT}")
-        if not np.isfinite(v).all():
-            raise ValueError("values must be finite")
-        affine = 2.0 ** (-n / 2)
-        if abs(v[0] - affine) > TRACE_TOL:
-            raise ValueError(f"affine component must equal 2**(-{n}/2), got {v[0]:.12g}")
-        v.setflags(write=False)
-        self._n = n
-        self._values = v
-
-    @property
-    def n(self) -> int:
-        return self._n
+        v = self._shaped(values, float, 1)
+        if abs(v[0] - 2.0 ** (-self._n / 2)) > TRACE_TOL:
+            raise ValueError(f"affine component must equal 2**(-{self._n}/2), got {v[0]:.12g}")
+        self._keep(v)
 
     @property
     def values(self) -> np.ndarray:
-        return self._values
-
-    def __repr__(self) -> str:
-        return f"StokesTensor(n={self._n})"
+        return self._array
 
 
-class RealDensityMatrix:
+class RealDensityMatrix(_Checked):
     """Real ``2**n x 2**n`` unfolding of a Stokes tensor.
 
     The top-left entry always equals 1 (the rescaled trace component).
     """
 
-    __slots__ = ("_n", "_entries")
+    __slots__ = ()
 
     def __init__(self, entries):
-        e = np.array(entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {e.shape}")
-        n = qubit_count(e.shape[0])
-        if not np.isfinite(e).all():
-            raise ValueError("entries must be finite")
+        e = self._shaped(entries, float, 2)
         if abs(e[0, 0] - 1.0) > TRACE_TOL:
             raise ValueError(f"top-left entry must equal 1, got {e[0, 0]:.12g}")
-        e.setflags(write=False)
-        self._n = n
-        self._entries = e
-
-    @property
-    def n(self) -> int:
-        return self._n
+        self._keep(e)
 
     @property
     def entries(self) -> np.ndarray:
-        return self._entries
-
-    def __repr__(self) -> str:
-        return f"RealDensityMatrix(n={self._n})"
+        return self._array
 
 
 def _as_operator(op) -> HermitianOperator:
@@ -376,9 +368,9 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     The identity factors sit at the subset positions in qubit order.  For
     each subset qubit the two diagonal blocks of that qubit are summed and
     the sum written onto both (its off-diagonal blocks become 0), which is
-    ``O(d**2)`` per qubit and needs no Pauli transform.  The lift acts on
-    the Hermitian part ``(m + m^dagger) / 2``, the part that
-    :func:`to_stokes` keeps, so the image is exactly Hermitian.
+    ``O(d**2)`` per qubit and needs no Pauli transform.  It starts from a
+    copy of the operator's matrix, which is already its Hermitian part, so
+    the image is exactly Hermitian.
 
     It equals ``2**(len(subset)-1) (rho + R_S rho)`` with ``R_S`` the
     partial reflection on the subset (the full set gives the identity), so
@@ -388,8 +380,7 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     op = _as_operator(op)
     n = op.n
     subset = _nonempty_subset(subset, n)
-    m = op.matrix
-    lift = (m + m.conj().T) / 2
+    lift = op.matrix.copy()
     for q in subset:
         blocks = lift.reshape(2 ** (q - 1), 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
         total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]

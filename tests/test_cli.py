@@ -125,6 +125,14 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "QREFLECT_TOL" in proc.stderr
 
+    def test_tolerance_does_not_loosen_the_load_check(self, tmp_path):
+        path = tmp_path / "state.json"
+        doc = {"n": 1, "format": "hermitian", "re": [[1 + 1e-8, 0.0], [0.0, -1e-8]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", str(path), "--ppt", "A", env_extra={"QREFLECT_TOL": "1e-6"})
+        assert proc.returncode == 2
+        assert "negative eigenvalue" in proc.stderr
+
     @pytest.mark.parametrize(
         "doc",
         [

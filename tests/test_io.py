@@ -1,4 +1,4 @@
-"""State, mask, and report serialisation."""
+"""State and report serialisation."""
 
 import json
 
@@ -11,8 +11,6 @@ import qreflect as qr
 from qreflect.io import (
     StateFormatError,
     load_density,
-    mask_from_dict,
-    mask_to_dict,
     parse_density,
     state_from_dict,
     state_to_dict,
@@ -144,33 +142,6 @@ class TestStateFiles:
     def test_serialising_other_types_rejected(self):
         with pytest.raises(TypeError):
             state_to_dict(np.eye(2))
-
-
-class TestMaskFiles:
-    def test_round_trip(self):
-        mask = qr.mask_total_reflection(2)
-        doc = mask_to_dict(mask)
-        assert doc["n"] == 2
-        assert doc["signs"][0] == 1
-        back = mask_from_dict(doc)
-        assert np.array_equal(back.signs, mask.signs)
-        assert back.name == mask.name
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"n": 1, "signs": [1, 0, 1, 1]},
-            None,
-            {"signs": None},
-            {"signs": [1.5, 1, 1, 1]},
-            {"signs": ["1", "-1", "1", "1"]},
-            {"signs": [True, -1, 1, 1]},
-        ],
-        ids=["zero", "none", "none-signs", "fractional", "numeric-strings", "bool"],
-    )
-    def test_bad_signs_rejected(self, doc):
-        with pytest.raises(StateFormatError):
-            mask_from_dict(doc)
 
 
 class TestReportSerialisation:

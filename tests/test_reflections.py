@@ -84,6 +84,17 @@ TABLE1_BUILDERS = [
 ]
 
 
+class TestSignMask:
+    @pytest.mark.parametrize(
+        "signs",
+        [[1, 0, 1, 1], [1.5, 1, 1, 1], [-1, 1, 1, 1], [1, 1, 1, 1, 1]],
+        ids=["zero", "fractional", "flipped-trace", "five-entries"],
+    )
+    def test_bad_signs_rejected(self, signs):
+        with pytest.raises(ValueError):
+            SignMask(signs)
+
+
 class TestNamedMaskCache:
     def test_one_mask_per_checked_subset(self):
         assert qr.mask_partial_transpose(3, [2, 1]) is qr.mask_partial_transpose(3, (1, 2))

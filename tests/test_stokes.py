@@ -1,11 +1,13 @@
 """Representation layer: basis, conversions, reshuffling, reductions."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import (
+    FIXTURES,
     oracle_basis,
     oracle_from_stokes,
     oracle_label,
@@ -15,6 +17,8 @@ from conftest import (
 )
 
 import qreflect as qr
+from qreflect.io import state_from_dict
+from qreflect.reflections import SignMask
 from qreflect.stokes import StokesTensor, identity_times_reduction, partial_transpose
 
 SQ2 = math.sqrt(2.0)
@@ -141,6 +145,43 @@ class TestStokesConversion:
             qr.HermitianOperator(np.eye(2**7) / 2**7)
         with pytest.raises(ValueError):
             StokesTensor(np.zeros(4**7))
+
+
+# Each checked type with a valid input for n qubits and the accessor of its stored array.
+CHECKED_TYPES = {
+    "HermitianOperator": (qr.HermitianOperator, lambda n: np.eye(2**n) / 2**n, "matrix"),
+    "StokesTensor": (StokesTensor, lambda n: np.eye(1, 4**n)[0] * 2.0 ** (-n / 2), "values"),
+    "RealDensityMatrix": (qr.RealDensityMatrix, lambda n: np.eye(2**n), "entries"),
+    "SignMask": (SignMask, lambda n: np.ones(4**n), "signs"),
+}
+
+
+class TestCheckedCore:
+    @pytest.mark.parametrize("kind", list(CHECKED_TYPES))
+    def test_shared_checks(self, kind):
+        cls, valid, accessor = CHECKED_TYPES[kind]
+        wrong_size = [np.eye(3) / 3] if valid(1).ndim == 2 else [np.ones(8), np.ones(9)]
+        for bad in [valid(1)[None], valid(1).reshape(-1, 1), *wrong_size, valid(7)]:
+            with pytest.raises(ValueError):
+                cls(bad)
+        with_nan = valid(2)
+        with_nan.flat[-1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            cls(with_nan)
+        for n in (1, 2, 3):
+            obj = cls(valid(n))
+            assert obj.n == n
+            assert repr(obj).startswith(f"{kind}(n={n}")
+            stored = getattr(obj, accessor)
+            with pytest.raises(ValueError):
+                stored.flat[0] = stored.flat[0]
+
+    def test_operator_keeps_the_hermitian_part(self):
+        doc = json.loads((FIXTURES / "near_hermitian_3q.json").read_text())
+        op = state_from_dict(doc)
+        assert np.abs(np.asarray(doc["re"]) - np.eye(8) / 8).max() > 0
+        assert np.array_equal(op.matrix, np.eye(8) / 8)
+        assert np.array_equal(qr.DensityState(op).spectrum, np.linalg.eigvalsh(op.matrix))
 
 
 class TestRealDensity:
