@@ -1,7 +1,10 @@
 """Separability and reflection-feasibility criteria.
 
 Every test reports its raw spectral witness next to the verdict, so callers
-can re-evaluate the decision under a different tolerance.
+can re-evaluate the decision under a different tolerance.  A report or a
+number is about one state, so these refuse a stack (through the spectral
+functions of :mod:`linalg`, or directly for Stokes input);
+:func:`complement` maps a stack member by member.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .stokes import (
     StokesTensor,
     _as_operator,
     _nonempty_subset,
+    _single,
     identity_times_reduction,
     partial_transpose,
     permute_qubits,
@@ -88,6 +92,7 @@ def ccn(rho, block=None) -> float:
 
 def ccn_via_stokes(s: StokesTensor) -> float:
     """Two-qubit cross norm as half the trace norm of the Stokes matrix."""
+    s = _single(s)
     if s.n != 2:
         raise ValueError(f"the Stokes route is defined for n=2, got n={s.n}")
     return float(np.sum(svd_values(stokes_as_matrix(s))) / 2.0)
@@ -124,6 +129,7 @@ def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
 
 def lorentz_metric(s: StokesTensor) -> float:
     """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components."""
+    s = _single(s)
     if s.n != 2:
         raise ValueError(f"defined for two qubits, got n={s.n}")
     v = s.values.reshape(4, 4)
@@ -152,7 +158,7 @@ def complement(rho) -> HermitianOperator:
     the maximally mixed state."""
     op = _as_operator(rho)
     dim = 2**op.n
-    return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix)
+    return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix, op.is_stack)
 
 
 def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stokes import QUBIT_LIMIT, DensityState, HermitianOperator, StokesTensor, from_stokes
+from .stokes import QUBIT_LIMIT, DensityState, HermitianOperator, StokesTensor, _Checked, _single, from_stokes
 
 
 class StateFormatError(ValueError):
@@ -22,6 +22,9 @@ class StateFormatError(ValueError):
 
 
 def state_to_dict(state, **annotations) -> dict:
+    """Document of one state; a stack is refused (serialise its members)."""
+    if isinstance(state, _Checked):
+        _single(state)
     if isinstance(state, StokesTensor):
         doc = {"n": state.n, "format": "stokes", "values": state.values.tolist()}
     elif isinstance(state, HermitianOperator):

@@ -3,6 +3,8 @@
 Everything here runs on matrices of dimension at most 64, so accurate dense
 LAPACK routines are used throughout.  Eigenvalues are reported in descending
 order; no eigenvector ordering is guaranteed inside degenerate subspaces.
+The spectral functions answer for one matrix and refuse a stack; the
+Hilbert-Schmidt norm and inner product give one value per member.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stokes import HERMITICITY_TOL, PSD_TOL, DensityState, HermitianOperator
+from .stokes import HERMITICITY_TOL, PSD_TOL, DensityState, HermitianOperator, _single
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,10 @@ def _as_matrix(h) -> np.ndarray:
 def _symmetrized(h) -> np.ndarray:
     """Hermitian part of ``h``; an operator keeps the one it checked, a raw array is checked here."""
     if isinstance(h, HermitianOperator):
-        return h.matrix
+        return _single(h).matrix
     m = np.asarray(h, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {m.shape}")
     defect = np.abs(m - m.conj().T).max()
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -42,7 +46,7 @@ def _symmetrized(h) -> np.ndarray:
 def _eigenvalues(h) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending; a state's are the ones it was validated with."""
     if isinstance(h, DensityState):
-        return h.spectrum
+        return _single(h).spectrum
     return np.linalg.eigvalsh(_symmetrized(h))
 
 
@@ -76,11 +80,13 @@ def rank(h, tol: float = PSD_TOL) -> int:
     return int(np.count_nonzero(np.abs(_eigenvalues(h)) > tol))
 
 
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+def hs_norm(m):
+    """Hilbert-Schmidt (Frobenius) norm over the last two axes: a float, or one per member of a stack."""
+    norm = np.linalg.norm(np.asarray(m), axis=(-2, -1))
+    return norm if norm.ndim else float(norm)
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``tr(a^dagger b)``."""
-    return complex(np.trace(_as_matrix(a).conj().T @ _as_matrix(b)))
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product ``tr(a^dagger b)`` as an entrywise sum, one per member of a stack."""
+    inner = (_as_matrix(a).conj() * _as_matrix(b)).sum(axis=(-2, -1))
+    return inner if inner.ndim else complex(inner)

@@ -1,12 +1,16 @@
 """Seeded randomised invariant suite spanning every layer of the package.
 
-Each invariant is one function of ``(rng, k)`` that runs trial ``k``: it
-draws its inputs from ``rng``, passes every measured gap through ``_within``
-with the bound that gap must stay under, and returns its deviation.  One
-driver, ``_run``, repeats a trial the requested number of times.  A result
-reports ``trials`` as that requested count and ``worst`` as the largest
-non-negative deviation returned; the first gap over its bound stops the
-invariant, reports that gap as ``worst`` and serialises the offending state.
+Each invariant is one function of ``(rng, trials)`` that runs all its
+trials as stacks: it draws every trial's inputs from ``rng`` at once (one
+stack per qubit count, when the count is drawn per trial), and returns its
+checks, each built by ``_within`` from one gap per trial and the bound that
+gap must stay under.  One driver, ``_run``, reads the checks.  A result
+reports ``trials`` as the requested count and ``worst`` as the largest
+non-negative gap of the checks that count toward it; the lowest trial with
+a gap over its bound (and, within that trial, its first such check in code
+order) fails the invariant, reports that gap as ``worst`` and serialises
+that trial's state.  Library functions that answer for one state only are
+called once per member.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
@@ -46,45 +50,74 @@ class InvariantResult:
         return doc
 
 
-class _Violation(Exception):
-    """A gap over its bound; stops the invariant that measured it."""
+@dataclass(frozen=True)
+class _Check:
+    """One check over the trials ``at``: a gap per trial, its bound, and what a failure reports.
 
-    def __init__(self, gap: float, state, detail: str):
-        super().__init__(detail)
-        self.gap, self.state, self.detail = gap, state, detail
+    ``states`` (indexed like ``gaps``) gives the counterexample, or is None;
+    ``detail`` is one message or one per trial.  Only a check that
+    ``counts`` enters ``worst``.
+    """
 
-
-def _within(gap, bound: float, state, detail: str):
-    """Return ``gap``, or stop the invariant at ``state`` if it exceeds ``bound`` or is NaN."""
-    if not gap <= bound:
-        raise _Violation(float(gap), state, detail)
-    return gap
-
-
-def _holds(ok: bool, state, detail: str) -> float:
-    """A pass/fail check: deviation 0 when ``ok``, else 1 over a bound of 0."""
-    return _within(0.0 if ok else 1.0, 0.0, state, detail)
+    gaps: np.ndarray
+    bound: float
+    states: object
+    detail: str | list[str]
+    at: np.ndarray
+    counts: bool
 
 
-def _run(name: str, trial, rng, trials: int) -> InvariantResult:
-    """Run ``trial(rng, k)`` for ``k < trials``; the first violation fails the invariant."""
-    worst = 0.0
-    for k in range(trials):
-        try:
-            worst = max(worst, trial(rng, k))
-        except _Violation as v:
-            counterexample = None if v.state is None else io.state_to_dict(v.state)
-            return InvariantResult(name, trials, False, v.gap, v.detail, counterexample)
-    return InvariantResult(name, trials, True, worst)
+def _within(gaps, bound: float, states, detail, at=None, counts: bool = True) -> _Check:
+    """Check ``gaps`` (one per trial in ``at``, default every trial) against ``bound``; NaN fails."""
+    gaps = np.asarray(gaps, dtype=float)
+    at = np.arange(gaps.size) if at is None else np.asarray(at)
+    return _Check(gaps, bound, states, detail, at, counts)
 
 
-def _random_hermitian(n: int, rng) -> stokes.HermitianOperator:
-    """Trace-one Hermitian operator that need not be positive."""
+def _holds(ok, states, detail, at=None) -> _Check:
+    """A pass/fail check per trial: deviation 0 where ``ok``, else 1 over a bound of 0."""
+    return _within(np.where(ok, 0.0, 1.0), 0.0, states, detail, at)
+
+
+def _run(name: str, invariant, rng, trials: int) -> InvariantResult:
+    """Run ``invariant(rng, trials)``; the lowest trial with a gap over its bound fails the invariant."""
+    checks = invariant(rng, trials)
+    failed = None  # (trial, check, position in the check) of the earliest gap over its bound
+    for check in checks:
+        over = np.flatnonzero(~(check.gaps <= check.bound))
+        if over.size:
+            j = over[np.argmin(check.at[over])]
+            if failed is None or check.at[j] < failed[0]:
+                failed = check.at[j], check, j
+    if failed is not None:
+        _, check, j = failed
+        detail = check.detail if isinstance(check.detail, str) else check.detail[j]
+        counterexample = None if check.states is None else io.state_to_dict(check.states[j])
+        return InvariantResult(name, trials, False, float(check.gaps[j]), detail, counterexample)
+    worst = max((float(c.gaps.max()) for c in checks if c.counts and c.gaps.size), default=0.0)
+    return InvariantResult(name, trials, True, max(0.0, worst))
+
+
+def _qubit_groups(rng, trials: int, low: int = 1, high: int = 4) -> list[tuple[int, np.ndarray]]:
+    """Draw every trial's qubit count at once; each count with its trials, in ascending count."""
+    counts = rng.integers(low, high, size=trials)
+    groups = [(n, np.flatnonzero(counts == n)) for n in range(low, high)]
+    return [(n, at) for n, at in groups if at.size]
+
+
+def _deviation(a, b) -> np.ndarray:
+    """Largest entrywise distance per member of two stacks."""
+    diff = np.abs(a - b)
+    return diff.reshape(len(diff), -1).max(axis=1)
+
+
+def _random_hermitian(n: int, rng, size: int) -> stokes.HermitianOperator:
+    """A stack of trace-one Hermitian operators that need not be positive."""
     dim = 2**n
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (z + z.conj().T) / 2
-    h -= (np.trace(h).real - 1.0) / dim * np.eye(dim)
-    return stokes.HermitianOperator(h)
+    z = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+    h = (z + z.conj().swapaxes(-1, -2)) / 2
+    h -= (np.trace(h, axis1=1, axis2=2).real - 1.0)[:, None, None] / dim * np.eye(dim)
+    return stokes.HermitianOperator(h, stack=True)
 
 
 @functools.cache
@@ -103,120 +136,152 @@ def _mask_catalog(n: int) -> tuple[reflections.SignMask, ...]:
     return tuple(masks)
 
 
-def stokes_round_trip(rng, k):
-    n = int(rng.integers(1, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    back = stokes.from_stokes(stokes.to_stokes(rho))
-    return _within(float(np.abs(back.matrix - rho.matrix).max()), 1e-12, rho, "round trip exceeded its bound")
+@functools.cache
+def _catalog_stack(n: int) -> reflections.SignMask:
+    """The catalog as one stack of masks."""
+    return reflections.SignMask(np.stack([m.signs for m in _mask_catalog(n)]), stack=True)
 
 
-def norm_bridge(rng, k):
-    n = int(rng.integers(1, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    sigma = stokes.to_real_density(stokes.to_stokes(rho)).entries
-    gap = abs(linalg.hs_norm(sigma) / 2 ** (n / 2) - linalg.hs_norm(rho.matrix))
-    return _within(gap, 1e-12, rho, "unfolding changed the norm")
+def _every_pair(masks: reflections.SignMask, values, size: int):
+    """Every (mask, member) pair of ``size`` members as two equal stacks, mask-major, for one ``apply_mask``."""
+    m = len(masks.signs)
+    return masks[np.repeat(np.arange(m), size)], values[np.tile(np.arange(size), m)]
 
 
-def one_qubit_spectrum(rng, k):
-    rho = states.random_density(1, "mixed_dirichlet", rng)
+def stokes_round_trip(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        back = stokes.from_stokes(stokes.to_stokes(rho))
+        checks.append(_within(_deviation(back.matrix, rho.matrix), 1e-12, rho, "round trip exceeded its bound", at))
+    return checks
+
+
+def norm_bridge(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        sigma = stokes.to_real_density(stokes.to_stokes(rho)).entries
+        gap = np.abs(linalg.hs_norm(sigma) / 2 ** (n / 2) - linalg.hs_norm(rho.matrix))
+        checks.append(_within(gap, 1e-12, rho, "unfolding changed the norm", at))
+    return checks
+
+
+def one_qubit_spectrum(rng, trials):
+    rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
     v = stokes.to_stokes(rho).values
-    radius = math.sqrt(float(np.dot(v[1:], v[1:])))
-    closed = np.sort([(1 / math.sqrt(2)) * (1 / math.sqrt(2) + s * radius) for s in (+1, -1)])[::-1]
-    solver = linalg.eig_hermitian(rho).eigenvalues
-    return _within(float(np.abs(solver - closed).max()), 1e-12, rho, "closed form disagreed")
+    radius = np.sqrt((v[:, 1:] ** 2).sum(axis=1))
+    closed = (1 / math.sqrt(2)) * (1 / math.sqrt(2) + radius[:, None] * [-1.0, 1.0])
+    # rho.spectrum is the eigensolve that eig_hermitian reports, ascending.
+    return [_within(_deviation(rho.spectrum, closed), 1e-12, rho, "closed form disagreed")]
 
 
-def stokes_matrix_choi(rng, k):
-    rho = states.random_density(2, "mixed_dirichlet", rng)
+def stokes_matrix_choi(rng, trials):
+    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     s = stokes.to_stokes(rho)
-    lhs = stokes.choi_reshuffle(stokes.to_real_density(s).entries).T
-    return _holds(np.array_equal(lhs, stokes.stokes_as_matrix(s)), rho, "reshuffle correspondence broke")
+    lhs = stokes.choi_reshuffle(stokes.to_real_density(s).entries).swapaxes(-1, -2)
+    same = (lhs == stokes.stokes_as_matrix(s)).all(axis=(1, 2))
+    return [_holds(same, rho, "reshuffle correspondence broke")]
 
 
-def mask_involution(rng, k, corrupt_mask=False):
-    n = int(rng.integers(1, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    s = stokes.to_stokes(rho)
-    for mask in _mask_catalog(n):
-        second = mask
+def mask_involution(rng, trials, corrupt_mask=False):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        masks, pairs = _every_pair(_catalog_stack(n), stokes.to_stokes(rho), at.size)
+        seconds, suffix = masks, ""
         if corrupt_mask:
-            tampered = mask.signs.copy()
-            tampered[-1] = -tampered[-1]
-            second = reflections.SignMask(tampered, name=mask.name + "~corrupt")
-        back = reflections.apply_mask(second, reflections.apply_mask(mask, s))
-        _holds(np.array_equal(back.values, s.values), rho, f"{second.name} failed to invert {mask.name}")
-    return 0.0
+            tampered = masks.signs.copy()
+            tampered[:, -1] = -tampered[:, -1]
+            seconds, suffix = reflections.SignMask(tampered, stack=True), "~corrupt"
+        back = reflections.apply_mask(seconds, reflections.apply_mask(masks, pairs))
+        same = (back.values == pairs.values).all(axis=1).reshape(-1, at.size)
+        for mask, ok in zip(_mask_catalog(n), same):
+            checks.append(_holds(ok, rho, f"{mask.name}{suffix} failed to invert {mask.name}", at))
+    return checks
 
 
-def mask_isometries(rng, k):
-    n = int(rng.integers(1, 4))
-    a = _random_hermitian(n, rng)
-    b = _random_hermitian(n, rng)
-    inner = linalg.hs_inner(a.matrix, b.matrix).real
-
-    def gap(mask):
-        ia = reflections.apply_mask(mask, a).matrix
-        ib = reflections.apply_mask(mask, b).matrix
-        return max(
-            abs(np.trace(ia).real - 1.0),
-            float(np.abs(ia - ia.conj().T).max()),
-            abs(linalg.hs_inner(ia, ib).real - inner),
+def mask_isometries(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        a = _random_hermitian(n, rng, at.size)
+        b = _random_hermitian(n, rng, at.size)
+        inner = linalg.hs_inner(a.matrix, b.matrix).real
+        ia = reflections.apply_mask(*_every_pair(_catalog_stack(n), a, at.size)).matrix
+        ib = reflections.apply_mask(*_every_pair(_catalog_stack(n), b, at.size)).matrix
+        catalog = _mask_catalog(n)
+        gaps = np.max(
+            [
+                np.abs(np.trace(ia, axis1=1, axis2=2).real - 1.0),
+                _deviation(ia, ia.conj().swapaxes(-1, -2)),
+                np.abs(linalg.hs_inner(ia, ib).real - np.tile(inner, len(catalog))),
+            ],
+            axis=0,
         )
+        for mask, gap in zip(catalog, gaps.reshape(len(catalog), at.size)):
+            checks.append(_within(gap, 1e-12, a, f"{mask.name} broke a preserved quantity", at))
+    return checks
 
-    return max(_within(gap(m), 1e-12, a, f"{m.name} broke a preserved quantity") for m in _mask_catalog(n))
 
-
-def one_qubit_reflection_spectra(rng, k):
-    rho = states.random_density(1, "mixed_dirichlet", rng)
-    base = linalg.eig_hermitian(rho).eigenvalues
-
-    def gap(mask):
-        return float(np.abs(linalg.eig_hermitian(reflections.apply_mask(mask, rho)).eigenvalues - base).max())
-
+def one_qubit_reflection_spectra(rng, trials):
+    rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
     masks = (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,)))
-    return max(_within(gap(m), 1e-10, rho, m.name) for m in masks)
+    return [
+        _within(_deviation(np.linalg.eigvalsh(reflections.apply_mask(m, rho).matrix), rho.spectrum), 1e-10, rho, m.name)
+        for m in masks
+    ]
 
 
-def pure_reflection_spectrum(rng, k):
-    rho = states.random_density(2, "haar_pure", rng)
+def pure_reflection_spectrum(rng, trials):
+    rho = states.random_density(2, "haar_pure", rng, size=trials)
     image = reflections.apply_mask(reflections.mask_total_reflection(2), rho)
-    gap = float(np.abs(linalg.eig_hermitian(image).eigenvalues - np.array([0.5, 0.5, 0.5, -0.5])).max())
-    return _within(gap, 1e-10, rho, "pure-state image spectrum off")
+    gap = _deviation(np.linalg.eigvalsh(image.matrix), np.array([-0.5, 0.5, 0.5, 0.5]))
+    return [_within(gap, 1e-10, rho, "pure-state image spectrum off")]
 
 
-def reflection_unitary_commutation(rng, k):
-    n = int(rng.integers(2, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    u = states.random_unitary(2**n, rng)
-    mask = reflections.mask_total_reflection(n)
-    lhs = reflections.apply_mask(mask, stokes.HermitianOperator(u @ rho.matrix @ u.conj().T)).matrix
-    rhs = u @ reflections.apply_mask(mask, rho).matrix @ u.conj().T
-    return _within(float(np.abs(lhs - rhs).max()), 1e-10, rho, "commutation failed")
+def reflection_unitary_commutation(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials, 2):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        u = states.random_unitary(2**n, rng, at.size)
+        u_dagger = u.conj().swapaxes(-1, -2)
+        mask = reflections.mask_total_reflection(n)
+        rotated = stokes.HermitianOperator(u @ rho.matrix @ u_dagger, stack=True)
+        lhs = reflections.apply_mask(mask, rotated).matrix
+        rhs = u @ reflections.apply_mask(mask, rho).matrix @ u_dagger
+        checks.append(_within(_deviation(lhs, rhs), 1e-10, rho, "commutation failed", at))
+    return checks
 
 
-def classification(rng, k):
-    n = int(rng.integers(2, 4))
-    factors = rng.choice([-1, 1], size=(n, 4)).astype(np.int8)
-    factors[:, 0] = 1
-    outer = factors[0].astype(np.int64)
-    for f in factors[1:]:
-        outer = np.multiply.outer(outer, f).reshape(-1)
-    info = reflections.classify(reflections.SignMask(outer, name="random_product"))
-    total = reflections.classify(reflections.mask_total_reflection(n))
-    checks = (
-        info.local_factorizable,
-        info.orientation == "preserving",
-        not total.local_factorizable,
-        total.orientation == ("changing" if (4**n - 1) % 2 == 1 else "preserving"),
-        total.sign_change_count == 4**n - 1,
-    )
-    return _holds(all(checks), None, f"n={n} checks={checks}")
+def classification(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials, 2):
+        factors = rng.choice([-1, 1], size=(at.size, n, 4)).astype(np.int8)
+        factors[:, :, 0] = 1
+        outer = factors[:, 0].astype(np.int64)
+        for q in range(1, n):
+            outer = (outer[:, :, None] * factors[:, q, None, :]).reshape(at.size, -1)
+        products = reflections.SignMask(outer, name="random_product", stack=True)
+        total = reflections.classify(reflections.mask_total_reflection(n))
+        ok, details = [], []
+        for k in range(at.size):
+            info = reflections.classify(products[k])
+            flags = (
+                info.local_factorizable,
+                info.orientation == "preserving",
+                not total.local_factorizable,
+                total.orientation == ("changing" if (4**n - 1) % 2 == 1 else "preserving"),
+                total.sign_change_count == 4**n - 1,
+            )
+            ok.append(all(flags))
+            details.append(f"n={n} checks={flags}")
+        checks.append(_holds(ok, None, details, at))
+    return checks
 
 
-def operator_sums(rng, k):
-    one = states.random_density(1, "mixed_dirichlet", rng)
-    two = states.random_density(2, "mixed_dirichlet", rng)
+def operator_sums(rng, trials):
+    one = states.random_density(1, "mixed_dirichlet", rng, size=trials)
+    two = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     pairs = [
         (
             reflections.one_qubit_operator_sum("transpose", one),
@@ -235,109 +300,138 @@ def operator_sums(rng, k):
             reflections.apply_mask(reflections.mask_spin_flip(2, (1, 2)), two),
         ),
     ]
-    gaps = (float(np.abs(lhs.matrix - rhs.matrix).max()) for lhs, rhs in pairs)
-    return max(_within(gap, 1e-12, two, "operator sum and mask disagreed") for gap in gaps)
+    return [
+        _within(_deviation(lhs.matrix, rhs.matrix), 1e-12, two, "operator sum and mask disagreed") for lhs, rhs in pairs
+    ]
 
 
-def bounded_reflection(rng, k):
-    n = int(rng.integers(2, 4))
-    rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n))
-    witness = linalg.min_eig(criteria.complement(rho).matrix)
-    return _within(-witness, 1e-10, rho, "reflection left the state cone")
+def bounded_reflection(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials, 2):
+        rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
+        witness = np.linalg.eigvalsh(criteria.complement(rho).matrix)[:, 0]
+        checks.append(_within(-witness, 1e-10, rho, "reflection left the state cone", at))
+    return checks
 
 
-def feasibility_bounds(rng, k):
-    n = int(rng.integers(2, 4))
-    rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n))
-    flags = criteria.total_reflection_feasible(rho).extra
-    implications = (
-        (not flags["sufficient_max_eig"]) or flags["exact_psd"],
-        (not flags["exact_psd"]) or flags["purity_bound"],
-        (not flags["exact_psd"]) or flags["rank_bound"],
-    )
-    return _holds(all(implications), rho, f"implication chain broke: {flags}")
-
-
-def ccn_dual_path(rng, k):
-    rho = states.random_density(2, "mixed_dirichlet", rng)
-    gap = abs(criteria.ccn(rho) - criteria.ccn_via_stokes(stokes.to_stokes(rho)))
-    _within(gap, 1e-10, rho, "matrix and Stokes routes disagreed")
-    if k % 10 == 0:
-        terms = int(rng.integers(1, 5))
-        weights = rng.dirichlet(np.ones(terms))
-        mix = np.zeros((4, 4), dtype=complex)
-        for w in weights:
-            mix += w * np.kron(
-                states.random_density(1, "mixed_dirichlet", rng).matrix,
-                states.random_density(1, "mixed_dirichlet", rng).matrix,
+def feasibility_bounds(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials, 2):
+        rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
+        ok, details = [], []
+        for k in range(at.size):
+            flags = criteria.total_reflection_feasible(rho[k]).extra
+            implications = (
+                (not flags["sufficient_max_eig"]) or flags["exact_psd"],
+                (not flags["exact_psd"]) or flags["purity_bound"],
+                (not flags["exact_psd"]) or flags["rank_bound"],
             )
-        mix = stokes.HermitianOperator(mix)
-        _within(criteria.ccn(mix) - 1.0, 1e-10, mix, "separable mixture exceeded 1")
-    return gap
+            ok.append(all(implications))
+            details.append(f"implication chain broke: {flags}")
+        checks.append(_holds(ok, rho, details, at))
+    return checks
 
 
-def reflection_vs_ppt(rng, k):
-    rho = states.random_density(2, "mixed_dirichlet", rng)
-    lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng))
-    generic = linalg.eig_hermitian(reflections.apply_local_orthogonal(lomap, rho)).eigenvalues
-    transposed = linalg.eig_hermitian(
-        reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), rho)
-    ).eigenvalues
-    return _within(float(np.abs(generic - transposed).max()), 1e-9, rho, "generic reflection spectrum diverged")
+def ccn_dual_path(rng, trials):
+    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+    s = stokes.to_stokes(rho)
+    gap = [abs(criteria.ccn(rho[k]) - criteria.ccn_via_stokes(s[k])) for k in range(trials)]
+    # Every tenth trial also checks a random separable mixture.
+    at = np.arange(0, trials, 10)
+    terms = rng.integers(1, 5, size=at.size)
+    weights = np.concatenate([rng.dirichlet(np.ones(t)) for t in terms])
+    factors = states.random_density(1, "mixed_dirichlet", rng, size=2 * weights.size).matrix
+    left, right = factors[0::2], factors[1::2]
+    products = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
+    mixes = np.add.reduceat(weights[:, None, None] * products, np.cumsum(terms) - terms)
+    mix = stokes.HermitianOperator(mixes, stack=True)
+    excess = [criteria.ccn(mix[j]) - 1.0 for j in range(at.size)]
+    return [
+        _within(gap, 1e-10, rho, "matrix and Stokes routes disagreed"),
+        _within(excess, 1e-10, mix, "separable mixture exceeded 1", at, counts=False),
+    ]
 
 
-def partial_reflection_norm(rng, k):
-    rho = states.random_density(3, "mixed_dirichlet", rng)
+def reflection_vs_ppt(rng, trials):
+    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+    generic = [
+        reflections.apply_local_orthogonal(
+            reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng)), rho[k]
+        ).matrix
+        for k in range(trials)
+    ]
+    transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), rho).matrix
+    gap = _deviation(np.linalg.eigvalsh(np.stack(generic)), np.linalg.eigvalsh(transposed))
+    return [_within(gap, 1e-9, rho, "generic reflection spectrum diverged")]
+
+
+def partial_reflection_norm(rng, trials):
+    rho = states.random_density(3, "mixed_dirichlet", rng, size=trials)
     s = stokes.to_stokes(rho)
     image = reflections.apply_mask(reflections.mask_total_reflection(3, (1, 2)), s)
-    gap = _within(abs(stokes.purity(image) - stokes.purity(s)), 1e-12, rho, "norm not preserved")
-    base = linalg.eig_hermitian(rho).eigenvalues
-    moved = linalg.eig_hermitian(stokes.from_stokes(image)).eigenvalues
-    # Non-vacuity: a norm-preserving map that left every spectrum alone would pass trivially.
-    _holds(np.abs(base - moved).max() > 1e-6, rho, "no spectrum change observed")
-    return gap
+    gap = [abs(stokes.purity(image[k]) - stokes.purity(s[k])) for k in range(trials)]
+    moved = np.linalg.eigvalsh(stokes.from_stokes(image).matrix)
+    return [
+        _within(gap, 1e-12, rho, "norm not preserved"),
+        # Non-vacuity: a norm-preserving map that left every spectrum alone would pass trivially.
+        _holds(_deviation(rho.spectrum, moved) > 1e-6, rho, "no spectrum change observed"),
+    ]
 
 
-def complement_mixture(rng, k):
-    n = int(rng.integers(1, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    mixed = (rho.matrix + criteria.complement(rho).matrix) / 2
-    return _within(float(np.abs(mixed - np.eye(2**n) / 2**n).max()), 1e-14, rho, "mixture missed the random state")
+def complement_mixture(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        mixed = (rho.matrix + criteria.complement(rho).matrix) / 2
+        gap = _deviation(mixed, np.eye(2**n) / 2**n)
+        checks.append(_within(gap, 1e-14, rho, "mixture missed the random state", at))
+    return checks
 
 
-def relaxed_reflection(rng, k):
-    rho = states.random_density(2, "mixed_dirichlet", rng)
+def relaxed_reflection(rng, trials):
+    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     relaxed = reflections.relaxed_reflection(rho)
-    _within(-linalg.min_eig(relaxed.matrix), 1e-10, rho, "relaxed image not positive")
     via_remix = reflections.apply_mask(reflections.mask_total_reflection(2), states.remix(rho, 1.0 / 3.0))
-    return _within(float(np.abs(relaxed.matrix - via_remix.matrix).max()), 1e-12, rho, "remix identity failed")
+    return [
+        _within(-np.linalg.eigvalsh(relaxed.matrix)[:, 0], 1e-10, rho, "relaxed image not positive", counts=False),
+        _within(_deviation(relaxed.matrix, via_remix.matrix), 1e-12, rho, "remix identity failed"),
+    ]
 
 
-def concurrence_lorentz(rng, k):
-    rho = states.random_density(2, "mixed_dirichlet", rng)
-    direct = float(np.trace(rho.matrix @ reflections.spin_flipped_partner(rho).matrix).real)
-    gap = _within(abs(criteria.lorentz_metric(stokes.to_stokes(rho)) - direct), 1e-12, rho, "metric routes disagreed")
-    _within(-criteria.concurrence(rho), 0.0, rho, "negative concurrence")
-    return gap
+def concurrence_lorentz(rng, trials):
+    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+    partner = reflections.spin_flipped_partner(rho).matrix
+    direct = np.trace(rho.matrix @ partner, axis1=1, axis2=2).real
+    s = stokes.to_stokes(rho)
+    metric = np.array([criteria.lorentz_metric(s[k]) for k in range(trials)])
+    concurrence = [criteria.concurrence(rho[k]) for k in range(trials)]
+    return [
+        _within(np.abs(metric - direct), 1e-12, rho, "metric routes disagreed"),
+        _within(np.negative(concurrence), 0.0, rho, "negative concurrence", counts=False),
+    ]
 
 
-def hermitian_kernels(rng, k):
-    n = int(rng.integers(1, 4))
-    rho = states.random_density(n, "mixed_dirichlet", rng)
-    bits = int(rng.integers(1, 2**n))
-    subset = tuple(q for q in range(1, n + 1) if bits >> (q - 1) & 1)
-    pairs = (
-        (
-            stokes.partial_transpose(rho, subset),
-            reflections.apply_mask(reflections.mask_partial_transpose(n, subset), rho),
-        ),
-        (
-            2.0 ** (1 - len(subset)) * stokes.identity_times_reduction(rho, subset) - rho.matrix,
-            reflections.apply_mask(reflections.mask_total_reflection(n, subset), rho),
-        ),
-    )
-    gaps = (float(np.abs(kernel - mask.matrix).max()) for kernel, mask in pairs)
-    return max(_within(gap, 1e-12, rho, f"matrix kernel and mask disagreed on {subset}") for gap in gaps)
+def hermitian_kernels(rng, trials):
+    checks = []
+    for n, at in _qubit_groups(rng, trials):
+        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+        bits = rng.integers(1, 2**n, size=at.size)
+        subsets = {b: tuple(q for q in range(1, n + 1) if b >> (q - 1) & 1) for b in np.unique(bits).tolist()}
+        # Each member's own subset masks, one transform for the whole stack.
+        pt_masks = [reflections.mask_partial_transpose(n, subsets[b]).signs for b in bits]
+        reflection_masks = [reflections.mask_total_reflection(n, subsets[b]).signs for b in bits]
+        transposed = reflections.apply_mask(reflections.SignMask(pt_masks, stack=True), rho).matrix
+        reflected = reflections.apply_mask(reflections.SignMask(reflection_masks, stack=True), rho).matrix
+        for b, subset in subsets.items():
+            where = np.flatnonzero(bits == b)
+            sub = rho[where]
+            pairs = (
+                (stokes.partial_transpose(sub, subset), transposed[where]),
+                (2.0 ** (1 - len(subset)) * stokes.identity_times_reduction(sub, subset) - sub.matrix, reflected[where]),
+            )
+            detail = f"matrix kernel and mask disagreed on {subset}"
+            checks += [_within(_deviation(kernel, image), 1e-12, sub, detail, at[where]) for kernel, image in pairs]
+    return checks
 
 
 _CHECKS = [
@@ -373,8 +467,8 @@ def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> 
         raise ValueError(f"trials must be at least 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     results = []
-    for (name, trial), child in zip(_CHECKS, children):
+    for (name, invariant), child in zip(_CHECKS, children):
         if corrupt_mask and name == "mask_involution":
-            trial = functools.partial(trial, corrupt_mask=True)
-        results.append(_run(name, trial, np.random.default_rng(child), trials))
+            invariant = functools.partial(invariant, corrupt_mask=True)
+        results.append(_run(name, invariant, np.random.default_rng(child), trials))
     return results

@@ -36,6 +36,7 @@ from .stokes import (
     _as_operator,
     _check_subset,
     _nonempty_subset,
+    _single,
     from_stokes,
     identity_times_reduction,
     LAMBDA,
@@ -47,16 +48,14 @@ from .stokes import (
 
 
 class SignMask(_Checked):
-    """A diagonal +/-1 involution of the ``4**n`` Stokes components."""
+    """A diagonal +/-1 involution of the ``4**n`` Stokes components, or a stack (a catalog) of them."""
 
     __slots__ = ("_name",)
 
-    def __init__(self, signs, name: str = ""):
-        s = self._shaped(signs, float, 1)
-        if not np.all(np.abs(s) == 1):
-            raise ValueError("sign entries must be +1 or -1")
-        if s[0] != 1:
-            raise ValueError("the trace component sign must be +1")
+    def __init__(self, signs, name: str = "", stack: bool = False):
+        s = self._shaped(signs, float, stack)
+        self._require((np.abs(s) == 1).all(axis=-1), "sign entries must be +1 or -1")
+        self._require(s.T[0] == 1, "the trace component sign must be +1")
         self._keep(s.astype(np.int8))
         self._name = name
 
@@ -69,7 +68,7 @@ class SignMask(_Checked):
         return self._name
 
     def __repr__(self) -> str:
-        return f"SignMask(n={self._n}, name={self._name!r})"
+        return f"{super().__repr__()[:-1]}, name={self._name!r})"
 
 
 @dataclass(frozen=True)
@@ -151,11 +150,16 @@ def choi_related_mask_pair() -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_mask(mask: SignMask, state):
-    """Componentwise sign action; Stokes input stays Stokes, operator stays operator."""
+    """Componentwise sign action; Stokes input stays Stokes, operator stays operator.
+
+    The signs broadcast against the values: one mask acts on every member of
+    a state stack, a catalog (a stack of masks) gives every image of one
+    state in one transform, and equal-length stacks pair up member by member.
+    """
     if isinstance(state, StokesTensor):
         if mask.n != state.n:
             raise ValueError(f"mask acts on {mask.n} qubits, state has {state.n}")
-        return StokesTensor(state.values * mask.signs)
+        return StokesTensor(state.values * mask.signs, state.is_stack or mask.is_stack)
     op = _as_operator(state)
     if mask.n != op.n:
         raise ValueError(f"mask acts on {mask.n} qubits, state has {op.n}")
@@ -168,12 +172,13 @@ def apply_real_density_mask(mask4, state) -> HermitianOperator:
     if op.n != 2:
         raise ValueError(f"real-density masks are defined for n=2, got n={op.n}")
     sigma = to_real_density(to_stokes(op)).entries
-    masked = RealDensityMatrix(np.asarray(mask4) * sigma)
+    masked = RealDensityMatrix(np.asarray(mask4) * sigma, op.is_stack)
     return from_stokes(real_density_to_stokes(masked))
 
 
 def classify(mask: SignMask) -> MapClassification:
     """Sign-change count, orientation parity, and exact factorizability."""
+    mask = _single(mask)
     flips = int(np.count_nonzero(mask.signs == -1))
     orientation = "changing" if flips % 2 == 1 else "preserving"
     factors = []
@@ -237,7 +242,7 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
     if isinstance(state, StokesTensor):
         if lomap.n != state.n:
             raise ValueError(f"map acts on {lomap.n} qubits, state has {state.n}")
-        return StokesTensor(_apply_per_qubit(lomap.blocks, state.values))
+        return StokesTensor(_apply_per_qubit(lomap.blocks, state.values), state.is_stack)
     op = _as_operator(state)
     return from_stokes(apply_local_orthogonal(lomap, to_stokes(op)))
 
@@ -271,7 +276,13 @@ def one_qubit_operator_sum(kind: str, rho) -> HermitianOperator:
         flipped = 2.0 * np.diag([1.0, 0.0]) - sigma
     else:
         raise ValueError(f"kind must be 'transpose' or 'spin_flip', got {kind!r}")
-    return from_stokes(real_density_to_stokes(RealDensityMatrix(flipped)))
+    return from_stokes(real_density_to_stokes(RealDensityMatrix(flipped, op.is_stack)))
+
+
+# Conjugators of the two-qubit operator sums: (lambda_a (x) 1, 1 (x) lambda_a) per
+# Pauli axis a, and sigma_y (x) sigma_y.
+_ONE_BODY_PAIRS = [(np.kron(LAMBDA[a], np.eye(2)), np.kron(np.eye(2), LAMBDA[a])) for a in (1, 2, 3)]
+_YY = np.kron(PAULI[2], PAULI[2])
 
 
 def two_body_flip_operator_sum(rho) -> HermitianOperator:
@@ -284,13 +295,10 @@ def two_body_flip_operator_sum(rho) -> HermitianOperator:
     if op.n != 2:
         raise ValueError(f"defined for two qubits, got n={op.n}")
     m = op.matrix
-    eye2 = np.eye(2)
     acc = np.zeros_like(m)
-    for a in (1, 2, 3):
-        left = np.kron(LAMBDA[a], eye2)
-        right = np.kron(eye2, LAMBDA[a])
+    for left, right in _ONE_BODY_PAIRS:
         acc = acc + left @ m @ left + right @ m @ right
-    return HermitianOperator(acc - np.eye(4) / 2)
+    return HermitianOperator(acc - np.eye(4) / 2, op.is_stack)
 
 
 def spin_flipped_partner(rho) -> HermitianOperator:
@@ -298,8 +306,7 @@ def spin_flipped_partner(rho) -> HermitianOperator:
     op = _as_operator(rho)
     if op.n != 2:
         raise ValueError(f"defined for two qubits, got n={op.n}")
-    yy = np.kron(PAULI[2], PAULI[2])
-    return HermitianOperator(yy @ op.matrix.conj() @ yy)
+    return HermitianOperator(_YY @ op.matrix.conj() @ _YY, op.is_stack)
 
 
 def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
@@ -314,7 +321,7 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    return HermitianOperator((identity_times_reduction(op, pair) - op.matrix) / 3)
+    return HermitianOperator((identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)
 
 
 def choi_matrix_of_map(apply_fn, dim: int) -> np.ndarray:

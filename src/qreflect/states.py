@@ -80,14 +80,15 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
     rng = as_rng(rng)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = (dim, dim) if size is None else (size, dim, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -109,8 +110,10 @@ def random_reflection(rng) -> np.ndarray:
     return q
 
 
-def random_density(n: int, mode: str = "mixed_dirichlet", rng=None, c: float | None = None) -> DensityState:
-    """Seeded random n-qubit state.
+def random_density(
+    n: int, mode: str = "mixed_dirichlet", rng=None, c: float | None = None, size: int | None = None
+) -> DensityState:
+    """Seeded random n-qubit state, or a stack of ``size`` states drawn at once.
 
     Modes:
 
@@ -119,29 +122,37 @@ def random_density(n: int, mode: str = "mixed_dirichlet", rng=None, c: float | N
       unitary.
     * ``bounded_spectrum``: like ``mixed_dirichlet`` but the spectrum is
       pulled affinely toward ``2**-n`` until the largest eigenvalue is at
-      most ``c``; requires ``c`` in ``(2**-n, 1]``.
+      most ``c``; requires ``c`` in ``(2**-n, 1]``.  No other mode takes ``c``.
+
+    ``size=None`` draws exactly the numbers one state always drew, so seeded
+    results do not change; ``size=1`` draws the same numbers as a stack.
     """
     if not 1 <= n <= QUBIT_LIMIT:
         raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
+    if c is not None and mode != "bounded_spectrum":
+        raise ValueError(f"c bounds the spectrum in mode 'bounded_spectrum' only, got mode {mode!r}")
     rng = as_rng(rng)
     dim = 2**n
+    stack = size is not None
     if mode == "haar_pure":
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        z /= np.linalg.norm(z)
-        return DensityState(np.outer(z, z.conj()))
+        shape = (size, dim) if stack else (dim,)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # Squared norm as two real dot products, the sum np.linalg.norm forms for one vector.
+        re, im = z.real[..., None, :], z.imag[..., None, :]
+        z /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+        return DensityState(z[..., :, None] * z.conj()[..., None, :], stack)
     if mode not in ("mixed_dirichlet", "bounded_spectrum"):
         raise ValueError(f"unknown mode {mode!r}")
-    spectrum = rng.dirichlet(np.ones(dim))
+    spectrum = rng.dirichlet(np.ones(dim), size=size)
     if mode == "bounded_spectrum":
         if c is None or not (2.0**-n < c <= 1.0):
             raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
-        top = spectrum.max()
-        if top > c:
-            mix = 2.0**-n
-            t = (c - mix) / (top - mix)
-            spectrum = mix + t * (spectrum - mix)
-    u = random_unitary(dim, rng)
-    return DensityState((u * spectrum) @ u.conj().T)
+        top = spectrum.max(axis=-1, keepdims=True)
+        mix = 2.0**-n
+        t = (c - mix) / (top - mix)
+        spectrum = np.where(top > c, mix + t * (spectrum - mix), spectrum)
+    u = random_unitary(dim, rng, size)
+    return DensityState((u * spectrum[..., None, :]) @ u.conj().swapaxes(-1, -2), stack)
 
 
 def remix(rho, w: float) -> DensityState:
@@ -150,4 +161,4 @@ def remix(rho, w: float) -> DensityState:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w}")
     op = _as_operator(rho)
     dim = 2**op.n
-    return DensityState((1.0 - w) * np.eye(dim) / dim + w * op.matrix)
+    return DensityState((1.0 - w) * np.eye(dim) / dim + w * op.matrix, op.is_stack)

@@ -26,6 +26,7 @@ each qubit are interleaved into one base-4 digit ``2 * row + col``, and a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -90,25 +91,53 @@ def basis_element(index: Sequence[int]) -> np.ndarray:
 
 
 class _Checked:
-    """Shared core of the validated array types: a checked read-only array and its qubit count."""
+    """Shared core of the validated array types: a checked read-only array and its qubit count.
+
+    A value is one array of the type's trailing shape (``_ndim`` axes), or,
+    built with ``stack=True``, a stack of them along one leading axis.
+    Every check runs per member, and a failing stack names its first
+    failing member; ``array.T[0]`` is the first entry of one value or of
+    every member, because ``.T`` moves the member axis last.  ``value[k]`` is member k as a single value, and
+    ``value[index_array]`` the stack of those members; either shares or
+    copies the checked read-only values and is not checked again.
+    """
 
     __slots__ = ("_n", "_array")
+    _ndim = 1
 
-    def _shaped(self, data, dtype, ndim: int) -> np.ndarray:
+    def _shaped(self, data, dtype, stack: bool) -> np.ndarray:
         """Copy ``data`` to ``dtype`` and set ``n``.
 
-        The copy must be a square ``2**n`` matrix (``ndim=2``) or a flat
-        ``4**n`` array (``ndim=1``); both have side ``isqrt(size)``, which
-        :func:`qubit_count` turns into ``n``.  Every entry must be finite.
+        Each member must be a square ``2**n`` matrix (``_ndim=2``) or a flat
+        ``4**n`` array (``_ndim=1``); both have side ``isqrt(size)``, which
+        :func:`qubit_count` turns into ``n``.  Every entry must be finite,
+        and a real type refuses a nonzero imaginary part.
         """
-        a = np.array(data, dtype=dtype)
-        side = math.isqrt(a.size)
-        if a.shape != ((side, side) if ndim == 2 else (side * side,)):
-            raise ValueError(f"expected {'a square' if ndim == 2 else 'a flat 4**n'} array, got shape {a.shape}")
+        a = np.asarray(data)
+        member = a.shape[1:] if stack else a.shape
+        side = math.isqrt(math.prod(member))
+        if member != ((side, side) if self._ndim == 2 else (side * side,)):
+            kind = "a square" if self._ndim == 2 else "a flat 4**n"
+            raise ValueError(f"expected {kind} array{' per member' if stack else ''}, got shape {a.shape}")
         self._n = qubit_count(side)
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
+        axes = tuple(range(1, a.ndim)) if stack else None
+        if dtype is float and a.dtype.kind == "c":
+            imaginary = np.abs(a.imag).max(axis=axes)
+            self._require(imaginary == 0, "entries must be real, got an imaginary part {:.3e}", imaginary)
+            a = a.real
+        a = np.array(a, dtype=dtype)
+        self._require(np.isfinite(a).all(axis=axes), "entries must be finite")
         return a
+
+    @staticmethod
+    def _require(ok, message: str, values=None) -> None:
+        """Raise ``message`` (formatted with the value) unless ``ok``; a stack names its first failing member."""
+        if ok.ndim:
+            if not ok.all():
+                k = int(ok.argmin())
+                raise ValueError(f"member {k}: " + message.format(None if values is None else values[k]))
+        elif not ok:
+            raise ValueError(message.format(values))
 
     def _keep(self, array: np.ndarray) -> None:
         array.setflags(write=False)
@@ -118,12 +147,39 @@ class _Checked:
     def n(self) -> int:
         return self._n
 
+    @property
+    def is_stack(self) -> bool:
+        return self._array.ndim > self._ndim
+
+    def __getitem__(self, k):
+        if not self.is_stack:
+            raise TypeError(f"a single {type(self).__name__} has no members")
+        if not isinstance(k, (int, np.integer)) and np.ndim(k) != 1:
+            raise IndexError("index a stack with an integer or a 1-D index array")
+        picked = object.__new__(type(self))
+        for cls in type(self).__mro__:
+            for slot in getattr(cls, "__slots__", ()):
+                value = getattr(self, slot)
+                if isinstance(value, np.ndarray):
+                    value = value[k]
+                    value.setflags(write=False)
+                setattr(picked, slot, value)
+        return picked
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self._n})"
+        stack = f", stack={len(self._array)}" if self.is_stack else ""
+        return f"{type(self).__name__}(n={self._n}{stack})"
+
+
+def _single(value: _Checked) -> _Checked:
+    """``value`` if it is one checked value; a stack has no single answer."""
+    if value.is_stack:
+        raise ValueError(f"expected one {type(value).__name__}, got a stack of {len(value._array)}")
+    return value
 
 
 class HermitianOperator(_Checked):
-    """A trace-one Hermitian operator on ``n`` qubits.
+    """A trace-one Hermitian operator on ``n`` qubits, or a stack of them.
 
     Positivity is not required, so images of density operators under
     nonpositive maps remain representable.  The Hermiticity defect and the
@@ -133,16 +189,16 @@ class HermitianOperator(_Checked):
     """
 
     __slots__ = ()
+    _ndim = 2
 
-    def __init__(self, matrix):
-        m = self._shaped(matrix, complex, 2)
-        adjoint = m.conj().T
-        herm_defect = np.abs(m - adjoint).max()
-        if herm_defect > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        trace = m.trace()
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must equal 1, got {trace:.12g}")
+    def __init__(self, matrix, stack: bool = False):
+        m = self._shaped(matrix, complex, stack)
+        adjoint = m.conj().swapaxes(-1, -2)
+        axes = (-2, -1) if stack else None
+        herm_defect = np.abs(m - adjoint).max(axis=axes)
+        self._require(herm_defect <= HERMITICITY_TOL, "matrix is not Hermitian (defect {:.3e})", herm_defect)
+        trace = m.trace(axis1=-2, axis2=-1)
+        self._require(abs(trace - 1.0) <= TRACE_TOL, "trace must equal 1, got {:.12g}", trace)
         self._keep((m + adjoint) / 2)
 
     @property
@@ -151,22 +207,23 @@ class HermitianOperator(_Checked):
 
 
 class DensityState(HermitianOperator):
-    """A positive-semidefinite trace-one operator (a physical state).
+    """A positive-semidefinite trace-one operator (a physical state), or a stack of them.
 
-    Shares the checked matrix of a :class:`HermitianOperator` argument and
-    keeps its positivity check's ascending eigenvalues as ``spectrum``.
+    Shares the checked matrix of a :class:`HermitianOperator` argument (a
+    stack stays a stack) and keeps its positivity check's ascending
+    eigenvalues as ``spectrum``, one row per member of a stack.
     """
 
     __slots__ = ("_spectrum",)
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, stack: bool = False):
         if isinstance(matrix, HermitianOperator):
             self._n, self._array = matrix.n, matrix.matrix
         else:
-            super().__init__(matrix)
+            super().__init__(matrix, stack)
         spectrum = np.linalg.eigvalsh(self._array)
-        if spectrum[0] < -PSD_TOL:
-            raise ValueError(f"matrix has a negative eigenvalue {spectrum[0]:.3e}")
+        lowest = spectrum.T[0]
+        self._require(lowest >= -PSD_TOL, "matrix has a negative eigenvalue {:.3e}", lowest)
         spectrum.setflags(write=False)
         self._spectrum = spectrum
 
@@ -179,15 +236,19 @@ class StokesTensor(_Checked):
     """Real coefficients of a trace-one operator in the lambda tensor basis.
 
     ``values`` has length ``4**n`` in base-4 row-major multi-index order and
-    ``values[0]`` equals ``2**(-n/2)``.
+    ``values[0]`` equals ``2**(-n/2)``; a stack has one such row per member.
     """
 
     __slots__ = ()
 
-    def __init__(self, values):
-        v = self._shaped(values, float, 1)
-        if abs(v[0] - 2.0 ** (-self._n / 2)) > TRACE_TOL:
-            raise ValueError(f"affine component must equal 2**(-{self._n}/2), got {v[0]:.12g}")
+    def __init__(self, values, stack: bool = False):
+        v = self._shaped(values, float, stack)
+        affine = v.T[0]
+        self._require(
+            abs(affine - 2.0 ** (-self._n / 2)) <= TRACE_TOL,
+            f"affine component must equal 2**(-{self._n}/2), got {{:.12g}}",
+            affine,
+        )
         self._keep(v)
 
     @property
@@ -196,17 +257,18 @@ class StokesTensor(_Checked):
 
 
 class RealDensityMatrix(_Checked):
-    """Real ``2**n x 2**n`` unfolding of a Stokes tensor.
+    """Real ``2**n x 2**n`` unfolding of a Stokes tensor, or a stack of them.
 
     The top-left entry always equals 1 (the rescaled trace component).
     """
 
     __slots__ = ()
+    _ndim = 2
 
-    def __init__(self, entries):
-        e = self._shaped(entries, float, 2)
-        if abs(e[0, 0] - 1.0) > TRACE_TOL:
-            raise ValueError(f"top-left entry must equal 1, got {e[0, 0]:.12g}")
+    def __init__(self, entries, stack: bool = False):
+        e = self._shaped(entries, float, stack)
+        corner = e.T[0, 0]
+        self._require(abs(corner - 1.0) <= TRACE_TOL, "top-left entry must equal 1, got {:.12g}", corner)
         self._keep(e)
 
     @property
@@ -221,70 +283,88 @@ def _as_operator(op) -> HermitianOperator:
 
 
 def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
-    """Apply ``kernels[m]`` to the base-4 axis of qubit m+1; each step rotates that axis to the back."""
+    """Apply ``kernels[m]`` to the base-4 axis of qubit m+1; each step rotates that axis to the back.
+
+    A stack's member axis starts last (``values.T``) and rotates with the
+    digit axes, so after the last qubit it leads again: a stack takes the
+    same 2-D steps as one value, with wider matrices.
+    """
+    shape = values.shape
+    values = values.T
     for k in kernels:
         values = (k @ values.reshape(4, -1)).T
-    return values.reshape(-1)
+    return values.reshape(shape)
+
+
+@functools.cache
+def _bit_axes(n: int, lead: int, interleave: bool) -> tuple[int, ...]:
+    """Axis order that interleaves (or de-interleaves) n row bits and n column bits after ``lead`` axes."""
+    order = [axis for k in range(n) for axis in (k, n + k)] if interleave else [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return (*range(lead), *(lead + axis for axis in order))
 
 
 def _interleaved(m: np.ndarray, n: int) -> np.ndarray:
-    """Flatten a ``2**n x 2**n`` array so qubit k's (row, col) bits form digit k."""
-    perm = [axis for k in range(n) for axis in (k, n + k)]
-    return m.reshape((2,) * (2 * n)).transpose(perm).reshape(-1)
+    """Flatten ``2**n x 2**n`` arrays so qubit k's (row, col) bits form digit k."""
+    lead = m.shape[:-2]
+    return m.reshape(lead + (2,) * (2 * n)).transpose(_bit_axes(n, len(lead), True)).reshape(lead + (-1,))
 
 
 def _deinterleaved(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`_interleaved`."""
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return v.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+    lead = v.shape[:-1]
+    return v.reshape(lead + (2,) * (2 * n)).transpose(_bit_axes(n, len(lead), False)).reshape(lead + (2**n, 2**n))
 
 
 def to_stokes(op) -> StokesTensor:
-    """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator."""
+    """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator (per member of a stack)."""
     op = _as_operator(op)
     values = _apply_per_qubit([_K_TO] * op.n, _interleaved(op.matrix, op.n))
-    return StokesTensor(values.real)
+    return StokesTensor(values.real, op.is_stack)
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
     """Inverse of :func:`to_stokes`."""
-    return HermitianOperator(_deinterleaved(_apply_per_qubit([_K_FROM] * s.n, s.values), s.n))
+    return HermitianOperator(_deinterleaved(_apply_per_qubit([_K_FROM] * s.n, s.values), s.n), s.is_stack)
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
     """Real unfolding of a Stokes tensor, multiplicative over tensor factors."""
     # Each digit splits as 2 * col + row, so it de-interleaves to the transpose.
-    return RealDensityMatrix(_deinterleaved(s.values, s.n).T * 2.0 ** (s.n / 2))
+    return RealDensityMatrix(_deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2), s.is_stack)
 
 
 def real_density_to_stokes(sigma) -> StokesTensor:
     """Recover Stokes values by column-stacking, one sqrt(2) per factor."""
-    entries = sigma.entries if isinstance(sigma, RealDensityMatrix) else np.asarray(sigma, dtype=float)
-    n = qubit_count(entries.shape[0])
-    return StokesTensor(_interleaved(entries.T, n) / 2.0 ** (n / 2))
+    if not isinstance(sigma, RealDensityMatrix):
+        sigma = RealDensityMatrix(sigma)
+    values = _interleaved(sigma.entries.swapaxes(-1, -2), sigma.n) / 2.0 ** (sigma.n / 2)
+    return StokesTensor(values, sigma.is_stack)
 
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:
-    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]``."""
+    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack)."""
     if s.n != 2:
         raise ValueError(f"the square Stokes matrix is defined for n=2, got n={s.n}")
-    return 2.0 * s.values.reshape(4, 4)
+    return 2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4)
 
 
 def choi_reshuffle(m) -> np.ndarray:
-    """Self-inverse reshuffling of a bipartite ``d**2 x d**2`` matrix.
+    """Self-inverse reshuffling of a bipartite ``d**2 x d**2`` matrix, or of each in a stack.
 
     Defined via column-stacking so that a product ``A^T (x) B`` is sent to
     the rank-one matrix ``col(B) col(A^T)^T``.
     """
     m = np.asarray(m)
-    dim = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != dim:
+    dim = m.shape[-1]
+    if m.ndim < 2 or m.shape[-2] != dim:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     d = math.isqrt(dim)
     if d * d != dim:
         raise ValueError(f"dimension {dim} does not split into d x d blocks")
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(dim, dim)
+    lead = m.shape[:-2]
+    b = len(lead)
+    perm = [*range(b), b + 3, b + 1, b + 2, b]
+    return m.reshape(*lead, d, d, d, d).transpose(perm).reshape(*lead, dim, dim)
 
 
 def realigned_matrix(m, d_left: int, d_right: int) -> np.ndarray:
@@ -304,7 +384,7 @@ def realigned_matrix(m, d_left: int, d_right: int) -> np.ndarray:
 
 def tensor_product(a, b) -> HermitianOperator:
     """Kronecker product of two trace-one operators; qubit counts add."""
-    a, b = _as_operator(a), _as_operator(b)
+    a, b = _single(_as_operator(a)), _single(_as_operator(b))
     if a.n + b.n > QUBIT_LIMIT:
         raise ValueError(f"combined qubit count {a.n + b.n} exceeds {QUBIT_LIMIT}")
     return HermitianOperator(np.kron(a.matrix, b.matrix))
@@ -326,7 +406,7 @@ def _nonempty_subset(subset, n: int) -> tuple[int, ...]:
 
 def partial_trace(op, keep) -> HermitianOperator:
     """Reduced operator on the kept qubits (1-based), in their original order."""
-    op = _as_operator(op)
+    op = _single(_as_operator(op))
     kept = _nonempty_subset(keep, op.n)
     traced = [q for q in range(1, op.n + 1) if q not in kept]
     t = op.matrix.reshape((2,) * (2 * op.n))
@@ -340,6 +420,7 @@ def partial_trace(op, keep) -> HermitianOperator:
 
 def partial_trace_stokes(s: StokesTensor, keep) -> StokesTensor:
     """Stokes-domain partial trace: keep the sub-tensor with traced digits 0."""
+    s = _single(s)
     kept = _nonempty_subset(keep, s.n)
     v = s.values.reshape((4,) * s.n)
     picker = tuple(slice(None) if q in kept else 0 for q in range(1, s.n + 1))
@@ -352,14 +433,17 @@ def partial_transpose(op, subset) -> np.ndarray:
 
     The matrix-domain form of :func:`reflections.mask_partial_transpose`,
     which stays its definition and test oracle.  The image is a plain array
-    with the input's Hermiticity defect.
+    (one matrix per member of a stack) with the input's Hermiticity defect.
     """
     op = _as_operator(op)
-    n = op.n
+    n, m = op.n, op.matrix
     perm = list(range(2 * n))
     for q in _check_subset(subset, n):
         perm[q - 1], perm[n + q - 1] = n + q - 1, q - 1
-    return op.matrix.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+    lead = m.shape[:-2]
+    if lead:
+        perm = [0, *(axis + 1 for axis in perm)]
+    return m.reshape(lead + (2,) * (2 * n)).transpose(perm).reshape(m.shape)
 
 
 def identity_times_reduction(op, subset) -> np.ndarray:
@@ -375,14 +459,16 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     It equals ``2**(len(subset)-1) (rho + R_S rho)`` with ``R_S`` the
     partial reflection on the subset (the full set gives the identity), so
     ``R_S rho = 2**(1-len(subset)) lift - rho``.  The trace is
-    ``2**len(subset)``, hence a plain array.
+    ``2**len(subset)``, hence a plain array (one matrix per member of a
+    stack).
     """
     op = _as_operator(op)
     n = op.n
     subset = _nonempty_subset(subset, n)
     lift = op.matrix.copy()
     for q in subset:
-        blocks = lift.reshape(2 ** (q - 1), 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
+        # The leading -1 is the row block above qubit q; a stack's member axis folds into it.
+        blocks = lift.reshape(-1, 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
         total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
         blocks[:, 0, :, :, 0] = total
         blocks[:, 1, :, :, 1] = total
@@ -393,7 +479,7 @@ def identity_times_reduction(op, subset) -> np.ndarray:
 
 def permute_qubits(op, order) -> HermitianOperator:
     """Reorder tensor factors; ``order[k]`` is the old label of new qubit k+1."""
-    op = _as_operator(op)
+    op = _single(_as_operator(op))
     order = tuple(int(q) for q in order)
     if sorted(order) != list(range(1, op.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{op.n}, got {order}")
@@ -405,4 +491,5 @@ def permute_qubits(op, order) -> HermitianOperator:
 
 def purity(s: StokesTensor) -> float:
     """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values."""
+    s = _single(s)
     return float(np.dot(s.values, s.values))

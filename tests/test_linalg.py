@@ -129,3 +129,29 @@ class TestDensityStateSpectrum:
         assert qr.max_eig(rho) == qr.max_eig(raw)
         assert qr.rank(rho) == qr.rank(raw)
         assert np.array_equal(qr.eig_hermitian(rho).eigenvalues, qr.eig_hermitian(raw).eigenvalues)
+
+
+class TestHilbertSchmidt:
+    """The entrywise forms against the forms they replaced, and per member of a stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pinned_to_the_old_forms(self, n, rng):
+        for _ in range(10):
+            a = qr.random_density(n, "mixed_dirichlet", rng)
+            b = qr.complement(qr.random_density(n, "haar_pure", rng))
+            raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+            assert abs(qr.linalg.hs_inner(a, b) - np.trace(a.matrix.conj().T @ b.matrix)) < 1e-14
+            assert abs(qr.linalg.hs_inner(raw, a) - np.trace(raw.conj().T @ a.matrix)) < 1e-14
+            assert abs(qr.linalg.hs_norm(raw) - np.linalg.norm(raw)) < 1e-14 * np.linalg.norm(raw)
+            assert isinstance(qr.linalg.hs_inner(a, b), complex)
+            assert isinstance(qr.linalg.hs_norm(raw), float)
+
+    def test_one_value_per_member(self, rng):
+        a = qr.random_density(2, "mixed_dirichlet", rng, size=3)
+        b = qr.random_density(2, "mixed_dirichlet", rng, size=3)
+        inner = qr.linalg.hs_inner(a, b)
+        norms = qr.linalg.hs_norm(a.matrix)
+        assert inner.shape == norms.shape == (3,)
+        for k in range(3):
+            assert inner[k] == qr.linalg.hs_inner(a[k], b[k])
+            assert norms[k] == qr.linalg.hs_norm(a.matrix[k])

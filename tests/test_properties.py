@@ -33,14 +33,15 @@ def test_corrupted_run_leaves_the_cached_catalog_intact():
 
 def test_run_stops_at_the_first_violation():
     rho = states.random_density(2, "mixed_dirichlet", 0)
-    calls = []
+    other = states.random_density(2, "mixed_dirichlet", 1)
 
-    def trial(rng, k):
-        calls.append(k)
-        return properties._within(0.5 if k == 2 else 0.1, 0.25, rho, "gap over bound")
+    def invariant(rng, trials):
+        gaps = np.full(trials, 0.1)
+        gaps[[2, 5]] = 0.5, 0.9
+        members = [rho if k == 2 else other for k in range(trials)]
+        return [properties._within(gaps, 0.25, members, "gap over bound")]
 
-    result = properties._run("demo", trial, np.random.default_rng(0), 10)
-    assert calls == [0, 1, 2]
+    result = properties._run("demo", invariant, np.random.default_rng(0), 10)
     assert result.passed is False
     assert result.trials == 10
     assert result.worst == 0.5
@@ -48,13 +49,47 @@ def test_run_stops_at_the_first_violation():
     assert result.counterexample == io.state_to_dict(rho)
 
 
+def test_the_earliest_trial_wins_across_qubit_count_groups():
+    three = states.random_density(3, "mixed_dirichlet", 0, size=2)
+    one = states.random_density(1, "mixed_dirichlet", 0, size=3)
+
+    def invariant(rng, trials):
+        # The n=3 group comes first in code order and holds the larger gap, at a later trial.
+        return [
+            properties._within([0.1, 0.9], 0.25, three, "n=3 over bound", np.array([1, 4])),
+            properties._within([0.1, 0.5, 0.1], 0.25, one, "n=1 over bound", np.array([0, 2, 3])),
+        ]
+
+    result = properties._run("demo", invariant, None, 5)
+    assert (result.passed, result.worst, result.detail) == (False, 0.5, "n=1 over bound")
+    assert result.counterexample == io.state_to_dict(one[1])
+
+
+def test_within_a_trial_the_first_check_in_code_order_wins():
+    # Both checks first fail at trial 1; the second lists its trials in another order.
+    checks = [
+        properties._within([0.0, 0.3], 0.25, None, "first"),
+        properties._within([0.9, 0.0], 0.25, None, "second", np.array([1, 0])),
+    ]
+    result = properties._run("demo", lambda rng, trials: checks, None, 2)
+    assert (result.worst, result.detail) == (0.3, "first")
+    result = properties._run("demo", lambda rng, trials: checks[::-1], None, 2)
+    assert (result.worst, result.detail) == (0.9, "second")
+
+
 def test_run_reports_the_largest_deviation_when_all_pass():
-    result = properties._run("demo", lambda rng, k: properties._within(k / 10, 1.0, None, ""), None, 4)
+    def invariant(rng, trials):
+        return [
+            properties._within(np.arange(trials) / 10, 1.0, None, ""),
+            properties._within(np.full(trials, 0.9), 1.0, None, "guard", counts=False),
+        ]
+
+    result = properties._run("demo", invariant, None, 4)
     assert (result.passed, result.trials, result.worst) == (True, 4, 0.3)
 
 
 def test_nan_gap_fails():
-    result = properties._run("demo", lambda rng, k: properties._within(float("nan"), 1.0, None, "nan"), None, 2)
+    result = properties._run("demo", lambda rng, trials: [properties._within([0.0, np.nan], 1.0, None, "nan")], None, 2)
     assert not result.passed and result.detail == "nan" and result.counterexample is None
 
 

@@ -444,3 +444,69 @@ class TestCounting:
         value = qr.count_inequivalent(4)
         assert value == 2 ** (4**4 - 13)
         assert isinstance(value, int)
+
+
+class TestStacks:
+    """Stacked maps against a loop over the scalar API, member by member."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_apply_mask_on_a_state_stack(self, n, rng):
+        rho = qr.random_density(n, "mixed_dirichlet", rng, size=4)
+        s = stokes_of(rho)
+        for mask in (qr.mask_total_reflection(n), qr.mask_partial_transpose(n, (1,)), qr.mask_spin_flip(n, (n,))):
+            on_operators = qr.apply_mask(mask, rho)
+            on_values = qr.apply_mask(mask, s)
+            assert on_operators.is_stack and on_values.is_stack
+            for k in range(4):
+                assert np.abs(on_operators.matrix[k] - qr.apply_mask(mask, rho[k]).matrix).max() <= 1e-15
+                assert np.array_equal(on_values.values[k], qr.apply_mask(mask, s[k]).values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_catalog_gives_every_image_of_one_state(self, n, rng):
+        masks = [qr.mask_total_reflection(n)] + [qr.mask_partial_transpose(n, (q,)) for q in range(1, n + 1)]
+        catalog = SignMask(np.stack([m.signs for m in masks]), stack=True)
+        rho = qr.random_density(n, "mixed_dirichlet", rng)
+        images = qr.apply_mask(catalog, rho)
+        assert images.is_stack and len(images.matrix) == len(masks)
+        for k, mask in enumerate(masks):
+            assert np.abs(images.matrix[k] - qr.apply_mask(mask, rho).matrix).max() <= 1e-15
+            assert np.array_equal(catalog[k].signs, mask.signs)
+
+    def test_equal_stacks_pair_member_by_member(self, rng):
+        rho = qr.random_density(2, "mixed_dirichlet", rng, size=3)
+        masks = [qr.mask_total_reflection(2), qr.mask_two_body_flip(), qr.mask_spin_flip(2, (2,))]
+        images = qr.apply_mask(SignMask(np.stack([m.signs for m in masks]), stack=True), rho)
+        for k, mask in enumerate(masks):
+            assert np.abs(images.matrix[k] - qr.apply_mask(mask, rho[k]).matrix).max() <= 1e-15
+
+    def test_one_bad_mask_in_a_catalog_is_named(self):
+        signs = np.ones((3, 16))
+        signs[1, 0] = -1
+        with pytest.raises(ValueError, match="member 1: the trace component sign must be"):
+            SignMask(signs, stack=True)
+        signs[1, 0] = 1
+        signs[2, 5] = 0.5
+        with pytest.raises(ValueError, match="member 2: sign entries must be"):
+            SignMask(signs, stack=True)
+
+    def test_operator_sums_match_the_scalar_loop(self, rng):
+        one = qr.random_density(1, "mixed_dirichlet", rng, size=4)
+        two = qr.random_density(2, "mixed_dirichlet", rng, size=4)
+        three = qr.random_density(3, "mixed_dirichlet", rng, size=4)
+        lomap = qr.LocalOrthogonalMap.single_qubit(2, 1, qr.random_reflection(rng))
+        maps = [
+            (one, lambda rho: qr.one_qubit_operator_sum("transpose", rho)),
+            (one, lambda rho: qr.one_qubit_operator_sum("spin_flip", rho)),
+            (two, qr.two_body_flip_operator_sum),
+            (two, qr.spin_flipped_partner),
+            (two, qr.relaxed_reflection),
+            (three, lambda rho: qr.relaxed_reflection(rho, (1, 3))),
+            (two, lambda rho: qr.apply_local_orthogonal(lomap, rho)),
+            (two, lambda rho: qr.apply_real_density_mask(qr.choi_related_mask_pair()[0], rho)),
+            (three, qr.complement),
+        ]
+        for rho, fn in maps:
+            stacked = fn(rho)
+            assert stacked.is_stack
+            for k in range(4):
+                assert np.abs(stacked.matrix[k] - fn(rho[k]).matrix).max() <= 1e-15

@@ -130,3 +130,59 @@ class TestRemix:
     def test_weight_out_of_range(self, rng):
         with pytest.raises(ValueError):
             qr.remix(qr.random_density(1, "mixed_dirichlet", rng), 1.5)
+
+
+MODES = [("haar_pure", None), ("mixed_dirichlet", None), ("bounded_spectrum", 0.4)]
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("mode,c", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_stack_of_one_is_the_scalar_draw(self, n, mode, c):
+        c = None if c is None else max(c, 2.0 ** (1 - n))
+        one = qr.random_density(n, mode, 7, c=c)
+        stack = qr.random_density(n, mode, 7, c=c, size=1)
+        assert stack.is_stack and not one.is_stack
+        assert np.abs(stack[0].matrix - one.matrix).max() <= 1e-15
+        assert np.abs(stack.spectrum[0] - one.spectrum).max() <= 1e-15
+
+    def test_stacked_unitaries_match_the_scalar_qr_of_the_same_draws(self):
+        stack = qr.random_unitary(8, 5, size=4)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+        for k in range(4):
+            q, r = np.linalg.qr(z[k])
+            phases = np.diag(r) / np.abs(np.diag(r))
+            assert np.abs(stack[k] - q * phases).max() <= 1e-15
+            assert np.abs(stack[k] @ stack[k].conj().T - np.eye(8)).max() < 1e-13
+        assert np.array_equal(qr.random_unitary(8, 5, size=1)[0], qr.random_unitary(8, 5))
+
+    def test_stacked_spectra_are_the_drawn_simplex_points(self):
+        spectra = np.random.default_rng(11).dirichlet(np.ones(8), size=6)
+        rho = qr.random_density(3, "mixed_dirichlet", 11, size=6)
+        assert np.abs(rho.spectrum - np.sort(spectra, axis=1)).max() < 1e-14
+
+    @pytest.mark.parametrize("mode,c", MODES)
+    def test_every_member_is_a_state(self, mode, c, rng):
+        rho = qr.random_density(2, mode, rng, c=c, size=20)
+        assert rho.spectrum.shape == (20, 4)
+        for k in range(20):
+            member = rho[k]
+            assert np.abs(np.linalg.eigvalsh(member.matrix) - member.spectrum).max() < 1e-14
+            if c is not None:
+                assert qr.max_eig(member) <= c + 1e-12
+            if mode == "haar_pure":
+                assert qr.purity(qr.to_stokes(member)) == pytest.approx(1.0, abs=1e-12)
+        assert len({member.tobytes() for member in rho.matrix}) == 20
+
+    @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet"])
+    def test_a_spectrum_cap_needs_the_bounded_mode(self, mode, rng):
+        with pytest.raises(ValueError, match="bounded_spectrum"):
+            qr.random_density(2, mode, rng, c=0.3)
+
+    def test_remix_of_a_stack_matches_the_scalar_loop(self, rng):
+        rho = qr.random_density(2, "mixed_dirichlet", rng, size=4)
+        mixed = qr.remix(rho, 0.3)
+        for k in range(4):
+            assert np.abs(mixed.matrix[k] - qr.remix(rho[k], 0.3).matrix).max() <= 1e-15
+            assert np.abs(mixed.spectrum[k] - qr.remix(rho[k], 0.3).spectrum).max() <= 1e-15

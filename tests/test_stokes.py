@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conftest import (
 )
 
 import qreflect as qr
-from qreflect.io import state_from_dict
+from qreflect.io import state_from_dict, state_to_dict
 from qreflect.reflections import SignMask
 from qreflect.stokes import StokesTensor, identity_times_reduction, partial_transpose
 
@@ -415,3 +416,169 @@ class TestPurityAndSpectrum:
                 [(1 / SQ2) * (1 / SQ2 + radius), (1 / SQ2) * (1 / SQ2 - radius)], reverse=True
             )
             np.testing.assert_allclose(qr.eig_hermitian(rho).eigenvalues, closed, atol=1e-12)
+
+
+def stack_of(n, rng, size=5):
+    return qr.random_density(n, "mixed_dirichlet", rng, size=size)
+
+
+# Public functions that answer for one state or do not map stacks, each called on a
+# two-qubit stack and its Stokes values.
+SCALAR_ONLY = {
+    "ppt_test": lambda rho, s: qr.ppt_test(rho, (1,)),
+    "ccn": lambda rho, s: qr.ccn(rho),
+    "ccn_report": lambda rho, s: qr.ccn_report(rho),
+    "ccn_via_stokes": lambda rho, s: qr.ccn_via_stokes(s),
+    "concurrence": lambda rho, s: qr.concurrence(rho),
+    "concurrence_report": lambda rho, s: qr.concurrence_report(rho),
+    "lorentz_metric": lambda rho, s: qr.lorentz_metric(s),
+    "reduction_criterion": lambda rho, s: qr.reduction_criterion(rho, (1,)),
+    "total_reflection_feasible": lambda rho, s: qr.total_reflection_feasible(rho),
+    "reflection_report": lambda rho, s: qr.reflection_report(rho, (1,)),
+    "min_eig": lambda rho, s: qr.min_eig(rho),
+    "min_eig_of_an_operator": lambda rho, s: qr.min_eig(qr.complement(rho)),
+    "min_eig_of_an_array": lambda rho, s: qr.min_eig(rho.matrix),
+    "max_eig": lambda rho, s: qr.max_eig(rho),
+    "rank": lambda rho, s: qr.rank(rho),
+    "is_psd": lambda rho, s: qr.is_psd(rho),
+    "eig_hermitian": lambda rho, s: qr.eig_hermitian(rho),
+    "eig_hermitian_vectors": lambda rho, s: qr.eig_hermitian(rho, vectors=True),
+    "state_to_dict": lambda rho, s: state_to_dict(rho),
+    "state_to_dict_stokes": lambda rho, s: state_to_dict(s),
+    "purity": lambda rho, s: qr.purity(s),
+    "classify": lambda rho, s: qr.classify(SignMask(np.ones((2, 16)), stack=True)),
+    "tensor_product": lambda rho, s: qr.tensor_product(rho, qr.maximally_mixed(1)),
+    "partial_trace": lambda rho, s: qr.partial_trace(rho, (1,)),
+    "partial_trace_stokes": lambda rho, s: qr.partial_trace_stokes(s, (1,)),
+    "permute_qubits": lambda rho, s: qr.permute_qubits(rho, (2, 1)),
+}
+
+
+class TestStacks:
+    """A stack against a loop over the scalar API, member by member."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_conversions_match_the_scalar_loop(self, n, rng):
+        rho = stack_of(n, rng)
+        s = qr.to_stokes(rho)
+        back = qr.from_stokes(s)
+        sigma = qr.to_real_density(s)
+        again = qr.real_density_to_stokes(sigma)
+        assert s.is_stack and back.is_stack and sigma.is_stack and again.is_stack
+        for k in range(5):
+            one = qr.to_stokes(rho[k])
+            assert np.abs(s.values[k] - one.values).max() <= 1e-15
+            assert np.abs(back.matrix[k] - qr.from_stokes(one).matrix).max() <= 1e-15
+            assert np.abs(sigma.entries[k] - qr.to_real_density(one).entries).max() <= 1e-15
+            assert np.abs(again.values[k] - qr.real_density_to_stokes(qr.to_real_density(one)).values).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernels_match_the_scalar_loop(self, n, rng):
+        rho = stack_of(n, rng)
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                transposed = partial_transpose(rho, subset)
+                lifted = identity_times_reduction(rho, subset)
+                for k in range(5):
+                    assert np.abs(transposed[k] - partial_transpose(rho[k], subset)).max() <= 1e-15
+                    assert np.abs(lifted[k] - identity_times_reduction(rho[k], subset)).max() <= 1e-15
+
+    def test_two_qubit_matrices_match_the_scalar_loop(self, rng):
+        s = qr.to_stokes(stack_of(2, rng))
+        reshuffled = qr.choi_reshuffle(qr.to_real_density(s).entries)
+        square = qr.stokes_as_matrix(s)
+        for k in range(5):
+            assert np.array_equal(reshuffled[k], qr.choi_reshuffle(qr.to_real_density(s[k]).entries))
+            assert np.array_equal(square[k], qr.stokes_as_matrix(s[k]))
+
+    def test_members_share_the_checked_storage(self, rng):
+        rho = stack_of(2, rng)
+        member = rho[3]
+        assert type(member) is qr.DensityState and not member.is_stack and rho.is_stack
+        assert np.shares_memory(member.matrix, rho.matrix)
+        assert np.array_equal(member.spectrum, rho.spectrum[3])
+        assert rho.spectrum.shape == (5, 4)
+        for stored in (member.matrix, member.spectrum):
+            with pytest.raises(ValueError):
+                stored.flat[0] = stored.flat[0]
+        picked = rho[np.array([4, 0])]
+        assert picked.is_stack and np.array_equal(picked.matrix, rho.matrix[[4, 0]])
+        assert repr(picked) == "DensityState(n=2, stack=2)"
+        with pytest.raises(ValueError):
+            picked.matrix[0, 0, 0] = 0
+        with pytest.raises(TypeError):
+            member[0]
+        with pytest.raises(IndexError):
+            rho[np.zeros((1, 1), dtype=int)]
+
+    def test_a_stack_is_declared_not_inferred(self):
+        # One extra leading axis is a stack only when asked for.
+        with pytest.raises(ValueError):
+            qr.HermitianOperator((np.eye(2) / 2)[None])
+        assert qr.HermitianOperator((np.eye(2) / 2)[None], stack=True).is_stack
+
+    @pytest.mark.parametrize(
+        "kind", ["non-hermitian", "trace", "nan", "negative-eigenvalue", "affine", "cancelled-trace"]
+    )
+    def test_one_bad_member_is_named(self, kind):
+        ops = np.stack([np.eye(4, dtype=complex) / 4] * 4)
+        values = np.zeros((4, 16))
+        values[:, 0] = 0.5
+        if kind == "non-hermitian":
+            ops[2, 0, 1] = 0.1
+            build, match = lambda: qr.HermitianOperator(ops, stack=True), "member 2: matrix is not Hermitian"
+        elif kind == "trace":
+            ops[2] *= 2
+            build, match = lambda: qr.HermitianOperator(ops, stack=True), "member 2: trace must equal 1"
+        elif kind == "nan":
+            ops[2, 1, 1] = math.nan
+            build, match = lambda: qr.DensityState(ops, stack=True), "member 2: entries must be finite"
+        elif kind == "negative-eigenvalue":
+            ops[2] = np.diag([0.5, 0.5, 0.25, -0.25])
+            build, match = lambda: qr.DensityState(ops, stack=True), "member 2: matrix has a negative eigenvalue"
+        elif kind == "affine":
+            values[2, 0] = 0.0
+            build, match = lambda: StokesTensor(values, stack=True), "member 2: affine component"
+        else:
+            # Right affine component, finite values, but the trace cancels to 0 in floating point.
+            values[2, [1, 2, 3]] = 1.7e308
+            build, match = lambda: qr.from_stokes(StokesTensor(values, stack=True)), "member 2: trace must equal 1"
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("name", list(SCALAR_ONLY))
+    def test_scalar_only_functions_refuse_a_stack(self, name, rng):
+        rho = stack_of(2, rng)
+        with pytest.raises(ValueError):
+            SCALAR_ONLY[name](rho, qr.to_stokes(rho))
+
+
+class TestRealInput:
+    """A real checked type refuses a nonzero imaginary part instead of dropping it."""
+
+    @pytest.mark.parametrize("kind", ["StokesTensor", "RealDensityMatrix", "SignMask"])
+    def test_complex_input_rejected(self, kind):
+        cls, valid, accessor = CHECKED_TYPES[kind]
+        data = valid(1).astype(complex)
+        data.flat[1] += 0.3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                cls(data)
+            stack = np.stack([valid(1), data]).astype(complex)
+            with pytest.raises(ValueError, match="member 1: entries must be real"):
+                cls(stack, stack=True)
+            # A zero imaginary part is a real number.
+            assert np.array_equal(getattr(cls(valid(1).astype(complex)), accessor), valid(1))
+
+    def test_stokes_literal_from_the_report(self):
+        with pytest.raises(ValueError, match="must be real"):
+            StokesTensor([2**-0.5, 0.3j, 0, 0])
+
+    def test_raw_real_density_rejected(self):
+        entries = np.eye(2, dtype=complex)
+        entries[1, 0] = 0.2j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                qr.real_density_to_stokes(entries)
