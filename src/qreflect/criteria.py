@@ -21,11 +21,10 @@ from .stokes import (
     StokesTensor,
     _as_operator,
     _nonempty_subset,
+    _regroup,
     _single,
     identity_times_reduction,
     partial_transpose,
-    permute_qubits,
-    realigned_matrix,
     stokes_as_matrix,
 )
 
@@ -72,22 +71,26 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     return CriterionReport("ppt", verdict, witness, subset, tol)
 
 
+def _ccn_block(n: int, block) -> tuple[int, ...]:
+    """The checked left block of a cut; ``None`` is the first half."""
+    if block is None and n % 2 != 0:
+        raise ValueError("odd qubit counts need an explicit left block")
+    return _proper_subset(range(1, n // 2 + 1) if block is None else block, n)
+
+
 def ccn(rho, block=None) -> float:
     """Trace norm of the realigned matrix across a bipartition.
 
     ``block`` lists the qubits of the left factor (default: the first half).
-    Every cut uses the rectangular realignment; on square cuts it has the
-    singular values of the reshuffling map :func:`choi_reshuffle`.
+    The realignment is one regroup of the checked matrix, rows indexed by the
+    block's (row, column) bits and columns by the rest's; on square cuts it has
+    the singular values of the reshuffling map :func:`choi_reshuffle`.
     """
-    op = _as_operator(rho)
-    if block is None:
-        if op.n % 2 != 0:
-            raise ValueError("odd qubit counts need an explicit left block")
-        block = tuple(range(1, op.n // 2 + 1))
-    block = _proper_subset(block, op.n)
-    rest = tuple(q for q in range(1, op.n + 1) if q not in block)
-    arranged = permute_qubits(op, block + rest)
-    return float(np.sum(svd_values(realigned_matrix(arranged.matrix, 2 ** len(block), 2 ** len(rest)))))
+    op = _single(_as_operator(rho))
+    n, block = op.n, _ccn_block(op.n, block)
+    rest = [q for q in range(1, n + 1) if q not in block]
+    order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
+    return float(np.sum(svd_values(_regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest))))))
 
 
 def ccn_via_stokes(s: StokesTensor) -> float:
@@ -99,7 +102,10 @@ def ccn_via_stokes(s: StokesTensor) -> float:
 
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
-    value = ccn(rho, block)
+    """:func:`ccn` with its verdict; the report names the checked block the value was measured on."""
+    op = _as_operator(rho)
+    block = _ccn_block(op.n, block)
+    value = ccn(op, block)
     verdict = "entangled" if value > 1.0 + tol else "separable-consistent"
     return CriterionReport("ccn", verdict, value, block, tol)
 

@@ -35,6 +35,7 @@ from .stokes import (
     _apply_per_qubit,
     _as_operator,
     _check_subset,
+    _digits,
     _nonempty_subset,
     _single,
     from_stokes,
@@ -78,26 +79,12 @@ class MapClassification:
     sign_change_count: int
 
 
-def _digit_count(n: int, subset, hit) -> np.ndarray:
-    """Per linear index, the number of ``subset`` qubits whose digit is in ``hit``."""
-    idx = np.arange(4**n)
-    is_hit = np.array([d in hit for d in range(4)])
-    count = np.zeros(4**n, dtype=int)
-    for q in subset:
-        count += is_hit[(idx >> 2 * (n - q)) & 3]
-    return count
-
-
-def _subset_label(subset) -> str:
-    return ",".join(str(q) for q in subset)
-
-
 @functools.cache
 def _digit_rule_mask(kind: str, n: int, subset: tuple[int, ...], hit: tuple[int, ...], odd: bool) -> SignMask:
     """Shared named mask flipping where the count of subset digits in ``hit`` is odd (``odd``) or nonzero."""
-    count = _digit_count(n, subset, hit)
+    count = np.isin(_digits(n)[:, [q - 1 for q in subset]], hit).sum(axis=1)
     flip = count % 2 == 1 if odd else count > 0
-    return SignMask(np.where(flip, -1, 1), name=f"{kind}[{_subset_label(subset)}]")
+    return SignMask(np.where(flip, -1, 1), name=f"{kind}[{','.join(map(str, subset))}]")
 
 
 def mask_identity(n: int) -> SignMask:
@@ -181,14 +168,13 @@ def classify(mask: SignMask) -> MapClassification:
     mask = _single(mask)
     flips = int(np.count_nonzero(mask.signs == -1))
     orientation = "changing" if flips % 2 == 1 else "preserving"
-    factors = []
-    for m in range(mask.n):
-        stride = 4 ** (mask.n - 1 - m)
-        factors.append(mask.signs[[0, stride, 2 * stride, 3 * stride]])
-    outer = factors[0].astype(np.int64)
-    for f in factors[1:]:
-        outer = np.multiply.outer(outer, f).reshape(-1)
-    factorizable = bool(np.array_equal(outer, mask.signs))
+    digits = _digits(mask.n)
+    nonzero = np.count_nonzero(digits, axis=1)
+    rebuilt = np.ones(len(digits), dtype=np.int64)
+    for digit in digits.T:
+        # This qubit's factor sits on the four components where no other qubit's digit is nonzero.
+        rebuilt *= mask.signs[nonzero == (digit != 0)][digit]
+    factorizable = bool(np.array_equal(rebuilt, mask.signs))
     return MapClassification(orientation, factorizable, flips)
 
 

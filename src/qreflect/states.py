@@ -23,6 +23,7 @@ def ket(which) -> np.ndarray:
     if isinstance(which, str):
         if not which or any(c not in KET_SYMBOLS for c in which):
             raise ValueError(f"ket symbols must come from 0, 1, +, -; got {which!r}")
+        qubit_count(2 ** len(which))
         vec = KET_SYMBOLS[which[0]]
         for c in which[1:]:
             vec = np.kron(vec, KET_SYMBOLS[c])
@@ -80,33 +81,33 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _haar_qr(z: np.ndarray) -> np.ndarray:
+    """Q of ``z = QR`` with each column times the phase of ``diag(R)``: Haar-distributed for Gaussian ``z``."""
+    q, r = np.linalg.qr(z)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
     rng = as_rng(rng)
     shape = (dim, dim) if size is None else (size, dim, dim)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    phases /= np.abs(phases)
-    return q * phases[..., None, :]
+    return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def random_rotation(rng) -> np.ndarray:
     """Uniform element of SO(3)."""
-    rng = as_rng(rng)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
+    q = _haar_qr(as_rng(rng).standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
-        q = q.copy()
         q[:, 0] = -q[:, 0]
     return q
 
 
 def random_reflection(rng) -> np.ndarray:
     """Orientation-changing orthogonal 3x3 matrix (determinant -1)."""
-    q = random_rotation(rng)
-    q = q.copy()
-    q[:, 0] = -q[:, 0]
+    q = _haar_qr(as_rng(rng).standard_normal((3, 3)))
+    if np.linalg.det(q) > 0:
+        q[:, 0] = -q[:, 0]
     return q
 
 

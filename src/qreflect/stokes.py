@@ -19,9 +19,12 @@ The real unfolding ``sigma(rho)`` maps the one-qubit basis as
 extended linearly and multiplicatively over tensor factors.  Column-stacking
 the result and dividing by sqrt(2) per factor recovers the Stokes values.
 
-Every conversion is one per-qubit kernel loop: the row and column bits of
-each qubit are interleaved into one base-4 digit ``2 * row + col``, and a
-4x4 matrix is applied to each digit axis in turn.
+The qubit layout is written once: :func:`_regroup` reorders the row and
+column bits of a matrix (or of flat Stokes values) for every conversion,
+partial transpose, permutation, partial trace and realignment, and
+:func:`_digits` tables the base-4 digits of each Stokes component for the
+sign masks.  A conversion interleaves each qubit's row and column bits into
+one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
 """
 
 from __future__ import annotations
@@ -297,22 +300,36 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _bit_axes(n: int, lead: int, interleave: bool) -> tuple[int, ...]:
-    """Axis order that interleaves (or de-interleaves) n row bits and n column bits after ``lead`` axes."""
-    order = [axis for k in range(n) for axis in (k, n + k)] if interleave else [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+def _transposition(lead: int, order: tuple[int, ...]) -> tuple[int, ...]:
     return (*range(lead), *(lead + axis for axis in order))
+
+
+def _regroup(a: np.ndarray, n: int, order, shape: tuple[int, ...]) -> np.ndarray:
+    """Reorder the bits of the trailing ``4**n`` entries of ``a``; leading member axes stay in front.
+
+    The entries (a ``2**n x 2**n`` matrix or ``4**n`` flat values) are read as the row bits of
+    qubits 1..n, then their column bits; bit ``order[k]`` becomes axis k before the reshape to ``shape``.
+    """
+    lead = a.shape[: -1 if a.shape[-1] == 4**n else -2]
+    return a.reshape(lead + (2,) * (2 * n)).transpose(_transposition(len(lead), tuple(order))).reshape(lead + shape)
+
+
+@functools.cache
+def _digits(n: int) -> np.ndarray:
+    """Read-only ``(4**n, n)`` table: row k is the multi-index of Stokes component k."""
+    table = np.array(list(multi_indices(n)))
+    table.setflags(write=False)
+    return table
 
 
 def _interleaved(m: np.ndarray, n: int) -> np.ndarray:
     """Flatten ``2**n x 2**n`` arrays so qubit k's (row, col) bits form digit k."""
-    lead = m.shape[:-2]
-    return m.reshape(lead + (2,) * (2 * n)).transpose(_bit_axes(n, len(lead), True)).reshape(lead + (-1,))
+    return _regroup(m, n, [q + n * col for q in range(n) for col in (0, 1)], (4**n,))
 
 
 def _deinterleaved(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`_interleaved`."""
-    lead = v.shape[:-1]
-    return v.reshape(lead + (2,) * (2 * n)).transpose(_bit_axes(n, len(lead), False)).reshape(lead + (2**n, 2**n))
+    return _regroup(v, n, [*range(0, 2 * n, 2), *range(1, 2 * n, 2)], (2**n, 2**n))
 
 
 def to_stokes(op) -> StokesTensor:
@@ -407,25 +424,20 @@ def _nonempty_subset(subset, n: int) -> tuple[int, ...]:
 def partial_trace(op, keep) -> HermitianOperator:
     """Reduced operator on the kept qubits (1-based), in their original order."""
     op = _single(_as_operator(op))
-    kept = _nonempty_subset(keep, op.n)
-    traced = [q for q in range(1, op.n + 1) if q not in kept]
-    t = op.matrix.reshape((2,) * (2 * op.n))
-    remaining = op.n
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q - 1, axis2=q - 1 + remaining)
-        remaining -= 1
-    d = 2 ** len(kept)
-    return HermitianOperator(t.reshape(d, d))
+    n, kept = op.n, _nonempty_subset(keep, op.n)
+    traced = [q for q in range(1, n + 1) if q not in kept]
+    dk, dt = 2 ** len(kept), 2 ** len(traced)
+    order = [q - 1 + n * col for col in (0, 1) for q in (*kept, *traced)]
+    return HermitianOperator(np.trace(_regroup(op.matrix, n, order, (dk, dt, dk, dt)), axis1=1, axis2=3))
 
 
 def partial_trace_stokes(s: StokesTensor, keep) -> StokesTensor:
     """Stokes-domain partial trace: keep the sub-tensor with traced digits 0."""
     s = _single(s)
     kept = _nonempty_subset(keep, s.n)
-    v = s.values.reshape((4,) * s.n)
-    picker = tuple(slice(None) if q in kept else 0 for q in range(1, s.n + 1))
-    scale = math.sqrt(2.0) ** (s.n - len(kept))
-    return StokesTensor(v[picker].reshape(-1) * scale)
+    traced = [q - 1 for q in range(1, s.n + 1) if q not in kept]
+    picked = s.values[~_digits(s.n)[:, traced].any(axis=1)]
+    return StokesTensor(picked * math.sqrt(2.0) ** len(traced))
 
 
 def partial_transpose(op, subset) -> np.ndarray:
@@ -436,14 +448,10 @@ def partial_transpose(op, subset) -> np.ndarray:
     (one matrix per member of a stack) with the input's Hermiticity defect.
     """
     op = _as_operator(op)
-    n, m = op.n, op.matrix
-    perm = list(range(2 * n))
-    for q in _check_subset(subset, n):
-        perm[q - 1], perm[n + q - 1] = n + q - 1, q - 1
-    lead = m.shape[:-2]
-    if lead:
-        perm = [0, *(axis + 1 for axis in perm)]
-    return m.reshape(lead + (2,) * (2 * n)).transpose(perm).reshape(m.shape)
+    n, swapped = op.n, _check_subset(subset, op.n)
+    # Row bits first, then column bits; a transposed qubit takes each from the other half.
+    order = [q - 1 + n * (col != (q in swapped)) for col in (0, 1) for q in range(1, n + 1)]
+    return _regroup(op.matrix, n, order, (2**n, 2**n))
 
 
 def identity_times_reduction(op, subset) -> np.ndarray:
@@ -483,10 +491,8 @@ def permute_qubits(op, order) -> HermitianOperator:
     order = tuple(int(q) for q in order)
     if sorted(order) != list(range(1, op.n + 1)):
         raise ValueError(f"order must be a permutation of 1..{op.n}, got {order}")
-    t = op.matrix.reshape((2,) * (2 * op.n))
-    perm = [q - 1 for q in order] + [q - 1 + op.n for q in order]
-    d = 2**op.n
-    return HermitianOperator(t.transpose(perm).reshape(d, d))
+    bits = [q - 1 + op.n * col for col in (0, 1) for q in order]
+    return HermitianOperator(_regroup(op.matrix, op.n, bits, (2**op.n, 2**op.n)))
 
 
 def purity(s: StokesTensor) -> float:

@@ -102,7 +102,15 @@ class TestCcn:
         with pytest.raises(ValueError):
             qr.ccn(qr.upb_bound_entangled())
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_report_names_the_checked_block(self, rng):
+        rho4 = qr.random_density(4, "mixed_dirichlet", rng)
+        report = qr.ccn_report(rho4, [2, 1])
+        assert report.subset == (1, 2)
+        assert report.witness == qr.ccn(rho4, (1, 2))
+        assert qr.ccn_report(rho4).subset == (1, 2)
+        assert qr.ccn_report(qr.bell_state()).to_dict()["subset"] == [1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_every_cut_matches_realignment_oracle(self, n, rng):
         rho = qr.random_density(n, "mixed_dirichlet", rng)
         for size in range(1, n):

@@ -1,5 +1,7 @@
 """State constructors, the product-basis family, and random generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ class TestPureStates:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             qr.ket("0x")
+
+    def test_symbol_count_beyond_the_qubit_limit_rejected(self):
+        assert qr.ket("0" * 6).shape == (64,)
+        with pytest.raises(ValueError) as amplitudes:
+            qr.ket(np.eye(2**7)[0])
+        with pytest.raises(ValueError, match=re.escape(str(amplitudes.value))):
+            qr.ket("0" * 7)
 
 
 class TestUpbFamily:

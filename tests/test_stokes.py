@@ -314,6 +314,14 @@ class TestProductsAndReductions:
         reduced = qr.partial_trace(rho, keep)
         np.testing.assert_allclose(reduced.matrix, oracle_partial_trace(rho.matrix, n, keep), atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_partial_trace_matches_oracle_on_every_keep_set(self, n, rng):
+        rho = random_mixed(n, rng)
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(1, n + 1), size):
+                reduced = qr.partial_trace(rho, keep)
+                np.testing.assert_allclose(reduced.matrix, oracle_partial_trace(rho.matrix, n, keep), atol=1e-13)
+
     @pytest.mark.parametrize("n,keep", [(2, (2,)), (3, (1, 2))])
     def test_stokes_discard_path_agrees(self, n, keep, rng):
         rho = random_mixed(n, rng)
@@ -361,6 +369,12 @@ class TestProductsAndReductions:
         rho = random_mixed(3, rng)
         swapped = qr.permute_qubits(qr.permute_qubits(rho, (2, 1, 3)), (2, 1, 3))
         assert np.array_equal(swapped.matrix, rho.matrix)
+
+    def test_permute_qubits_three_cycle(self, rng):
+        # order[k] is the old label of new qubit k+1, so (2, 3, 1) puts b, c, a in that order
+        a, b, c = (random_mixed(1, rng).matrix for _ in range(3))
+        cycled = qr.permute_qubits(qr.DensityState(np.kron(np.kron(a, b), c)), (2, 3, 1))
+        assert np.abs(cycled.matrix - np.kron(np.kron(b, c), a)).max() < 1e-15
 
 
 class TestMatrixKernels:
