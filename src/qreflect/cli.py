@@ -9,13 +9,18 @@ Subcommands:
   entangled state and verify the whole chain.
 * ``prop``     -- seeded randomised invariant suite.
 
-Reports are JSON on stdout (``--plain`` switches to aligned text).  Exit
-codes: 0 success, 1 failed property suite, 2 unreadable input (state file
-or qubit subset), 3 dimension mismatch (including a subset naming a qubit
-the state lacks).  Entanglement verdicts never affect the exit code.  The
-``QREFLECT_TOL`` environment variable sets the verdict thresholds (default
-``1e-10``); it must be a finite float >= 0 (otherwise exit 2).  It does not
-change the positivity check a state file passes when it is loaded.
+``main`` builds and prints every report: JSON on stdout with ``command``,
+``input_digest``, ``result`` and ``wall_time_s``, or with ``--plain`` the
+command's aligned text.  A ``cmd_*`` only computes and returns
+``(exit_code, input_digest, result, plain_lines)``; every error exit raises
+``SystemExit(_error(code, message))``, which ``main`` maps to its exit
+code.  Exit codes: 0 success, 1 failed property suite, 2 unreadable input
+(state file or qubit subset), 3 dimension mismatch (including a subset
+naming a qubit the state lacks).  Entanglement verdicts never affect the
+exit code.  The ``QREFLECT_TOL`` environment variable sets the verdict
+thresholds (default ``1e-10``); it must be a finite float >= 0 (otherwise
+exit 2).  It does not change the positivity check a state file passes
+when it is loaded.
 """
 
 from __future__ import annotations
@@ -59,16 +64,6 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIMENSION = 3
 
-TABLE1_COLUMNS = (
-    "transpose_A",
-    "transpose_B",
-    "transpose_AB",
-    "spinflip_A",
-    "spinflip_B",
-    "spinflip_AB",
-    "reflection_AB",
-)
-
 
 def _tolerance() -> float:
     raw = os.environ.get("QREFLECT_TOL")
@@ -104,70 +99,43 @@ def _error(code: int, message: str) -> int:
     return code
 
 
-def _emit(report: dict, plain_text: str | None, plain: bool) -> None:
-    if plain and plain_text is not None:
-        print(plain_text)
-    else:
-        print(json.dumps(report, sort_keys=True))
-
-
-def _report(command: str, digest: str | None, result: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "result": result,
-        "wall_time_s": time.perf_counter() - started,
+def cmd_table1(args):
+    masks = {
+        "transpose_A": mask_partial_transpose(2, (1,)),
+        "transpose_B": mask_partial_transpose(2, (2,)),
+        "transpose_AB": mask_partial_transpose(2, (1, 2)),
+        "spinflip_A": mask_spin_flip(2, (1,)),
+        "spinflip_B": mask_spin_flip(2, (2,)),
+        "spinflip_AB": mask_spin_flip(2, (1, 2)),
+        "reflection_AB": mask_total_reflection(2),
     }
-
-
-def _table1_result() -> dict:
-    masks = [
-        mask_partial_transpose(2, (1,)),
-        mask_partial_transpose(2, (2,)),
-        mask_partial_transpose(2, (1, 2)),
-        mask_spin_flip(2, (1,)),
-        mask_spin_flip(2, (2,)),
-        mask_spin_flip(2, (1, 2)),
-        mask_total_reflection(2),
-    ]
     rows = ["".join(str(d) for d in idx) for idx in multi_indices(2)]
-    signs = [[int(mask.signs[k]) for mask in masks] for k in range(16)]
-    counts = [classify(mask).sign_change_count for mask in masks]
-    return {
+    signs = [[int(mask.signs[k]) for mask in masks.values()] for k in range(16)]
+    counts = [classify(mask).sign_change_count for mask in masks.values()]
+    result = {
         "rows": rows,
-        "columns": list(TABLE1_COLUMNS),
+        "columns": list(masks),
         "signs": signs,
         "sign_change_counts": counts,
     }
-
-
-def _table1_plain(result: dict) -> str:
-    width = max(len(c) for c in result["columns"])
-    header = "component  " + "  ".join(c.rjust(width) for c in result["columns"])
+    width = max(len(c) for c in masks)
+    header = "component  " + "  ".join(c.rjust(width) for c in masks)
     lines = [header]
-    for row, sign_row in zip(result["rows"], result["signs"]):
+    for row, sign_row in zip(rows, signs):
         cells = "  ".join(("+" if s > 0 else "-").rjust(width) for s in sign_row)
         lines.append(f"{row:<9}  {cells}")
-    counts = "  ".join(str(c).rjust(width) for c in result["sign_change_counts"])
-    lines.append(f"{'changes':<9}  {counts}")
-    return "\n".join(lines)
+    changes = "  ".join(str(c).rjust(width) for c in counts)
+    lines.append(f"{'changes':<9}  {changes}")
+    return EXIT_OK, None, result, lines
 
 
-def cmd_table1(args) -> int:
-    started = time.perf_counter()
-    result = _table1_result()
-    _emit(_report("table1", None, result, started), _table1_plain(result), args.plain)
-    return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args):
     tol = _tolerance()
     try:
         raw = Path(args.state).read_bytes()
         rho = parse_density(raw, args.state)
     except (OSError, StateFormatError) as exc:
-        return _error(EXIT_BAD_INPUT, str(exc))
+        raise SystemExit(_error(EXIT_BAD_INPUT, str(exc)))
     digest = hashlib.sha256(raw).hexdigest()
     n = rho.n
     reports = []
@@ -176,7 +144,7 @@ def cmd_analyze(args) -> int:
             reports.append(ppt_test(rho, _parse_subset(text), tol))
         if args.ccn:
             if n % 2 != 0:
-                return _error(EXIT_DIMENSION, f"--ccn needs an even qubit count, state has n={n}")
+                raise SystemExit(_error(EXIT_DIMENSION, f"--ccn needs an even qubit count, state has n={n}"))
             reports.append(ccn_report(rho, tuple(range(1, n // 2 + 1)), tol))
         if args.concurrence:
             reports.append(concurrence_report(rho, tol))
@@ -187,7 +155,7 @@ def cmd_analyze(args) -> int:
         for text in args.reduction or ():
             reports.append(reduction_criterion(rho, _parse_subset(text), tol))
     except ValueError as exc:
-        return _error(EXIT_DIMENSION, str(exc))
+        raise SystemExit(_error(EXIT_DIMENSION, str(exc)))
     result = {
         "n": n,
         "purity": float(np.dot(rho.spectrum, rho.spectrum)),
@@ -198,12 +166,10 @@ def cmd_analyze(args) -> int:
     for r in reports:
         subset = "" if r.subset is None else f" subset={list(r.subset)}"
         lines.append(f"{r.criterion:<17} verdict={r.verdict:<21} witness={r.witness:+.12g}{subset}")
-    _emit(_report("analyze", digest, result, started), "\n".join(lines), args.plain)
-    return EXIT_OK
+    return EXIT_OK, digest, result, lines
 
 
-def cmd_upb_demo(args) -> int:
-    started = time.perf_counter()
+def cmd_upb_demo(args):
     tol = _tolerance()
     separable = upb_separable()
     feasibility = total_reflection_feasible(separable, tol)
@@ -231,16 +197,14 @@ def cmd_upb_demo(args) -> int:
         "reflected components min_eig: " + ", ".join(f"{v:+.3e}" for v in component_minima),
         "cross norms per cut: " + ", ".join(f"{k}={v:.6f}" for k, v in cross_norms.items()),
     ]
-    _emit(_report("upb-demo", None, result, started), "\n".join(lines), args.plain)
-    return EXIT_OK
+    return EXIT_OK, None, result, lines
 
 
-def cmd_prop(args) -> int:
-    started = time.perf_counter()
+def cmd_prop(args):
     try:
         results = run_suite(seed=args.seed, trials=args.trials, corrupt_mask=args.inject_mask_corruption)
     except ValueError as exc:
-        return _error(EXIT_BAD_INPUT, str(exc))
+        raise SystemExit(_error(EXIT_BAD_INPUT, str(exc)))
     all_passed = all(r.passed for r in results)
     result = {
         "seed": args.seed,
@@ -250,20 +214,20 @@ def cmd_prop(args) -> int:
     }
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} (worst deviation {r.worst:.3e})" for r in results]
     lines.append(f"{'all passed' if all_passed else 'FAILURES DETECTED'} [seed={args.seed}, trials={args.trials}]")
-    _emit(_report("prop", None, result, started), "\n".join(lines), args.plain)
-    return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
+    return (EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE), None, result, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qreflect", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"qreflect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--plain", action="store_true", help="aligned text instead of JSON")
 
-    p = sub.add_parser("table1", help="two-qubit sign table for the discrete symmetry maps")
-    p.add_argument("--plain", action="store_true", help="aligned text instead of JSON")
+    p = sub.add_parser("table1", parents=[common], help="two-qubit sign table for the discrete symmetry maps")
     p.set_defaults(fn=cmd_table1)
 
-    p = sub.add_parser("analyze", help="run criteria against a state file")
+    p = sub.add_parser("analyze", parents=[common], help="run criteria against a state file")
     p.add_argument("state", help="path to a JSON state file")
     p.add_argument("--ppt", action="append", metavar="SUBSET", help="partial-transpose test across SUBSET")
     p.add_argument("--ccn", action="store_true", help="computable cross norm across the first-half cut")
@@ -271,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reflect", action="append", metavar="SUBSET", help="reflection feasibility across SUBSET")
     p.add_argument("--feasible", action="store_true", help="total-reflection feasibility flags")
     p.add_argument("--reduction", action="append", metavar="SUBSET", help="reduction criterion tracing SUBSET")
-    p.add_argument("--plain", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("upb-demo", help="reflect the product-basis mixture into the bound entangled state")
-    p.add_argument("--plain", action="store_true")
+    p = sub.add_parser(
+        "upb-demo", parents=[common], help="reflect the product-basis mixture into the bound entangled state"
+    )
     p.set_defaults(fn=cmd_upb_demo)
 
-    p = sub.add_parser("prop", help="seeded randomised invariant suite")
+    p = sub.add_parser("prop", parents=[common], help="seeded randomised invariant suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument(
@@ -286,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="negative control: tamper with one mask sign so the suite must fail",
     )
-    p.add_argument("--plain", action="store_true")
     p.set_defaults(fn=cmd_prop)
     return parser
 
@@ -299,10 +262,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        code, digest, result, lines = args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
+    if args.plain:
+        print("\n".join(lines))
+    else:
+        report = {
+            "command": args.command,
+            "input_digest": digest,
+            "result": result,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        print(json.dumps(report, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -175,7 +175,9 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(1-n) - max(lambda)`` and the largest-eigenvalue test is exact:
     ``sufficient_max_eig`` and ``exact_psd`` agree by construction (both
     names stay in the schema).  The necessary bounds are
-    ``tr(rho**2) <= 2**(1-n)`` and ``rank >= 2**(n-1)``.
+    ``tr(rho**2) <= 2**(1-n)`` and ``rank >= 2**(n-1)``; the rank counts
+    eigenvalues above ``PSD_TOL``, the numerical zero of the load check, so
+    the verdict tolerance ``tol`` does not move it.
     """
     op = _as_operator(rho)
     bound = 2.0 ** (1 - op.n)
@@ -186,7 +188,7 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
         "sufficient_max_eig": reflectable,
         "exact_psd": reflectable,
         "purity_bound": bool(np.dot(spectrum, spectrum) <= bound + 1e-12),
-        "rank_bound": bool(np.count_nonzero(np.abs(spectrum) > tol) >= 2 ** (op.n - 1)),
+        "rank_bound": bool(np.count_nonzero(np.abs(spectrum) > PSD_TOL) >= 2 ** (op.n - 1)),
     }
     verdict = "feasible" if reflectable else "infeasible"
     return CriterionReport("total-reflection", verdict, witness, None, tol, flags)

@@ -98,10 +98,13 @@ def _run(name: str, invariant, rng, trials: int) -> InvariantResult:
     return InvariantResult(name, trials, True, max(0.0, worst))
 
 
-def _qubit_groups(rng, trials: int, low: int = 1, high: int = 4) -> list[tuple[int, np.ndarray]]:
+_QUBITS_STOP = 4  # drawn qubit counts stop below this: at most three qubits
+
+
+def _qubit_groups(rng, trials: int, low: int = 1) -> list[tuple[int, np.ndarray]]:
     """Draw every trial's qubit count at once; each count with its trials, in ascending count."""
-    counts = rng.integers(low, high, size=trials)
-    groups = [(n, np.flatnonzero(counts == n)) for n in range(low, high)]
+    counts = rng.integers(low, _QUBITS_STOP, size=trials)
+    groups = [(n, np.flatnonzero(counts == n)) for n in range(low, _QUBITS_STOP)]
     return [(n, at) for n, at in groups if at.size]
 
 

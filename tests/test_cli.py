@@ -229,6 +229,58 @@ class TestInProcess:
         assert np.abs(np.array(witnesses) - [0.125, 0.125, 0.375]).max() < 1e-12
 
 
+class TestDriverContract:
+    """``cli.main`` builds every report and maps every error exit; the commands only compute."""
+
+    COMMANDS = {
+        "table1": (["table1"], "changes"),
+        "upb-demo": (["upb-demo"], "reflected separable mixture"),
+        "prop": (["prop", "--trials", "2"], "all passed"),
+        "analyze": (["analyze", str(BELL), "--ppt", "A"], "state: n=2"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def default_tolerance(self, monkeypatch):
+        monkeypatch.delenv("QREFLECT_TOL", raising=False)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_json_envelope(self, command, capsys):
+        argv, _ = self.COMMANDS[command]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"command", "input_digest", "result", "wall_time_s"}
+        assert doc["command"] == command
+        assert (doc["input_digest"] is None) == (command != "analyze")
+        assert doc["wall_time_s"] >= 0
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_plain_prints_text_not_json(self, command, capsys):
+        argv, marker = self.COMMANDS[command]
+        assert cli.main(argv + ["--plain"]) == 0
+        out = capsys.readouterr().out
+        assert marker in out
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+    @pytest.mark.parametrize(
+        "argv,tol,code",
+        [
+            (["prop", "--trials", "0"], None, 2),
+            (["analyze", str(UPB), "--ccn"], None, 3),
+            (["analyze", str(BELL), "--ppt", "C"], None, 3),
+            (["upb-demo"], "nan", 2),
+        ],
+        ids=["prop-no-trials", "ccn-odd-n", "ppt-missing-qubit", "upb-demo-nan-tolerance"],
+    )
+    def test_error_exit_prints_nothing_on_stdout(self, argv, tol, code, monkeypatch, capsys):
+        if tol is not None:
+            monkeypatch.setenv("QREFLECT_TOL", tol)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestUpbDemo:
     def test_full_chain(self):
         proc = run_cli("upb-demo")

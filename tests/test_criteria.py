@@ -255,6 +255,13 @@ class TestTotalReflectionFeasibility:
                 assert (not flags["exact_psd"]) or flags["purity_bound"]
                 assert (not flags["exact_psd"]) or flags["rank_bound"]
 
+    def test_rank_bound_ignores_the_verdict_tolerance(self):
+        # the rank counts eigenvalues above the load check's zero: a loose verdict
+        # tolerance (0.3 > 0.25) must not hide the four eigenvalues of a full-rank state
+        flags = qr.total_reflection_feasible(qr.maximally_mixed(2), tol=0.3).extra
+        assert flags["exact_psd"]
+        assert flags["rank_bound"]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_one_spectrum_matches_numpy_oracles(self, n, rng):
         bound = 2.0 ** (1 - n)
