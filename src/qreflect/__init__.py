@@ -8,43 +8,27 @@ from .stokes import (
     HermitianOperator,
     RealDensityMatrix,
     StokesTensor,
-    basis_element,
     choi_reshuffle,
     from_stokes,
-    multi_indices,
-    partial_trace,
-    partial_trace_stokes,
-    permute_qubits,
     purity,
-    realigned_matrix,
     real_density_to_stokes,
     stokes_as_matrix,
-    tensor_product,
     to_real_density,
     to_stokes,
 )
-from .linalg import Spectrum, eig_hermitian, is_psd, max_eig, min_eig, rank, svd_values
+from .linalg import Spectrum, eig_hermitian, min_eig, svd_values
 from .reflections import (
     LocalOrthogonalMap,
     MapClassification,
     SignMask,
     apply_local_orthogonal,
     apply_mask,
-    apply_real_density_mask,
-    choi_matrix_of_map,
-    choi_related_mask_pair,
     classify,
-    count_inequivalent,
-    mask_identity,
     mask_partial_transpose,
     mask_spin_flip,
     mask_total_reflection,
     mask_two_body_flip,
-    one_qubit_operator_sum,
     relaxed_reflection,
-    rotation_from_unitary,
-    spin_flipped_partner,
-    two_body_flip_operator_sum,
 )
 from .criteria import (
     CriterionReport,
@@ -67,7 +51,6 @@ from .states import (
     pure_state,
     random_density,
     random_reflection,
-    random_rotation,
     random_unitary,
     remix,
     upb_bound_entangled,

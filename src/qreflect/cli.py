@@ -57,7 +57,7 @@ from .reflections import (
     mask_total_reflection,
 )
 from .states import upb_kets, upb_separable
-from .stokes import PSD_TOL, DensityState, multi_indices
+from .stokes import PSD_TOL, DensityState, _digits
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -109,7 +109,7 @@ def cmd_table1(args):
         "spinflip_AB": mask_spin_flip(2, (1, 2)),
         "reflection_AB": mask_total_reflection(2),
     }
-    rows = ["".join(str(d) for d in idx) for idx in multi_indices(2)]
+    rows = ["".join(map(str, digits)) for digits in _digits(2)]
     signs = [[int(mask.signs[k]) for mask in masks.values()] for k in range(16)]
     counts = [classify(mask).sign_change_count for mask in masks.values()]
     result = {

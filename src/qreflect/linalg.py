@@ -1,4 +1,4 @@
-"""Dense Hermitian eigensolves, singular values, and spectral predicates.
+"""Dense Hermitian eigensolves, singular values, and Hilbert-Schmidt forms.
 
 Everything here runs on matrices of dimension at most 64, so accurate dense
 LAPACK routines are used throughout.  Eigenvalues are reported in descending
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stokes import HERMITICITY_TOL, PSD_TOL, DensityState, HermitianOperator, _single
+from .stokes import HERMITICITY_TOL, DensityState, HermitianOperator, _single
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,10 @@ def _symmetrized(h) -> np.ndarray:
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected one matrix, got shape {m.shape}")
-    defect = np.abs(m - m.conj().T).max()
-    if defect > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m - m.conj().T).max()
+    # Written so that NaN fails: an inf or NaN entry can make the defect NaN.
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return (m + m.conj().T) / 2
 
@@ -65,19 +67,6 @@ def svd_values(m) -> np.ndarray:
 
 def min_eig(h) -> float:
     return float(_eigenvalues(h)[0])
-
-
-def max_eig(h) -> float:
-    return float(_eigenvalues(h)[-1])
-
-
-def is_psd(h, tol: float = PSD_TOL) -> bool:
-    return min_eig(h) >= -tol
-
-
-def rank(h, tol: float = PSD_TOL) -> int:
-    """Number of eigenvalues with magnitude above ``tol``."""
-    return int(np.count_nonzero(np.abs(_eigenvalues(h)) > tol))
 
 
 def hs_norm(m):

@@ -14,6 +14,10 @@ called once per member.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
+
+It also holds the Hermitian-side operator sums and the reshuffle-related
+sign pair: independent oracles for the sign masks of :mod:`reflections`,
+which stay the only production path.
 """
 
 from __future__ import annotations
@@ -123,6 +127,73 @@ def _random_hermitian(n: int, rng, size: int) -> stokes.HermitianOperator:
     return stokes.HermitianOperator(h, stack=True)
 
 
+def choi_related_mask_pair() -> tuple[np.ndarray, np.ndarray]:
+    """Two 4x4 sign matrices defining the same nonfactorizable involution.
+
+    The first acts by Hadamard product on the real density matrix, the
+    second on the square Stokes matrix; they are images of each other under
+    the reshuffling map.  Used directly as Stokes-side masks they give two
+    distinct orientation-preserving maps, neither of which is positive.
+    """
+    center_block = np.ones((4, 4), dtype=np.int8)
+    center_block[1:3, 1:3] = -1
+    antidiagonal = np.ones((4, 4), dtype=np.int8)
+    antidiagonal[np.arange(4), 3 - np.arange(4)] = -1
+    return center_block, antidiagonal
+
+
+def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
+    """Transpose or spin flip of one qubit evaluated on the real unfolding.
+
+    ``transpose`` uses ``sigma' = sigma P0 - sqrt(2) lambda_3 sigma P1`` and
+    ``spin_flip`` uses ``sigma' = 2 |0><0| - sigma``; the result must match
+    the corresponding sign-mask action.
+    """
+    op = stokes._as_operator(rho)
+    if op.n != 1:
+        raise ValueError(f"defined for one qubit, got n={op.n}")
+    sigma = stokes.to_real_density(stokes.to_stokes(op)).entries
+    if kind == "transpose":
+        p0 = np.diag([1.0, 0.0])
+        p1 = np.diag([0.0, 1.0])
+        flipped = sigma @ p0 - math.sqrt(2.0) * stokes.LAMBDA[3].real @ sigma @ p1
+    elif kind == "spin_flip":
+        flipped = 2.0 * np.diag([1.0, 0.0]) - sigma
+    else:
+        raise ValueError(f"kind must be 'transpose' or 'spin_flip', got {kind!r}")
+    return stokes.from_stokes(stokes.real_density_to_stokes(stokes.RealDensityMatrix(flipped, op.is_stack)))
+
+
+# Conjugators of the two-qubit operator sums: (lambda_a (x) 1, 1 (x) lambda_a) per
+# Pauli axis a, and sigma_y (x) sigma_y.
+_ONE_BODY_PAIRS = [(np.kron(stokes.LAMBDA[a], np.eye(2)), np.kron(np.eye(2), stokes.LAMBDA[a])) for a in (1, 2, 3)]
+_YY = np.kron(stokes.PAULI[2], stokes.PAULI[2])
+
+
+def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
+    """Operator-sum form of the two-body sign flip on two qubits.
+
+    Sums conjugations by ``lambda_a (x) 1`` and ``1 (x) lambda_a`` over the
+    three Pauli axes and subtracts half the identity.
+    """
+    op = stokes._as_operator(rho)
+    if op.n != 2:
+        raise ValueError(f"defined for two qubits, got n={op.n}")
+    m = op.matrix
+    acc = np.zeros_like(m)
+    for left, right in _ONE_BODY_PAIRS:
+        acc = acc + left @ m @ left + right @ m @ right
+    return stokes.HermitianOperator(acc - np.eye(4) / 2, op.is_stack)
+
+
+def spin_flipped_partner(rho) -> stokes.HermitianOperator:
+    """Two-qubit double spin flip via conjugation of the complex conjugate."""
+    op = stokes._as_operator(rho)
+    if op.n != 2:
+        raise ValueError(f"defined for two qubits, got n={op.n}")
+    return stokes.HermitianOperator(_YY @ op.matrix.conj() @ _YY, op.is_stack)
+
+
 @functools.cache
 def _mask_catalog(n: int) -> tuple[reflections.SignMask, ...]:
     masks = [reflections.mask_total_reflection(n)]
@@ -133,7 +204,7 @@ def _mask_catalog(n: int) -> tuple[reflections.SignMask, ...]:
     masks.append(reflections.mask_spin_flip(n, tuple(range(1, n + 1))))
     if n == 2:
         masks.append(reflections.mask_two_body_flip())
-        first, second = reflections.choi_related_mask_pair()
+        first, second = choi_related_mask_pair()
         masks.append(reflections.SignMask(first.reshape(-1), name="center_block"))
         masks.append(reflections.SignMask(second.reshape(-1), name="antidiagonal"))
     return tuple(masks)
@@ -287,19 +358,19 @@ def operator_sums(rng, trials):
     two = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     pairs = [
         (
-            reflections.one_qubit_operator_sum("transpose", one),
+            one_qubit_operator_sum("transpose", one),
             reflections.apply_mask(reflections.mask_partial_transpose(1, (1,)), one),
         ),
         (
-            reflections.one_qubit_operator_sum("spin_flip", one),
+            one_qubit_operator_sum("spin_flip", one),
             reflections.apply_mask(reflections.mask_spin_flip(1, (1,)), one),
         ),
         (
-            reflections.two_body_flip_operator_sum(two),
+            two_body_flip_operator_sum(two),
             reflections.apply_mask(reflections.mask_two_body_flip(), two),
         ),
         (
-            reflections.spin_flipped_partner(two),
+            spin_flipped_partner(two),
             reflections.apply_mask(reflections.mask_spin_flip(2, (1, 2)), two),
         ),
     ]
@@ -403,7 +474,7 @@ def relaxed_reflection(rng, trials):
 
 def concurrence_lorentz(rng, trials):
     rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
-    partner = reflections.spin_flipped_partner(rho).matrix
+    partner = spin_flipped_partner(rho).matrix
     direct = np.trace(rho.matrix @ partner, axis1=1, axis2=2).real
     s = stokes.to_stokes(rho)
     metric = np.array([criteria.lorentz_metric(s[k]) for k in range(trials)])

@@ -15,13 +15,13 @@ The named constructors return one shared mask per ``(n, subset)``; a mask's
 signs and name are read-only, so sharing it is safe.  Criteria evaluate the
 same images with matrix kernels (``stokes.partial_transpose``,
 ``stokes.identity_times_reduction``), and these masks stay their definition
-and test oracle.
+and test oracle; the Hermitian-side operator sums that the masks are
+checked against live in :mod:`properties`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .stokes import (
     HermitianOperator,
     QUBIT_LIMIT,
-    RealDensityMatrix,
     StokesTensor,
     _Checked,
     _apply_per_qubit,
@@ -40,10 +39,6 @@ from .stokes import (
     _single,
     from_stokes,
     identity_times_reduction,
-    LAMBDA,
-    PAULI,
-    real_density_to_stokes,
-    to_real_density,
     to_stokes,
 )
 
@@ -87,10 +82,6 @@ def _digit_rule_mask(kind: str, n: int, subset: tuple[int, ...], hit: tuple[int,
     return SignMask(np.where(flip, -1, 1), name=f"{kind}[{','.join(map(str, subset))}]")
 
 
-def mask_identity(n: int) -> SignMask:
-    return SignMask(np.ones(4**n, dtype=np.int8), name="identity")
-
-
 def mask_partial_transpose(n: int, subset) -> SignMask:
     """Flip the sign wherever an odd number of subset digits equals 2."""
     return _digit_rule_mask("partial_transpose", n, _check_subset(subset, n), (2,), True)
@@ -121,21 +112,6 @@ def mask_two_body_flip() -> SignMask:
     return SignMask(spin * total, name="two_body_flip")
 
 
-def choi_related_mask_pair() -> tuple[np.ndarray, np.ndarray]:
-    """Two 4x4 sign matrices defining the same nonfactorizable involution.
-
-    The first acts by Hadamard product on the real density matrix, the
-    second on the square Stokes matrix; they are images of each other under
-    the reshuffling map.  Used directly as Stokes-side masks they give two
-    distinct orientation-preserving maps, neither of which is positive.
-    """
-    center_block = np.ones((4, 4), dtype=np.int8)
-    center_block[1:3, 1:3] = -1
-    antidiagonal = np.ones((4, 4), dtype=np.int8)
-    antidiagonal[np.arange(4), 3 - np.arange(4)] = -1
-    return center_block, antidiagonal
-
-
 def apply_mask(mask: SignMask, state):
     """Componentwise sign action; Stokes input stays Stokes, operator stays operator.
 
@@ -151,16 +127,6 @@ def apply_mask(mask: SignMask, state):
     if mask.n != op.n:
         raise ValueError(f"mask acts on {mask.n} qubits, state has {op.n}")
     return from_stokes(apply_mask(mask, to_stokes(op)))
-
-
-def apply_real_density_mask(mask4, state) -> HermitianOperator:
-    """Hadamard product of a 4x4 sign matrix with the real density matrix."""
-    op = _as_operator(state)
-    if op.n != 2:
-        raise ValueError(f"real-density masks are defined for n=2, got n={op.n}")
-    sigma = to_real_density(to_stokes(op)).entries
-    masked = RealDensityMatrix(np.asarray(mask4) * sigma, op.is_stack)
-    return from_stokes(real_density_to_stokes(masked))
 
 
 def classify(mask: SignMask) -> MapClassification:
@@ -233,68 +199,6 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
     return from_stokes(apply_local_orthogonal(lomap, to_stokes(op)))
 
 
-def rotation_from_unitary(u) -> np.ndarray:
-    """Adjoint-representation rotation of the Bloch vector under ``u rho u^dagger``."""
-    u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            r[a, b] = np.trace(PAULI[a + 1] @ u @ PAULI[b + 1] @ u.conj().T).real / 2
-    return r
-
-
-def one_qubit_operator_sum(kind: str, rho) -> HermitianOperator:
-    """Transpose or spin flip of one qubit evaluated on the real unfolding.
-
-    ``transpose`` uses ``sigma' = sigma P0 - sqrt(2) lambda_3 sigma P1`` and
-    ``spin_flip`` uses ``sigma' = 2 |0><0| - sigma``; the result must match
-    the corresponding sign-mask action.
-    """
-    op = _as_operator(rho)
-    if op.n != 1:
-        raise ValueError(f"defined for one qubit, got n={op.n}")
-    sigma = to_real_density(to_stokes(op)).entries
-    if kind == "transpose":
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        flipped = sigma @ p0 - math.sqrt(2.0) * LAMBDA[3].real @ sigma @ p1
-    elif kind == "spin_flip":
-        flipped = 2.0 * np.diag([1.0, 0.0]) - sigma
-    else:
-        raise ValueError(f"kind must be 'transpose' or 'spin_flip', got {kind!r}")
-    return from_stokes(real_density_to_stokes(RealDensityMatrix(flipped, op.is_stack)))
-
-
-# Conjugators of the two-qubit operator sums: (lambda_a (x) 1, 1 (x) lambda_a) per
-# Pauli axis a, and sigma_y (x) sigma_y.
-_ONE_BODY_PAIRS = [(np.kron(LAMBDA[a], np.eye(2)), np.kron(np.eye(2), LAMBDA[a])) for a in (1, 2, 3)]
-_YY = np.kron(PAULI[2], PAULI[2])
-
-
-def two_body_flip_operator_sum(rho) -> HermitianOperator:
-    """Operator-sum form of the two-body sign flip on two qubits.
-
-    Sums conjugations by ``lambda_a (x) 1`` and ``1 (x) lambda_a`` over the
-    three Pauli axes and subtracts half the identity.
-    """
-    op = _as_operator(rho)
-    if op.n != 2:
-        raise ValueError(f"defined for two qubits, got n={op.n}")
-    m = op.matrix
-    acc = np.zeros_like(m)
-    for left, right in _ONE_BODY_PAIRS:
-        acc = acc + left @ m @ left + right @ m @ right
-    return HermitianOperator(acc - np.eye(4) / 2, op.is_stack)
-
-
-def spin_flipped_partner(rho) -> HermitianOperator:
-    """Two-qubit double spin flip via conjugation of the complex conjugate."""
-    op = _as_operator(rho)
-    if op.n != 2:
-        raise ValueError(f"defined for two qubits, got n={op.n}")
-    return HermitianOperator(_YY @ op.matrix.conj() @ _YY, op.is_stack)
-
-
 def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     """Positive relaxation of the two-qubit total reflection.
 
@@ -308,21 +212,3 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
     return HermitianOperator((identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)
-
-
-def choi_matrix_of_map(apply_fn, dim: int) -> np.ndarray:
-    """Choi matrix ``sum_ij E_ij (x) apply_fn(E_ij)`` of a linear map."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = apply_fn(unit)
-    return out
-
-
-def count_inequivalent(n: int) -> int:
-    """Number of trace-preserving diagonal sign symmetries modulo local ones."""
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
-    return 2 ** (4**n - 3 * n - 1)

@@ -95,14 +95,6 @@ def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def random_rotation(rng) -> np.ndarray:
-    """Uniform element of SO(3)."""
-    q = _haar_qr(as_rng(rng).standard_normal((3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def random_reflection(rng) -> np.ndarray:
     """Orientation-changing orthogonal 3x3 matrix (determinant -1)."""
     q = _haar_qr(as_rng(rng).standard_normal((3, 3)))

@@ -21,7 +21,7 @@ the result and dividing by sqrt(2) per factor recovers the Stokes values.
 
 The qubit layout is written once: :func:`_regroup` reorders the row and
 column bits of a matrix (or of flat Stokes values) for every conversion,
-partial transpose, permutation, partial trace and realignment, and
+the partial transpose and the realignment of ``criteria.ccn``, and
 :func:`_digits` tables the base-4 digits of each Stokes component for the
 sign masks.  A conversion interleaves each qubit's row and column bits into
 one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+import operator
 
 import numpy as np
 
@@ -69,28 +69,6 @@ def qubit_count(dim: int) -> int:
     if n > QUBIT_LIMIT:
         raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
     return n
-
-
-def multi_indices(n: int) -> Iterable[tuple[int, ...]]:
-    """All base-4 multi-indices for ``n`` qubits, in linear (row-major) order."""
-    return itertools.product(range(4), repeat=n)
-
-
-def basis_element(index: Sequence[int]) -> np.ndarray:
-    """Tensor product of rescaled Pauli matrices for a base-4 multi-index.
-
-    The result is Hermitian and the family over all multi-indices is
-    orthonormal under the Hilbert-Schmidt inner product.
-    """
-    digits = tuple(int(d) for d in index)
-    if not 1 <= len(digits) <= QUBIT_LIMIT:
-        raise ValueError(f"multi-index length must be 1..{QUBIT_LIMIT}")
-    if any(d not in (0, 1, 2, 3) for d in digits):
-        raise ValueError(f"multi-index digits must lie in 0..3, got {digits}")
-    out = LAMBDA[digits[0]]
-    for d in digits[1:]:
-        out = np.kron(out, LAMBDA[d])
-    return out
 
 
 class _Checked:
@@ -317,7 +295,7 @@ def _regroup(a: np.ndarray, n: int, order, shape: tuple[int, ...]) -> np.ndarray
 @functools.cache
 def _digits(n: int) -> np.ndarray:
     """Read-only ``(4**n, n)`` table: row k is the multi-index of Stokes component k."""
-    table = np.array(list(multi_indices(n)))
+    table = np.array(list(itertools.product(range(4), repeat=n)))
     table.setflags(write=False)
     return table
 
@@ -384,31 +362,15 @@ def choi_reshuffle(m) -> np.ndarray:
     return m.reshape(*lead, d, d, d, d).transpose(perm).reshape(*lead, dim, dim)
 
 
-def realigned_matrix(m, d_left: int, d_right: int) -> np.ndarray:
-    """Rectangular realignment of a ``(d_left*d_right)``-dimensional matrix.
-
-    Rows are indexed by the left-factor index pair and columns by the right
-    one, so the result is ``d_left**2 x d_right**2``.  Its singular values
-    match those of :func:`choi_reshuffle` in the square case.
-    """
-    m = np.asarray(m)
-    dim = d_left * d_right
-    if m.shape != (dim, dim):
-        raise ValueError(f"expected shape {(dim, dim)}, got {m.shape}")
-    t = m.reshape(d_left, d_right, d_left, d_right)
-    return t.transpose(0, 2, 1, 3).reshape(d_left * d_left, d_right * d_right)
-
-
-def tensor_product(a, b) -> HermitianOperator:
-    """Kronecker product of two trace-one operators; qubit counts add."""
-    a, b = _single(_as_operator(a)), _single(_as_operator(b))
-    if a.n + b.n > QUBIT_LIMIT:
-        raise ValueError(f"combined qubit count {a.n + b.n} exceeds {QUBIT_LIMIT}")
-    return HermitianOperator(np.kron(a.matrix, b.matrix))
+def _label(q) -> int:
+    """A qubit label as an int; a bool, or what ``operator.index`` refuses (a float, a string), is an error."""
+    if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
+        raise ValueError(f"qubit labels must be integers, got {q!r}")
+    return operator.index(q)
 
 
 def _check_subset(subset, n: int) -> tuple[int, ...]:
-    qubits = sorted({int(q) for q in subset})
+    qubits = sorted({_label(q) for q in subset})
     if any(q < 1 or q > n for q in qubits):
         raise ValueError(f"qubit labels must lie in 1..{n}, got {qubits}")
     return tuple(qubits)
@@ -419,25 +381,6 @@ def _nonempty_subset(subset, n: int) -> tuple[int, ...]:
     if not qubits:
         raise ValueError("the qubit subset must contain at least one qubit")
     return qubits
-
-
-def partial_trace(op, keep) -> HermitianOperator:
-    """Reduced operator on the kept qubits (1-based), in their original order."""
-    op = _single(_as_operator(op))
-    n, kept = op.n, _nonempty_subset(keep, op.n)
-    traced = [q for q in range(1, n + 1) if q not in kept]
-    dk, dt = 2 ** len(kept), 2 ** len(traced)
-    order = [q - 1 + n * col for col in (0, 1) for q in (*kept, *traced)]
-    return HermitianOperator(np.trace(_regroup(op.matrix, n, order, (dk, dt, dk, dt)), axis1=1, axis2=3))
-
-
-def partial_trace_stokes(s: StokesTensor, keep) -> StokesTensor:
-    """Stokes-domain partial trace: keep the sub-tensor with traced digits 0."""
-    s = _single(s)
-    kept = _nonempty_subset(keep, s.n)
-    traced = [q - 1 for q in range(1, s.n + 1) if q not in kept]
-    picked = s.values[~_digits(s.n)[:, traced].any(axis=1)]
-    return StokesTensor(picked * math.sqrt(2.0) ** len(traced))
 
 
 def partial_transpose(op, subset) -> np.ndarray:
@@ -483,16 +426,6 @@ def identity_times_reduction(op, subset) -> np.ndarray:
         blocks[:, 0, :, :, 1] = 0
         blocks[:, 1, :, :, 0] = 0
     return lift
-
-
-def permute_qubits(op, order) -> HermitianOperator:
-    """Reorder tensor factors; ``order[k]`` is the old label of new qubit k+1."""
-    op = _single(_as_operator(op))
-    order = tuple(int(q) for q in order)
-    if sorted(order) != list(range(1, op.n + 1)):
-        raise ValueError(f"order must be a permutation of 1..{op.n}, got {order}")
-    bits = [q - 1 + op.n * col for col in (0, 1) for q in order]
-    return HermitianOperator(_regroup(op.matrix, op.n, bits, (2**op.n, 2**op.n)))
 
 
 def purity(s: StokesTensor) -> float:

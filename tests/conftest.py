@@ -2,7 +2,10 @@
 
 The oracle helpers below deliberately avoid the library's per-qubit kernel
 and its reshape/transpose bookkeeping: they loop over explicit Kronecker
-products and traces so the two implementations can check each other.
+products and traces so the two implementations can check each other.  The
+one exception, ``oracle_apply_real_density_mask``, is the real-density route
+that the Stokes-side sign masks are compared against, so it composes the
+library's conversions.
 """
 
 import itertools
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qreflect as qr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,6 +97,33 @@ def oracle_partial_trace(matrix, n, keep):
                 rr = sum(b << (n - 1 - q) for q, b in enumerate(full_r))
                 cc = sum(b << (n - 1 - q) for q, b in enumerate(full_c))
                 out[r, c] += matrix[rr, cc]
+    return out
+
+
+def oracle_apply_real_density_mask(mask4, rho):
+    """Hadamard product of a 4x4 sign matrix with the two-qubit real density matrix."""
+    sigma = qr.to_real_density(qr.to_stokes(rho)).entries
+    return qr.from_stokes(qr.real_density_to_stokes(qr.RealDensityMatrix(np.asarray(mask4) * sigma)))
+
+
+def oracle_rotation_from_unitary(u):
+    """Adjoint-representation rotation of the Bloch vector under ``u rho u^dagger``."""
+    u = np.asarray(u, dtype=complex)
+    r = np.empty((3, 3))
+    for a in range(3):
+        for b in range(3):
+            r[a, b] = np.trace(SIGMA[a + 1] @ u @ SIGMA[b + 1] @ u.conj().T).real / 2
+    return r
+
+
+def oracle_choi_matrix_of_map(apply_fn, dim):
+    """Choi matrix ``sum_ij E_ij (x) apply_fn(E_ij)`` of a linear map."""
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = apply_fn(unit)
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: output formats, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ class TestTable1:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["result"]["sign_change_counts"] == [4, 4, 6, 12, 12, 6, 15]
+        assert doc["result"]["rows"] == ["".join(p) for p in itertools.product("0123", repeat=2)]
 
     def test_plain_output_is_byte_identical_across_runs(self):
         first = run_cli("table1", "--plain")

@@ -8,6 +8,7 @@ import pytest
 from conftest import FIXTURES, oracle_label
 
 import qreflect as qr
+from qreflect import properties
 from qreflect.io import load_density
 
 
@@ -167,14 +168,14 @@ class TestLorentzMetric:
         value = qr.lorentz_metric(qr.to_stokes(qr.maximally_mixed(2)))
         assert value == pytest.approx(0.25, abs=1e-14)
         direct = np.trace(
-            qr.maximally_mixed(2).matrix @ qr.spin_flipped_partner(qr.maximally_mixed(2)).matrix
+            qr.maximally_mixed(2).matrix @ properties.spin_flipped_partner(qr.maximally_mixed(2)).matrix
         ).real
         assert value == pytest.approx(direct, abs=1e-14)
 
     def test_matches_conjugation_oracle(self, rng):
         for _ in range(30):
             rho = qr.random_density(2, "mixed_dirichlet", rng)
-            direct = np.trace(rho.matrix @ qr.spin_flipped_partner(rho).matrix).real
+            direct = np.trace(rho.matrix @ properties.spin_flipped_partner(rho).matrix).real
             assert abs(qr.lorentz_metric(qr.to_stokes(rho)) - direct) < 1e-12
 
 
@@ -279,7 +280,7 @@ class TestTotalReflectionFeasibility:
             assert report.extra["exact_psd"] == report.extra["sufficient_max_eig"] == (witness >= -1e-10)
             assert report.extra["purity_bound"] == (np.trace(m @ m).real <= bound + 1e-12)
             assert report.extra["rank_bound"] == (rank >= 2 ** (n - 1))
-            assert qr.rank(rho, 1e-10) == rank
+            assert np.count_nonzero(np.abs(rho.spectrum) > 1e-10) == rank
 
     def test_pinned_counterexample_purity_without_feasibility(self):
         doc = json.loads((FIXTURES / "purity_bound_counterexample.json").read_text())

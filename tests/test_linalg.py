@@ -1,5 +1,7 @@
 """Spectral layer: eigensolves, singular values, predicates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             qr.eig_hermitian(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("raw", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0])], ids=["nan", "inf"])
+    def test_non_finite_array_rejected(self, raw):
+        # A NaN or inf entry gives a NaN defect, which used to pass the Hermiticity check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (qr.min_eig, lambda m: qr.eig_hermitian(m, vectors=True)):
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    solve(raw)
+
 
 class TestSvdValues:
     def test_diagonal(self):
@@ -93,18 +104,19 @@ class TestSvdValues:
 class TestPredicates:
     def test_pure_projector(self):
         rho = qr.pure_state("0")
-        assert qr.rank(rho, 1e-10) == 1
-        assert qr.is_psd(rho)
+        assert np.count_nonzero(np.abs(rho.spectrum) > 1e-10) == 1
+        assert rho.spectrum[0] >= -1e-10
         assert abs(qr.min_eig(rho)) < 1e-12
 
     def test_reflected_pure_state(self):
         image = 0.5 * np.eye(4) - qr.bell_state().matrix
         assert abs(qr.min_eig(image) + 0.5) < 1e-12
-        assert not qr.is_psd(image)
+        assert np.linalg.eigvalsh(image)[0] < -1e-10
 
     def test_full_rank_mixed(self):
-        assert qr.rank(qr.maximally_mixed(3), 1e-10) == 8
-        assert qr.max_eig(qr.maximally_mixed(3)) == pytest.approx(0.125)
+        spectrum = qr.maximally_mixed(3).spectrum
+        assert np.count_nonzero(np.abs(spectrum) > 1e-10) == 8
+        assert spectrum[-1] == pytest.approx(0.125)
 
 
 class TestDensityStateSpectrum:
@@ -126,8 +138,7 @@ class TestDensityStateSpectrum:
         rho = qr.random_density(n, mode, rng)
         raw = np.array(rho.matrix)
         assert qr.min_eig(rho) == qr.min_eig(raw)
-        assert qr.max_eig(rho) == qr.max_eig(raw)
-        assert qr.rank(rho) == qr.rank(raw)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(raw))
         assert np.array_equal(qr.eig_hermitian(rho).eigenvalues, qr.eig_hermitian(raw).eigenvalues)
 
 

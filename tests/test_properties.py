@@ -94,7 +94,7 @@ def test_nan_gap_fails():
 
 
 def test_partial_reflection_norm_guards_against_a_map_that_moves_nothing(monkeypatch):
-    monkeypatch.setattr(reflections, "mask_total_reflection", lambda n, subset=None: reflections.mask_identity(n))
+    monkeypatch.setattr(reflections, "mask_total_reflection", lambda n, subset=None: reflections.SignMask(np.ones(4**n)))
     result = properties._run(
         "partial_reflection_norm", properties.partial_reflection_norm, np.random.default_rng(1), 5
     )

@@ -30,33 +30,9 @@ def random_mixed(n, rng):
 
 
 class TestBasisElement:
-    def test_identity_slot(self):
-        np.testing.assert_allclose(qr.basis_element((0,)), np.eye(2) / SQ2)
-
-    def test_rescaled_pauli_y(self):
-        expected = np.array([[0, -1j], [1j, 0]]) / SQ2
-        np.testing.assert_allclose(qr.basis_element((2,)), expected)
-
-    def test_two_qubit_diagonal(self):
-        # frozen from the explicit Kronecker oracle
-        expected = np.diag([0.5, -0.5, -0.5, 0.5]).astype(complex)
-        np.testing.assert_allclose(qr.basis_element((3, 3)), expected)
-        np.testing.assert_allclose(oracle_basis((3, 3)), expected)
-
-    def test_matches_oracle_everywhere(self):
-        for n in (1, 2):
-            for idx in itertools.product(range(4), repeat=n):
-                np.testing.assert_allclose(qr.basis_element(idx), oracle_basis(idx), atol=1e-15)
-
-    def test_invalid_digit_rejected(self):
-        with pytest.raises(ValueError):
-            qr.basis_element((4,))
-        with pytest.raises(ValueError):
-            qr.basis_element(())
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_orthonormality_exhaustive(self, n):
-        elements = [qr.basis_element(idx) for idx in itertools.product(range(4), repeat=n)]
+        elements = [oracle_basis(idx) for idx in itertools.product(range(4), repeat=n)]
         flat = np.array([e.conj().reshape(-1) for e in elements])
         gram = flat @ flat.conj().T
         np.testing.assert_allclose(gram, np.eye(4**n), atol=1e-13)
@@ -203,7 +179,7 @@ class TestRealDensity:
         for _ in range(20):
             a = random_mixed(1, rng)
             b = random_mixed(1, rng)
-            left = qr.to_real_density(qr.to_stokes(qr.tensor_product(a, b))).entries
+            left = qr.to_real_density(qr.to_stokes(qr.DensityState(np.kron(a.matrix, b.matrix)))).entries
             right = np.kron(
                 qr.to_real_density(qr.to_stokes(a)).entries,
                 qr.to_real_density(qr.to_stokes(b)).entries,
@@ -271,77 +247,26 @@ class TestChoiReshuffle:
         vals = qr.svd_values(qr.choi_reshuffle(np.eye(4) / 4))
         np.testing.assert_allclose(vals, [0.5, 0.0, 0.0, 0.0], atol=1e-14)
 
-    def test_rectangular_realignment_matches_square(self, rng):
-        rho = random_mixed(2, rng).matrix
-        square = qr.svd_values(qr.choi_reshuffle(rho))
-        rect = qr.svd_values(qr.realigned_matrix(rho, 2, 2))
-        np.testing.assert_allclose(np.sort(square), np.sort(rect), atol=1e-12)
-
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             qr.choi_reshuffle(np.eye(6))
 
 
 class TestProductsAndReductions:
-    def test_tensor_product_trivials(self):
-        mixed = qr.tensor_product(qr.maximally_mixed(1), qr.maximally_mixed(1))
-        np.testing.assert_allclose(mixed.matrix, np.eye(4) / 4)
-        zero_one = qr.tensor_product(qr.pure_state("0"), qr.pure_state("1"))
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(zero_one.matrix, expected)
-
     def test_stokes_of_product_is_outer_product(self, rng):
         a, b = random_mixed(1, rng), random_mixed(2, rng)
-        left = qr.to_stokes(qr.tensor_product(a, b)).values
+        left = qr.to_stokes(qr.DensityState(np.kron(a.matrix, b.matrix))).values
         right = np.outer(qr.to_stokes(a).values, qr.to_stokes(b).values).reshape(-1)
         assert np.abs(left - right).max() < 1e-13
-
-    def test_partial_trace_of_product(self, rng):
-        a, b = random_mixed(1, rng), random_mixed(1, rng)
-        reduced = qr.partial_trace(qr.tensor_product(a, b), keep=(1,))
-        assert np.abs(reduced.matrix - a.matrix).max() < 1e-13
-
-    def test_partial_trace_bell(self):
-        reduced = qr.partial_trace(qr.bell_state(), keep=(2,))
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
-        oracle = oracle_partial_trace(qr.bell_state().matrix, 2, keep=(2,))
-        np.testing.assert_allclose(oracle, np.eye(2) / 2, atol=1e-14)
-
-    @pytest.mark.parametrize("n,keep", [(2, (1,)), (3, (1, 3)), (3, (2,))])
-    def test_partial_trace_matches_oracle(self, n, keep, rng):
-        rho = random_mixed(n, rng)
-        reduced = qr.partial_trace(rho, keep)
-        np.testing.assert_allclose(reduced.matrix, oracle_partial_trace(rho.matrix, n, keep), atol=1e-13)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_partial_trace_matches_oracle_on_every_keep_set(self, n, rng):
-        rho = random_mixed(n, rng)
-        for size in range(1, n + 1):
-            for keep in itertools.combinations(range(1, n + 1), size):
-                reduced = qr.partial_trace(rho, keep)
-                np.testing.assert_allclose(reduced.matrix, oracle_partial_trace(rho.matrix, n, keep), atol=1e-13)
-
-    @pytest.mark.parametrize("n,keep", [(2, (2,)), (3, (1, 2))])
-    def test_stokes_discard_path_agrees(self, n, keep, rng):
-        rho = random_mixed(n, rng)
-        via_stokes = qr.from_stokes(qr.partial_trace_stokes(qr.to_stokes(rho), keep))
-        assert np.abs(via_stokes.matrix - qr.partial_trace(rho, keep).matrix).max() < 1e-12
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            qr.partial_trace(qr.bell_state(), keep=())
 
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda rho: qr.partial_trace(rho, ()),
-            lambda rho: qr.partial_trace_stokes(qr.to_stokes(rho), ()),
             lambda rho: identity_times_reduction(rho, ()),
             lambda rho: qr.mask_total_reflection(rho.n, ()),
             lambda rho: qr.reflection_report(rho, ()),
         ],
-        ids=["partial_trace", "partial_trace_stokes", "identity_times_reduction", "mask_total_reflection", "reflection_report"],
+        ids=["identity_times_reduction", "mask_total_reflection", "reflection_report"],
     )
     def test_empty_subset_rejected_everywhere(self, entry):
         with pytest.raises(ValueError, match="at least one qubit"):
@@ -364,17 +289,6 @@ class TestProductsAndReductions:
                 assert np.abs(lift - explicit).max() < 1e-12
                 reflected = qr.apply_mask(qr.mask_total_reflection(n, subset), rho).matrix
                 assert np.abs(lift - 2 ** (size - 1) * (rho.matrix + reflected)).max() < 1e-12
-
-    def test_permute_qubits_round_trip(self, rng):
-        rho = random_mixed(3, rng)
-        swapped = qr.permute_qubits(qr.permute_qubits(rho, (2, 1, 3)), (2, 1, 3))
-        assert np.array_equal(swapped.matrix, rho.matrix)
-
-    def test_permute_qubits_three_cycle(self, rng):
-        # order[k] is the old label of new qubit k+1, so (2, 3, 1) puts b, c, a in that order
-        a, b, c = (random_mixed(1, rng).matrix for _ in range(3))
-        cycled = qr.permute_qubits(qr.DensityState(np.kron(np.kron(a, b), c)), (2, 3, 1))
-        assert np.abs(cycled.matrix - np.kron(np.kron(b, c), a)).max() < 1e-15
 
 
 class TestMatrixKernels:
@@ -436,8 +350,8 @@ def stack_of(n, rng, size=5):
     return qr.random_density(n, "mixed_dirichlet", rng, size=size)
 
 
-# Public functions that answer for one state or do not map stacks, each called on a
-# two-qubit stack and its Stokes values.
+# Public functions that answer for one state, each called on a two-qubit stack and
+# its Stokes values.
 SCALAR_ONLY = {
     "ppt_test": lambda rho, s: qr.ppt_test(rho, (1,)),
     "ccn": lambda rho, s: qr.ccn(rho),
@@ -452,19 +366,12 @@ SCALAR_ONLY = {
     "min_eig": lambda rho, s: qr.min_eig(rho),
     "min_eig_of_an_operator": lambda rho, s: qr.min_eig(qr.complement(rho)),
     "min_eig_of_an_array": lambda rho, s: qr.min_eig(rho.matrix),
-    "max_eig": lambda rho, s: qr.max_eig(rho),
-    "rank": lambda rho, s: qr.rank(rho),
-    "is_psd": lambda rho, s: qr.is_psd(rho),
     "eig_hermitian": lambda rho, s: qr.eig_hermitian(rho),
     "eig_hermitian_vectors": lambda rho, s: qr.eig_hermitian(rho, vectors=True),
     "state_to_dict": lambda rho, s: state_to_dict(rho),
     "state_to_dict_stokes": lambda rho, s: state_to_dict(s),
     "purity": lambda rho, s: qr.purity(s),
     "classify": lambda rho, s: qr.classify(SignMask(np.ones((2, 16)), stack=True)),
-    "tensor_product": lambda rho, s: qr.tensor_product(rho, qr.maximally_mixed(1)),
-    "partial_trace": lambda rho, s: qr.partial_trace(rho, (1,)),
-    "partial_trace_stokes": lambda rho, s: qr.partial_trace_stokes(s, (1,)),
-    "permute_qubits": lambda rho, s: qr.permute_qubits(rho, (2, 1)),
 }
 
 
