@@ -17,10 +17,10 @@ command's aligned text.  A ``cmd_*`` only computes and returns
 code.  Exit codes: 0 success, 1 failed property suite, 2 unreadable input
 (state file or qubit subset), 3 dimension mismatch (including a subset
 naming a qubit the state lacks).  Entanglement verdicts never affect the
-exit code.  The ``QREFLECT_TOL`` environment variable sets the verdict
-thresholds (default ``1e-10``); it must be a finite float >= 0 (otherwise
-exit 2).  It does not change the positivity check a state file passes
-when it is loaded.
+exit code, and neither does a reader that closes stdout early.  The
+``QREFLECT_TOL`` environment variable sets the verdict thresholds (default
+``1e-10``); it must be a finite float >= 0 (otherwise exit 2).  It does not
+change the positivity check a state file passes when it is loaded.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     if args.plain:
-        print("\n".join(lines))
+        text = "\n".join(lines)
     else:
         report = {
             "command": args.command,
@@ -276,7 +276,12 @@ def main(argv=None) -> int:
             "result": result,
             "wall_time_s": time.perf_counter() - started,
         }
-        print(json.dumps(report, sort_keys=True))
+        text = json.dumps(report, sort_keys=True)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early; point it at devnull so the exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

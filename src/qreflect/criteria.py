@@ -2,18 +2,23 @@
 
 Every test reports its raw spectral witness next to the verdict, so callers
 can re-evaluate the decision under a different tolerance.  A report or a
-number is about one state, so these refuse a stack (through the spectral
-functions of :mod:`linalg`, or directly for Stokes input);
-:func:`complement` maps a stack member by member.
+number is about one state, so each of these refuses a stack itself, before
+any kernel runs; :func:`complement` maps a stack member by member.
+
+The kernel witnesses solve their images straight from the operator's
+checked matrix.  :func:`reflection_report` and :func:`reduction_criterion`
+share one memoised lift solve per (operator, subset, scale), so for one
+qubit, where both read the same image, the pair costs one eigensolve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, min_eig, svd_values
+from .linalg import _lowest_eig, eig_hermitian, svd_values
 from .stokes import (
     PAULI,
     HermitianOperator,
@@ -64,9 +69,9 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     the axis-swap :func:`partial_transpose`; the sign mask
     ``mask_partial_transpose`` defines the same image and is its test oracle.
     """
-    op = _as_operator(rho)
+    op = _single(_as_operator(rho))
     subset = _proper_subset(subset, op.n)
-    witness = min_eig(partial_transpose(op, subset))
+    witness = _lowest_eig(partial_transpose(op, subset))
     verdict = "entangled" if witness < -tol else "separable-consistent"
     return CriterionReport("ppt", verdict, witness, subset, tol)
 
@@ -150,13 +155,23 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(|S|-1) (rho + R_S rho)`` (``R_S``: partial reflection on ``S``), so
     for one traced qubit the comparison operator is ``R_S rho`` itself.
     """
-    op = _as_operator(rho)
+    op = _single(_as_operator(rho))
     traced = _proper_subset(traced, op.n)
-    comparison = identity_times_reduction(op, traced) - op.matrix
-    witness = min_eig(comparison)
+    witness, trace = _lift_witness(op, traced, 1.0)
     verdict = "entangled" if witness < -tol else "separable-consistent"
-    extra = {"trace": float(np.trace(comparison).real)}
-    return CriterionReport("reduction", verdict, witness, traced, tol, extra)
+    return CriterionReport("reduction", verdict, witness, traced, tol, {"trace": trace})
+
+
+@functools.lru_cache(maxsize=8)
+def _lift_witness(op: HermitianOperator, subset: tuple[int, ...], scale: float) -> tuple[float, float]:
+    """Lowest eigenvalue and trace of ``scale * identity_times_reduction(op, subset) - op.matrix``.
+
+    A checked operator is immutable and hashes by identity, so each
+    (operator, subset, scale) is solved once; the cache is small because
+    one state's criteria run back to back.
+    """
+    image = scale * identity_times_reduction(op, subset) - op.matrix
+    return _lowest_eig(image), float(np.trace(image).real)
 
 
 def complement(rho) -> HermitianOperator:
@@ -202,10 +217,10 @@ def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(1-n) identity - rho``.  The sign mask ``mask_total_reflection``
     defines the same image and is its test oracle.  For one qubit the image
     is the comparison operator of :func:`reduction_criterion`, so the two
-    witnesses are equal.
+    witnesses are equal and come from one solve.
     """
-    op = _as_operator(rho)
+    op = _single(_as_operator(rho))
     subset = _nonempty_subset(subset, op.n)
-    witness = min_eig(2.0 ** (1 - len(subset)) * identity_times_reduction(op, subset) - op.matrix)
+    witness, _ = _lift_witness(op, subset, 2.0 ** (1 - len(subset)))
     verdict = "feasible" if witness >= -tol else "infeasible"
     return CriterionReport("reflection", verdict, witness, subset, tol)

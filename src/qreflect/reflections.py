@@ -35,6 +35,7 @@ from .stokes import (
     _as_operator,
     _check_subset,
     _digits,
+    _label,
     _nonempty_subset,
     _single,
     from_stokes,
@@ -171,6 +172,7 @@ class LocalOrthogonalMap:
     @classmethod
     def single_qubit(cls, n: int, qubit: int, rotation) -> "LocalOrthogonalMap":
         """Act with ``diag(1, rotation)`` on one qubit, identity elsewhere."""
+        n, qubit = _label(n, "qubit counts"), _label(qubit)
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
         r = np.asarray(rotation, dtype=float)

@@ -362,10 +362,10 @@ def choi_reshuffle(m) -> np.ndarray:
     return m.reshape(*lead, d, d, d, d).transpose(perm).reshape(*lead, dim, dim)
 
 
-def _label(q) -> int:
-    """A qubit label as an int; a bool, or what ``operator.index`` refuses (a float, a string), is an error."""
+def _label(q, what: str = "qubit labels") -> int:
+    """A qubit label (or count) as an int; a bool, or what ``operator.index`` refuses (a float, a string), is an error."""
     if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
-        raise ValueError(f"qubit labels must be integers, got {q!r}")
+        raise ValueError(f"{what} must be integers, got {q!r}")
     return operator.index(q)
 
 

@@ -169,7 +169,9 @@ class TestAnalyze:
 
 
 class TestSolveOnce:
-    def test_feasible_analyze_solves_the_state_once(self, monkeypatch, capsys):
+    @staticmethod
+    def solves_and_result(argv, monkeypatch, capsys):
+        """The shape of each matrix ``eigvalsh`` solved during one ``cli.main`` call, and its result."""
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -178,9 +180,12 @@ class TestSolveOnce:
             return eigvalsh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        assert cli.main(["analyze", str(UPB), "--feasible"]) == 0
+        assert cli.main(argv) == 0
+        return solved, json.loads(capsys.readouterr().out)["result"]
+
+    def test_feasible_analyze_solves_the_state_once(self, monkeypatch, capsys):
+        solved, result = self.solves_and_result(["analyze", str(UPB), "--feasible"], monkeypatch, capsys)
         assert solved == [(8, 8)]
-        result = json.loads(capsys.readouterr().out)["result"]
         assert result["purity"] == pytest.approx(0.25, abs=1e-14)
         assert result["min_eig"] == pytest.approx(0.0, abs=1e-14)
 
@@ -205,8 +210,28 @@ class TestSolveOnce:
         monkeypatch.setattr(reflections.SignMask, "__init__", counting("SignMask", reflections.SignMask.__init__))
         argv = ["analyze", str(UPB), "--ppt", "A", "--ppt", "B", "--ppt", "C", "--reflect", "A", "--feasible"]
         assert cli.main(argv + ["--reduction", "A"]) == 0
-        assert calls == {"eigvalsh": 6, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
+        # the state, three PPT cuts, and one lift that --reflect A and --reduction A share
+        assert calls == {"eigvalsh": 5, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
         assert len(json.loads(capsys.readouterr().out)["result"]["criteria"]) == 6
+
+    @pytest.mark.parametrize("path", [BELL, UPB, NEAR_HERMITIAN], ids=lambda p: p.stem)
+    @pytest.mark.parametrize("qubit", ["A", "B"])
+    def test_one_qubit_reflection_and_reduction_share_one_solve(self, path, qubit, monkeypatch, capsys):
+        both = ["analyze", str(path), "--reflect", qubit, "--reduction", qubit]
+        solved, together = self.solves_and_result(both, monkeypatch, capsys)
+        assert len(solved) == 2  # the state and one lift
+        _, reflect = self.solves_and_result(["analyze", str(path), "--reflect", qubit], monkeypatch, capsys)
+        _, reduction = self.solves_and_result(["analyze", str(path), "--reduction", qubit], monkeypatch, capsys)
+        apart = {**reflect, "criteria": reflect["criteria"] + reduction["criteria"]}
+        assert json.dumps(together, sort_keys=True) == json.dumps(apart, sort_keys=True)
+
+    def test_two_qubit_reflection_and_reduction_solve_apart(self, monkeypatch, capsys):
+        # R_AB rho = lift / 2 - rho, while the reduction criterion solves lift - rho
+        argv = ["analyze", str(UPB), "--reflect", "AB", "--reduction", "AB"]
+        solved, result = self.solves_and_result(argv, monkeypatch, capsys)
+        assert len(solved) == 3
+        reflection, reduction = (c["witness"] for c in result["criteria"])
+        assert reflection != reduction
 
 
 class TestInProcess:
@@ -281,6 +306,35 @@ class TestDriverContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["table1"], 0),
+            (["prop", "--trials", "5"], 0),
+            (["prop", "--trials", "5", "--plain"], 0),
+            (["prop", "--trials", "5", "--inject-mask-corruption"], 1),
+        ],
+        ids=["table1", "prop", "prop-plain", "prop-corrupted"],
+    )
+    def test_a_reader_that_closes_early_keeps_the_exit_code(self, argv, code):
+        # the read end is closed before the command prints, so every write hits a broken pipe;
+        # this used to print a BrokenPipeError traceback and exit 1 (a failed property suite)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "qreflect", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == code
 
 
 class TestUpbDemo:

@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURES, oracle_label
 
 import qreflect as qr
-from qreflect import properties
+from qreflect import criteria, properties
 from qreflect.io import load_density
 
 
@@ -221,6 +221,45 @@ class TestMatrixKernelWitnesses:
         rho = qr.random_density(n, "mixed_dirichlet", rng)
         for q in range(1, n + 1):
             assert qr.reflection_report(rho, (q,)).witness == qr.reduction_criterion(rho, (q,)).witness
+
+
+class TestKernelImagesAreExactlyHermitian:
+    """The witness kernels solve their images with no Hermiticity check; this is what that check guarded."""
+
+    @staticmethod
+    def solved_images(op, monkeypatch):
+        images = []
+
+        def capture(image):
+            images.append(image)
+            return qr.min_eig(image)
+
+        monkeypatch.setattr(criteria, "_lowest_eig", capture)
+        criteria._lift_witness.cache_clear()
+        n = op.n
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                qr.reflection_report(op, subset)
+                if size < n:
+                    qr.ppt_test(op, subset)
+                    qr.reduction_criterion(op, subset)
+        return images
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet", "bounded_spectrum"])
+    def test_random_states(self, n, mode, rng, monkeypatch):
+        c = 2.0 ** (1 - n) if mode == "bounded_spectrum" else None
+        images = self.solved_images(qr.random_density(n, mode, rng, c=c), monkeypatch)
+        assert images
+        for image in images:
+            assert np.array_equal(image, image.conj().T)
+
+    def test_near_hermitian_fixture(self, monkeypatch):
+        # the input's anti-Hermitian part (about 9e-11) is within the load check; the kept matrix drops it
+        images = self.solved_images(load_density(FIXTURES / "near_hermitian_3q.json"), monkeypatch)
+        assert len(images) == 6 + 7 + 3  # PPT cuts, reflections, and the reductions not shared with a reflection
+        for image in images:
+            assert np.array_equal(image, image.conj().T)
 
 
 class TestTotalReflectionFeasibility:

@@ -355,11 +355,28 @@ class TestLocalOrthogonal:
         with pytest.raises(ValueError):
             qr.LocalOrthogonalMap.single_qubit(1, 1, np.array([[1.0, 0.2, 0], [0, 1, 0], [0, 0, 1]]))
 
-    @pytest.mark.parametrize("qubit", [0, 3])
-    def test_single_qubit_out_of_range_rejected(self, qubit):
+    @pytest.mark.parametrize(
+        "n, qubit, match",
+        [
+            pytest.param(2, 0, "outside 1..2", id="0"),
+            pytest.param(2, 3, "outside 1..2", id="3"),
+            # True passed the range check as qubit 1; a float or a string raised TypeError
+            pytest.param(2, True, "qubit labels must be integers", id="bool-qubit"),
+            pytest.param(2, 1.0, "qubit labels must be integers", id="float-qubit"),
+            pytest.param(2, "1", "qubit labels must be integers", id="string-qubit"),
+            pytest.param(True, 1, "qubit counts must be integers", id="bool-n"),
+            pytest.param(2.0, 1, "qubit counts must be integers", id="float-n"),
+            pytest.param("2", 1, "qubit counts must be integers", id="string-n"),
+        ],
+    )
+    def test_single_qubit_out_of_range_rejected(self, n, qubit, match):
         # qubit 0 used to index blocks[-1] and rotate the last qubit instead
-        with pytest.raises(ValueError, match="outside 1..2"):
-            qr.LocalOrthogonalMap.single_qubit(2, qubit, np.diag([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match=match):
+            qr.LocalOrthogonalMap.single_qubit(n, qubit, np.diag([1.0, -1.0, 1.0]))
+
+    def test_single_qubit_takes_numpy_integers(self):
+        lomap = qr.LocalOrthogonalMap.single_qubit(np.int64(2), np.int64(2), np.diag([1.0, -1.0, 1.0]))
+        assert lomap.n == 2 and lomap.blocks[1][2, 2] == -1.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_block_rejected(self, value):
