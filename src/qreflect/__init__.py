@@ -38,6 +38,7 @@ from .criteria import (
     complement,
     concurrence,
     concurrence_report,
+    feasibility,
     lorentz_metric,
     ppt_test,
     reduction_criterion,

@@ -1,9 +1,13 @@
 """Separability and reflection-feasibility criteria.
 
 Every test reports its raw spectral witness next to the verdict, so callers
-can re-evaluate the decision under a different tolerance.  A report or a
-number is about one state, so each of these refuses a stack itself, before
-any kernel runs; :func:`complement` maps a stack member by member.
+can re-evaluate the decision under a different tolerance.  The numeric
+witnesses (:func:`ccn`, :func:`ccn_via_stokes`, :func:`concurrence`,
+:func:`lorentz_metric` and the spectrum kernel :func:`feasibility`) answer
+with a float for one state and an array of one value per member for a stack,
+which costs one batched solve.  A report is about one state, so each report refuses
+a stack itself, before any kernel runs; :func:`complement` maps a stack
+member by member.
 
 The kernel witnesses solve their images straight from the operator's
 checked matrix.  :func:`reflection_report` and :func:`reduction_criterion`
@@ -18,13 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _lowest_eig, eig_hermitian, svd_values
+from .linalg import _eigenvalues, _lowest_eig, svd_values
 from .stokes import (
     PAULI,
     HermitianOperator,
     PSD_TOL,
     StokesTensor,
     _as_operator,
+    _float_or_array,
     _nonempty_subset,
     _regroup,
     _single,
@@ -83,68 +88,73 @@ def _ccn_block(n: int, block) -> tuple[int, ...]:
     return _proper_subset(range(1, n // 2 + 1) if block is None else block, n)
 
 
-def ccn(rho, block=None) -> float:
-    """Trace norm of the realigned matrix across a bipartition.
+def ccn(rho, block=None):
+    """Trace norm of the realigned matrix across a bipartition: a float, or one per member of a stack.
 
     ``block`` lists the qubits of the left factor (default: the first half).
     The realignment is one regroup of the checked matrix, rows indexed by the
     block's (row, column) bits and columns by the rest's; on square cuts it has
     the singular values of the reshuffling map :func:`choi_reshuffle`.
     """
-    op = _single(_as_operator(rho))
+    op = _as_operator(rho)
     n, block = op.n, _ccn_block(op.n, block)
     rest = [q for q in range(1, n + 1) if q not in block]
     order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
-    return float(np.sum(svd_values(_regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest))))))
+    realigned = _regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest)))
+    return _float_or_array(svd_values(realigned).sum(axis=-1))
 
 
-def ccn_via_stokes(s: StokesTensor) -> float:
-    """Two-qubit cross norm as half the trace norm of the Stokes matrix."""
-    s = _single(s)
+def ccn_via_stokes(s: StokesTensor):
+    """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack."""
     if s.n != 2:
         raise ValueError(f"the Stokes route is defined for n=2, got n={s.n}")
-    return float(np.sum(svd_values(stokes_as_matrix(s))) / 2.0)
+    return _float_or_array(svd_values(stokes_as_matrix(s)).sum(axis=-1) / 2.0)
 
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
     """:func:`ccn` with its verdict; the report names the checked block the value was measured on."""
-    op = _as_operator(rho)
+    op = _single(_as_operator(rho))
     block = _ccn_block(op.n, block)
     value = ccn(op, block)
     verdict = "entangled" if value > 1.0 + tol else "separable-consistent"
     return CriterionReport("ccn", verdict, value, block, tol)
 
 
-def concurrence(rho) -> float:
-    """Two-qubit concurrence from the singular values of ``sqrt(rho) YY sqrt(rho)*``.
+_YY = np.kron(PAULI[2], PAULI[2])
+
+
+def concurrence(rho):
+    """Two-qubit concurrence from the singular values of ``sqrt(rho) YY sqrt(rho)*``: a float, or one per member.
 
     With ``YY = sigma_y (x) sigma_y`` these are the square roots of the
     eigenvalues of ``rho rho'`` without the square root's amplification of
-    rounding error.
+    rounding error.  The eigenpairs are summed in descending order, as
+    :func:`eig_hermitian` reports them, so one state's value does not change.
     """
     op = _as_operator(rho)
     if op.n != 2:
         raise ValueError(f"concurrence is defined for two qubits, got n={op.n}")
-    spectrum = eig_hermitian(op, vectors=True)
-    vecs = spectrum.eigenvectors
-    root = (vecs * np.sqrt(np.clip(spectrum.eigenvalues, 0.0, None))) @ vecs.conj().T
-    nu = svd_values(root @ np.kron(PAULI[2], PAULI[2]) @ root.conj())
-    return float(max(0.0, nu[0] - nu[1] - nu[2] - nu[3]))
+    values, vecs = np.linalg.eigh(op.matrix)
+    values, vecs = values[..., ::-1].copy(), vecs[..., ::-1].copy()
+    root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    nu = svd_values(root @ _YY @ root.conj())
+    value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
+    return _float_or_array(np.where(value > 0.0, value, 0.0))
 
 
 def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
-    value = concurrence(rho)
+    value = concurrence(_single(_as_operator(rho)))
     verdict = "entangled" if value > tol else "separable-consistent"
     return CriterionReport("concurrence", verdict, value, None, tol)
 
 
-def lorentz_metric(s: StokesTensor) -> float:
-    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components."""
-    s = _single(s)
+def lorentz_metric(s: StokesTensor):
+    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member."""
     if s.n != 2:
         raise ValueError(f"defined for two qubits, got n={s.n}")
-    v = s.values.reshape(4, 4)
-    return float(v[0, 0] ** 2 - np.sum(v[0, 1:] ** 2) - np.sum(v[1:, 0] ** 2) + np.sum(v[1:, 1:] ** 2))
+    v = s.values.reshape(*s.values.shape[:-1], 4, 4)
+    time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
+    return _float_or_array(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1)))
 
 
 def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
@@ -182,30 +192,52 @@ def complement(rho) -> HermitianOperator:
     return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix, op.is_stack)
 
 
-def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
-    """Whether the total reflection ``2**(1-n) identity - rho`` is a state.
+def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
+    """Total-reflection witness and flags of ascending spectra: ``(witness, flags)``.
 
-    All flags come from one spectrum ``lambda`` of ``rho``.  The reflected
-    spectrum is ``2**(1-n) - lambda``, so the witness is
-    ``2**(1-n) - max(lambda)`` and the largest-eigenvalue test is exact:
-    ``sufficient_max_eig`` and ``exact_psd`` agree by construction (both
-    names stay in the schema).  The necessary bounds are
-    ``tr(rho**2) <= 2**(1-n)`` and ``rank >= 2**(n-1)``; the rank counts
-    eigenvalues above ``PSD_TOL``, the numerical zero of the load check, so
-    the verdict tolerance ``tol`` does not move it.
+    ``spectrum`` holds the ascending eigenvalues ``lambda`` of one operator
+    on ``n`` qubits (``2**n`` of them), or one such row per member of a
+    stack, such as ``DensityState.spectrum``.  The reflected spectrum is
+    ``2**(1-n) - lambda``, so the witness is ``2**(1-n) - max(lambda)`` and
+    the largest-eigenvalue test is exact: ``sufficient_max_eig`` and
+    ``exact_psd`` agree by construction (both names stay in the schema).
+    The necessary bounds are ``tr(rho**2) <= 2**(1-n)`` and
+    ``rank >= 2**(n-1)``; the rank counts eigenvalues above ``PSD_TOL``, the
+    numerical zero of the load check, so the verdict tolerance ``tol`` does
+    not move it.  One spectrum gives a float and bools, a stack one array
+    per name.
     """
-    op = _as_operator(rho)
-    bound = 2.0 ** (1 - op.n)
-    spectrum = eig_hermitian(op).eigenvalues
-    witness = float(bound - spectrum[0])
-    reflectable = bool(witness >= -tol)
+    spectrum = np.asarray(spectrum)
+    dim = spectrum.shape[-1]
+    bound = 2.0 / dim
+    # .T puts the eigenvalue axis first, so .T[k] is entry k of one spectrum or of every member.
+    witness = bound - spectrum.T[-1]
+    reflectable = witness >= -tol
+    # A plain reduction and an in-place sort keep one spectrum as cheap as the scalar code was.
+    purity_bound = np.add.reduce(spectrum * spectrum, -1) <= bound + 1e-12
+    # At least dim/2 magnitudes exceed PSD_TOL exactly when the (dim/2)-th largest does.
+    magnitudes = np.abs(spectrum)
+    magnitudes.sort()
+    rank_bound = magnitudes.T[dim // 2] > PSD_TOL
+    if not witness.ndim:
+        witness, reflectable = float(witness), bool(reflectable)
+        purity_bound, rank_bound = bool(purity_bound), bool(rank_bound)
     flags = {
         "sufficient_max_eig": reflectable,
         "exact_psd": reflectable,
-        "purity_bound": bool(np.dot(spectrum, spectrum) <= bound + 1e-12),
-        "rank_bound": bool(np.count_nonzero(np.abs(spectrum) > PSD_TOL) >= 2 ** (op.n - 1)),
+        "purity_bound": purity_bound,
+        "rank_bound": rank_bound,
     }
-    verdict = "feasible" if reflectable else "infeasible"
+    return witness, flags
+
+
+def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
+    """Whether the total reflection ``2**(1-n) identity - rho`` is a state.
+
+    All flags come from one spectrum of ``rho`` through :func:`feasibility`.
+    """
+    witness, flags = feasibility(_eigenvalues(_single(_as_operator(rho))), tol)
+    verdict = "feasible" if flags["exact_psd"] else "infeasible"
     return CriterionReport("total-reflection", verdict, witness, None, tol, flags)
 
 

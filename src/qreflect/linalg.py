@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stokes import HERMITICITY_TOL, DensityState, HermitianOperator, _single
+from .stokes import HERMITICITY_TOL, DensityState, HermitianOperator, _float_or_array, _single
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def _lowest_eig(image: np.ndarray) -> float:
 
 def hs_norm(m):
     """Hilbert-Schmidt (Frobenius) norm over the last two axes: a float, or one per member of a stack."""
-    norm = np.linalg.norm(np.asarray(m), axis=(-2, -1))
-    return norm if norm.ndim else float(norm)
+    return _float_or_array(np.linalg.norm(np.asarray(m), axis=(-2, -1)))
 
 
 def hs_inner(a, b):

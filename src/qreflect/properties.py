@@ -9,8 +9,10 @@ reports ``trials`` as the requested count and ``worst`` as the largest
 non-negative gap of the checks that count toward it; the lowest trial with
 a gap over its bound (and, within that trial, its first such check in code
 order) fails the invariant, reports that gap as ``worst`` and serialises
-that trial's state.  Library functions that answer for one state only are
-called once per member.
+that trial's state.  The library calls take each stack whole: the
+witnesses give one value per member, and a stack of random reflections
+pairs with the states member by member.  Only :func:`reflections.classify`,
+which reads one mask, is called once per member.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
@@ -392,16 +394,16 @@ def feasibility_bounds(rng, trials):
     checks = []
     for n, at in _qubit_groups(rng, trials, 2):
         rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
-        ok, details = [], []
-        for k in range(at.size):
-            flags = criteria.total_reflection_feasible(rho[k]).extra
-            implications = (
-                (not flags["sufficient_max_eig"]) or flags["exact_psd"],
-                (not flags["exact_psd"]) or flags["purity_bound"],
-                (not flags["exact_psd"]) or flags["rank_bound"],
-            )
-            ok.append(all(implications))
-            details.append(f"implication chain broke: {flags}")
+        _, flags = criteria.feasibility(rho.spectrum)
+        ok = (
+            (~flags["sufficient_max_eig"] | flags["exact_psd"])
+            & (~flags["exact_psd"] | flags["purity_bound"])
+            & (~flags["exact_psd"] | flags["rank_bound"])
+        )
+        # Only a failing trial's message is ever read.
+        details = [""] * at.size
+        for k in np.flatnonzero(~ok):
+            details[k] = f"implication chain broke: { {name: bool(flag[k]) for name, flag in flags.items()} }"
         checks.append(_holds(ok, rho, details, at))
     return checks
 
@@ -409,7 +411,7 @@ def feasibility_bounds(rng, trials):
 def ccn_dual_path(rng, trials):
     rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     s = stokes.to_stokes(rho)
-    gap = [abs(criteria.ccn(rho[k]) - criteria.ccn_via_stokes(s[k])) for k in range(trials)]
+    gap = np.abs(criteria.ccn(rho) - criteria.ccn_via_stokes(s))
     # Every tenth trial also checks a random separable mixture.
     at = np.arange(0, trials, 10)
     terms = rng.integers(1, 5, size=at.size)
@@ -419,7 +421,7 @@ def ccn_dual_path(rng, trials):
     products = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
     mixes = np.add.reduceat(weights[:, None, None] * products, np.cumsum(terms) - terms)
     mix = stokes.HermitianOperator(mixes, stack=True)
-    excess = [criteria.ccn(mix[j]) - 1.0 for j in range(at.size)]
+    excess = criteria.ccn(mix) - 1.0
     return [
         _within(gap, 1e-10, rho, "matrix and Stokes routes disagreed"),
         _within(excess, 1e-10, mix, "separable mixture exceeded 1", at, counts=False),
@@ -428,14 +430,10 @@ def ccn_dual_path(rng, trials):
 
 def reflection_vs_ppt(rng, trials):
     rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
-    generic = [
-        reflections.apply_local_orthogonal(
-            reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng)), rho[k]
-        ).matrix
-        for k in range(trials)
-    ]
+    lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng, size=trials))
+    generic = reflections.apply_local_orthogonal(lomap, rho).matrix
     transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), rho).matrix
-    gap = _deviation(np.linalg.eigvalsh(np.stack(generic)), np.linalg.eigvalsh(transposed))
+    gap = _deviation(np.linalg.eigvalsh(generic), np.linalg.eigvalsh(transposed))
     return [_within(gap, 1e-9, rho, "generic reflection spectrum diverged")]
 
 
@@ -443,7 +441,7 @@ def partial_reflection_norm(rng, trials):
     rho = states.random_density(3, "mixed_dirichlet", rng, size=trials)
     s = stokes.to_stokes(rho)
     image = reflections.apply_mask(reflections.mask_total_reflection(3, (1, 2)), s)
-    gap = [abs(stokes.purity(image[k]) - stokes.purity(s[k])) for k in range(trials)]
+    gap = np.abs(stokes.purity(image) - stokes.purity(s))
     moved = np.linalg.eigvalsh(stokes.from_stokes(image).matrix)
     return [
         _within(gap, 1e-12, rho, "norm not preserved"),
@@ -477,8 +475,8 @@ def concurrence_lorentz(rng, trials):
     partner = spin_flipped_partner(rho).matrix
     direct = np.trace(rho.matrix @ partner, axis1=1, axis2=2).real
     s = stokes.to_stokes(rho)
-    metric = np.array([criteria.lorentz_metric(s[k]) for k in range(trials)])
-    concurrence = [criteria.concurrence(rho[k]) for k in range(trials)]
+    metric = criteria.lorentz_metric(s)
+    concurrence = criteria.concurrence(rho)
     return [
         _within(np.abs(metric - direct), 1e-12, rho, "metric routes disagreed"),
         _within(np.negative(concurrence), 0.0, rho, "negative concurrence", counts=False),

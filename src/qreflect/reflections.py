@@ -145,40 +145,56 @@ def classify(mask: SignMask) -> MapClassification:
     return MapClassification(orientation, factorizable, flips)
 
 
-class LocalOrthogonalMap:
-    """One affine rotation block ``diag(1, R)`` per qubit, ``R in O(3)``."""
+_AFFINE_AXIS = np.eye(4)[0]
 
-    __slots__ = ("_blocks",)
+
+class LocalOrthogonalMap:
+    """One affine rotation block ``diag(1, R)`` per qubit, ``R in O(3)``.
+
+    A block may carry one leading member axis, one 4x4 per member of a map
+    stack; the blocks that do must agree on the member count.  Every check
+    runs per member, and a failing stack names its first failing member.
+    """
+
+    __slots__ = ("_blocks", "_members")
 
     def __init__(self, blocks):
         validated = []
+        members = set()
         for b in blocks:
             b = np.array(b, dtype=float)
-            if b.shape != (4, 4):
-                raise ValueError(f"each block must be 4x4, got {b.shape}")
-            if not np.isfinite(b).all():
-                raise ValueError("block entries must be finite")
-            if abs(b[0, 0] - 1.0) > 1e-10 or np.abs(b[0, 1:]).max() > 1e-10 or np.abs(b[1:, 0]).max() > 1e-10:
-                raise ValueError("block must have the affine form diag(1, R)")
-            r = b[1:, 1:]
-            if np.abs(r @ r.T - np.eye(3)).max() > 1e-10:
-                raise ValueError("rotation part is not orthogonal within 1e-10")
+            if b.shape[-2:] != (4, 4) or b.ndim not in (2, 3):
+                raise ValueError(f"each block must be 4x4 or a stack of 4x4, got {b.shape}")
+            axes = (-2, -1)
+            _Checked._require(np.isfinite(b).all(axis=axes), "block entries must be finite")
+            # The first row and the first column must both be (1, 0, 0, 0).
+            affine = np.maximum(np.abs(b[..., 0, :] - _AFFINE_AXIS), np.abs(b[..., :, 0] - _AFFINE_AXIS)).max(axis=-1)
+            _Checked._require(affine <= 1e-10, "block must have the affine form diag(1, R)")
+            r = b[..., 1:, 1:]
+            defect = np.abs(r @ r.swapaxes(-1, -2) - np.eye(3)).max(axis=axes)
+            _Checked._require(defect <= 1e-10, "rotation part is not orthogonal within 1e-10")
             b.setflags(write=False)
             validated.append(b)
+            if b.ndim == 3:
+                members.add(len(b))
         if not 1 <= len(validated) <= QUBIT_LIMIT:
             raise ValueError(f"need 1..{QUBIT_LIMIT} blocks, got {len(validated)}")
+        if len(members) > 1:
+            raise ValueError(f"block stacks must share one member count, got {sorted(members)}")
         self._blocks = tuple(validated)
+        self._members = members.pop() if members else None
 
     @classmethod
     def single_qubit(cls, n: int, qubit: int, rotation) -> "LocalOrthogonalMap":
-        """Act with ``diag(1, rotation)`` on one qubit, identity elsewhere."""
+        """Act with ``diag(1, rotation)`` on one qubit, identity elsewhere; a stack of rotations gives a map stack."""
         n, qubit = _label(n, "qubit counts"), _label(qubit)
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
         r = np.asarray(rotation, dtype=float)
         blocks = [np.eye(4) for _ in range(n)]
-        block = np.eye(4)
-        block[1:, 1:] = r
+        block = np.zeros((*r.shape[:-2], 4, 4))
+        block[..., 0, 0] = 1.0
+        block[..., 1:, 1:] = r
         blocks[qubit - 1] = block
         return cls(blocks)
 
@@ -190,12 +206,24 @@ class LocalOrthogonalMap:
     def blocks(self) -> tuple[np.ndarray, ...]:
         return self._blocks
 
+    @property
+    def members(self) -> int | None:
+        """The member count of a map stack, or None for one map."""
+        return self._members
+
 
 def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
-    """Contract each qubit slot of the Stokes tensor with its affine block."""
+    """Contract each qubit slot of the Stokes tensor with its affine block.
+
+    One map acts on every member of a state stack; a map stack pairs with
+    an equal-length state stack, member by member.
+    """
     if isinstance(state, StokesTensor):
         if lomap.n != state.n:
             raise ValueError(f"map acts on {lomap.n} qubits, state has {state.n}")
+        paired = len(state.values) if state.is_stack else None
+        if lomap.members not in (None, paired):
+            raise ValueError(f"a stack of {lomap.members} maps needs a state stack of {lomap.members}, got {state!r}")
         return StokesTensor(_apply_per_qubit(lomap.blocks, state.values), state.is_stack)
     op = _as_operator(state)
     return from_stokes(apply_local_orthogonal(lomap, to_stokes(op)))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .stokes import DensityState, QUBIT_LIMIT, _as_operator, qubit_count
+from .stokes import DensityState, QUBIT_LIMIT, _as_operator, _label, _squared_norms, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -48,6 +48,7 @@ def bell_state() -> DensityState:
 
 
 def maximally_mixed(n: int) -> DensityState:
+    n = _label(n, "qubit counts")
     return DensityState(np.eye(2**n) / 2**n)
 
 
@@ -95,11 +96,14 @@ def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def random_reflection(rng) -> np.ndarray:
-    """Orientation-changing orthogonal 3x3 matrix (determinant -1)."""
-    q = _haar_qr(as_rng(rng).standard_normal((3, 3)))
-    if np.linalg.det(q) > 0:
-        q[:, 0] = -q[:, 0]
+def random_reflection(rng, size: int | None = None) -> np.ndarray:
+    """Orientation-changing orthogonal 3x3 matrix (determinant -1); ``size`` of them as one stack.
+
+    A stack draws the numbers of ``size`` successive calls.
+    """
+    shape = (3, 3) if size is None else (_label(size, "stack sizes"), 3, 3)
+    q = _haar_qr(as_rng(rng).standard_normal(shape))
+    q[..., 0] *= np.where(np.linalg.det(q) > 0, -1.0, 1.0)[..., None]
     return q
 
 
@@ -120,6 +124,7 @@ def random_density(
     ``size=None`` draws exactly the numbers one state always drew, so seeded
     results do not change; ``size=1`` draws the same numbers as a stack.
     """
+    n = _label(n, "qubit counts")
     if not 1 <= n <= QUBIT_LIMIT:
         raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
     if c is not None and mode != "bounded_spectrum":
@@ -131,8 +136,7 @@ def random_density(
         shape = (size, dim) if stack else (dim,)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         # Squared norm as two real dot products, the sum np.linalg.norm forms for one vector.
-        re, im = z.real[..., None, :], z.imag[..., None, :]
-        z /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+        z /= np.sqrt(_squared_norms(z.real) + _squared_norms(z.imag))[..., None]
         return DensityState(z[..., :, None] * z.conj()[..., None, :], stack)
     if mode not in ("mixed_dirichlet", "bounded_spectrum"):
         raise ValueError(f"unknown mode {mode!r}")

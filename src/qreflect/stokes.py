@@ -268,12 +268,20 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
 
     A stack's member axis starts last (``values.T``) and rotates with the
     digit axes, so after the last qubit it leads again: a stack takes the
-    same 2-D steps as one value, with wider matrices.
+    same 2-D steps as one value, with wider matrices.  A kernel with a
+    leading member axis (one 4x4 per member of the stack) acts on each
+    member with its own matrix.
     """
     shape = values.shape
     values = values.T
-    for k in kernels:
-        values = (k @ values.reshape(4, -1)).T
+    for m, k in enumerate(kernels):
+        if k.ndim == 2:
+            values = (k @ values.reshape(4, -1)).T
+        else:
+            # Axes (this digit, later digits, member, earlier outputs) with the member moved first.
+            per_member = values.reshape(4, 4 ** (len(kernels) - 1 - m), len(k), 4**m).transpose(2, 0, 1, 3)
+            image = k @ per_member.reshape(len(k), 4, -1)
+            values = image.reshape(per_member.shape).transpose(1, 2, 0, 3).reshape(4, -1).T
     return values.reshape(shape)
 
 
@@ -428,7 +436,19 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     return lift
 
 
-def purity(s: StokesTensor) -> float:
-    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values."""
-    s = _single(s)
-    return float(np.dot(s.values, s.values))
+def _float_or_array(value: np.ndarray):
+    """A float for one value, the array of one value per member for a stack."""
+    return value if value.ndim else float(value)
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the last axis, one per member of a stack.
+
+    A ``(1, k) @ (k, 1)`` product is the dot product ``np.dot`` forms for one vector.
+    """
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def purity(s: StokesTensor):
+    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values: a float, or one per member of a stack."""
+    return _float_or_array(_squared_norms(s.values))

@@ -295,6 +295,28 @@ class TestTotalReflectionFeasibility:
                 assert (not flags["exact_psd"]) or flags["purity_bound"]
                 assert (not flags["exact_psd"]) or flags["rank_bound"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_spectrum_kernel_of_a_stack_is_the_report_per_member(self, n, rng):
+        rho = qr.DensityState(
+            np.concatenate(
+                [
+                    qr.random_density(n, "mixed_dirichlet", rng, size=4).matrix,
+                    qr.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=4).matrix,
+                    qr.random_density(n, "haar_pure", rng, size=2).matrix,
+                ]
+            ),
+            stack=True,
+        )
+        witness, flags = criteria.feasibility(rho.spectrum)
+        assert witness.shape == (10,) and all(flag.shape == (10,) for flag in flags.values())
+        verdicts = set()
+        for k in range(10):
+            report = qr.total_reflection_feasible(rho[k])
+            verdicts.add(report.verdict)
+            assert witness[k] == report.witness
+            assert {name: bool(flag[k]) for name, flag in flags.items()} == report.extra
+        assert verdicts == ({"feasible"} if n == 1 else {"feasible", "infeasible"})
+
     def test_rank_bound_ignores_the_verdict_tolerance(self):
         # the rank counts eigenvalues above the load check's zero: a loose verdict
         # tolerance (0.3 > 0.25) must not hide the four eigenvalues of a full-rank state

@@ -386,6 +386,44 @@ class TestLocalOrthogonal:
         with pytest.raises(ValueError, match="finite"):
             qr.LocalOrthogonalMap([block, np.eye(4)])
 
+    def test_a_map_stack_pairs_with_a_state_stack(self, rng):
+        rho = qr.random_density(3, "mixed_dirichlet", rng, size=4)
+        stacked = qr.LocalOrthogonalMap.single_qubit(3, 1, qr.random_reflection(rng, size=4)).blocks[0]
+        middle = qr.LocalOrthogonalMap.single_qubit(3, 2, qr.random_reflection(rng)).blocks[1]
+        last = qr.LocalOrthogonalMap.single_qubit(3, 3, -qr.random_reflection(rng, size=4)).blocks[2]
+        lomap = qr.LocalOrthogonalMap([stacked, middle, last])
+        assert lomap.members == 4
+        images = qr.apply_local_orthogonal(lomap, rho)
+        assert images.is_stack
+        for k in range(4):
+            one = qr.LocalOrthogonalMap([stacked[k], middle, last[k]])
+            assert one.members is None
+            assert np.abs(images.matrix[k] - qr.apply_local_orthogonal(one, rho[k]).matrix).max() <= 1e-15
+        for unpaired in (rho[0], rho[np.arange(3)]):
+            with pytest.raises(ValueError, match="a stack of 4 maps needs a state stack of 4"):
+                qr.apply_local_orthogonal(lomap, unpaired)
+        with pytest.raises(ValueError, match="share one member count"):
+            qr.LocalOrthogonalMap([stacked, middle, last[:3]])
+
+    @pytest.mark.parametrize(
+        "kind, match",
+        [
+            ("orthogonal", "member 2: rotation part is not orthogonal"),
+            ("affine", "member 2: block must have the affine form"),
+            ("finite", "member 2: block entries must be finite"),
+        ],
+    )
+    def test_one_bad_block_in_a_map_stack_is_named(self, kind, match, rng):
+        blocks = qr.LocalOrthogonalMap.single_qubit(2, 2, qr.random_reflection(rng, size=4)).blocks[1].copy()
+        if kind == "orthogonal":
+            blocks[2, 1, 2] += 0.2
+        elif kind == "affine":
+            blocks[2, 0, 2] = 0.2
+        else:
+            blocks[2, 1, 2] = np.nan
+        with pytest.raises(ValueError, match=match):
+            qr.LocalOrthogonalMap([np.eye(4), blocks])
+
 
 class TestOperatorSums:
     def test_transpose_route(self, rng):

@@ -125,6 +125,34 @@ class TestRandomStates:
         assert np.abs(acc / samples - np.eye(4) / 4).max() < 5e-2
 
 
+class TestCounts:
+    """Qubit counts and stack sizes are integers: a bool used to count as one qubit."""
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: qr.random_density(n, rng=1),
+            lambda n: qr.random_density(n, "haar_pure", rng=1, size=2),
+            qr.maximally_mixed,
+        ],
+        ids=["random_density", "random_density_stack", "maximally_mixed"],
+    )
+    def test_qubit_counts_must_be_integers(self, make, n):
+        with pytest.raises(ValueError, match="qubit counts must be integers"):
+            make(n)
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_reflection_stack_sizes_must_be_integers(self, size):
+        with pytest.raises(ValueError, match="stack sizes must be integers"):
+            qr.random_reflection(1, size=size)
+
+    def test_numpy_integers_are_counts(self):
+        assert qr.random_density(np.int64(2), rng=1).n == 2
+        assert qr.maximally_mixed(np.int64(3)).n == 3
+        assert qr.random_reflection(1, size=np.int64(2)).shape == (2, 3, 3)
+
+
 class TestRemix:
     def test_endpoints(self, rng):
         rho = qr.random_density(2, "mixed_dirichlet", rng)
@@ -188,6 +216,14 @@ class TestStackedDraws:
     def test_a_spectrum_cap_needs_the_bounded_mode(self, mode, rng):
         with pytest.raises(ValueError, match="bounded_spectrum"):
             qr.random_density(2, mode, rng, c=0.3)
+
+    def test_a_reflection_stack_draws_the_numbers_of_successive_calls(self):
+        stack = qr.random_reflection(5, size=6)
+        rng = np.random.default_rng(5)
+        assert np.array_equal(stack, np.stack([qr.random_reflection(rng) for _ in range(6)]))
+        assert np.abs(np.linalg.det(stack) + 1.0).max() < 1e-12
+        assert np.abs(stack @ stack.swapaxes(-1, -2) - np.eye(3)).max() < 1e-12
+        assert np.array_equal(qr.random_reflection(5, size=1)[0], qr.random_reflection(5))
 
     def test_remix_of_a_stack_matches_the_scalar_loop(self, rng):
         rho = qr.random_density(2, "mixed_dirichlet", rng, size=4)

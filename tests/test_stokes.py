@@ -354,12 +354,8 @@ def stack_of(n, rng, size=5):
 # its Stokes values.
 SCALAR_ONLY = {
     "ppt_test": lambda rho, s: qr.ppt_test(rho, (1,)),
-    "ccn": lambda rho, s: qr.ccn(rho),
     "ccn_report": lambda rho, s: qr.ccn_report(rho),
-    "ccn_via_stokes": lambda rho, s: qr.ccn_via_stokes(s),
-    "concurrence": lambda rho, s: qr.concurrence(rho),
     "concurrence_report": lambda rho, s: qr.concurrence_report(rho),
-    "lorentz_metric": lambda rho, s: qr.lorentz_metric(s),
     "reduction_criterion": lambda rho, s: qr.reduction_criterion(rho, (1,)),
     "total_reflection_feasible": lambda rho, s: qr.total_reflection_feasible(rho),
     "reflection_report": lambda rho, s: qr.reflection_report(rho, (1,)),
@@ -370,8 +366,18 @@ SCALAR_ONLY = {
     "eig_hermitian_vectors": lambda rho, s: qr.eig_hermitian(rho, vectors=True),
     "state_to_dict": lambda rho, s: state_to_dict(rho),
     "state_to_dict_stokes": lambda rho, s: state_to_dict(s),
-    "purity": lambda rho, s: qr.purity(s),
     "classify": lambda rho, s: qr.classify(SignMask(np.ones((2, 16)), stack=True)),
+}
+
+# Witnesses that give one value per member, each with the qubit count of its stack and
+# called on the stack of states and on its Stokes values.
+STACKED_WITNESSES = {
+    "ccn": (2, lambda rho, s: qr.ccn(rho)),
+    "ccn_odd_block": (3, lambda rho, s: qr.ccn(rho, (2,))),
+    "ccn_via_stokes": (2, lambda rho, s: qr.ccn_via_stokes(s)),
+    "concurrence": (2, lambda rho, s: qr.concurrence(rho)),
+    "lorentz_metric": (2, lambda rho, s: qr.lorentz_metric(s)),
+    "purity": (3, lambda rho, s: qr.purity(s)),
 }
 
 
@@ -470,8 +476,21 @@ class TestStacks:
     @pytest.mark.parametrize("name", list(SCALAR_ONLY))
     def test_scalar_only_functions_refuse_a_stack(self, name, rng):
         rho = stack_of(2, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected one"):
             SCALAR_ONLY[name](rho, qr.to_stokes(rho))
+
+    @pytest.mark.parametrize("name", list(STACKED_WITNESSES))
+    def test_witnesses_match_the_scalar_loop(self, name, rng):
+        n, witness = STACKED_WITNESSES[name]
+        for size in (1, 5):
+            rho = stack_of(n, rng, size)
+            s = qr.to_stokes(rho)
+            stacked = witness(rho, s)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (size,)
+            for k in range(size):
+                one = witness(rho[k], s[k])
+                assert type(one) is float
+                assert abs(stacked[k] - one) <= 1e-15
 
 
 class TestRealInput:
