@@ -16,7 +16,7 @@ from .stokes import (
     to_real_density,
     to_stokes,
 )
-from .linalg import Spectrum, eig_hermitian, min_eig, svd_values
+from .linalg import min_eig, svd_values
 from .reflections import (
     LocalOrthogonalMap,
     MapClassification,

@@ -178,7 +178,7 @@ def cmd_upb_demo(args):
     reflected_min = min_eig(bound_entangled)
     ppt_reports = [ppt_test(bound_entangled, (q,), tol) for q in (1, 2, 3)]
     kets = upb_kets()
-    component_minima = [min_eig(apply_mask(reflection, np.outer(vec, vec.conj())).matrix) for vec in kets]
+    component_minima = [min_eig(apply_mask(reflection, np.outer(vec, vec.conj()))) for vec in kets]
     overlaps = [float((vec.conj() @ bound_entangled.matrix @ vec).real) for vec in kets]
     cross_norms = {f"cut_{q}": ccn(bound_entangled, (q,)) for q in (1, 2, 3)}
     result = {

@@ -106,8 +106,6 @@ def ccn(rho, block=None):
 
 def ccn_via_stokes(s: StokesTensor):
     """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack."""
-    if s.n != 2:
-        raise ValueError(f"the Stokes route is defined for n=2, got n={s.n}")
     return _float_or_array(svd_values(stokes_as_matrix(s)).sum(axis=-1) / 2.0)
 
 
@@ -128,8 +126,9 @@ def concurrence(rho):
 
     With ``YY = sigma_y (x) sigma_y`` these are the square roots of the
     eigenvalues of ``rho rho'`` without the square root's amplification of
-    rounding error.  The eigenpairs are summed in descending order, as
-    :func:`eig_hermitian` reports them, so one state's value does not change.
+    rounding error.  ``eigh`` answers ascending; the eigenpairs are reversed
+    so the square root sums them in descending order, which fixes the
+    value's rounding bit for bit.
     """
     op = _as_operator(rho)
     if op.n != 2:
@@ -236,7 +235,7 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
 
     All flags come from one spectrum of ``rho`` through :func:`feasibility`.
     """
-    witness, flags = feasibility(_eigenvalues(_single(_as_operator(rho))), tol)
+    witness, flags = feasibility(_eigenvalues(rho), tol)
     verdict = "feasible" if flags["exact_psd"] else "infeasible"
     return CriterionReport("total-reflection", verdict, witness, None, tol, flags)
 

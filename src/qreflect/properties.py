@@ -248,7 +248,7 @@ def one_qubit_spectrum(rng, trials):
     v = stokes.to_stokes(rho).values
     radius = np.sqrt((v[:, 1:] ** 2).sum(axis=1))
     closed = (1 / math.sqrt(2)) * (1 / math.sqrt(2) + radius[:, None] * [-1.0, 1.0])
-    # rho.spectrum is the eigensolve that eig_hermitian reports, ascending.
+    # rho.spectrum is the ascending eigensolve the state was validated with.
     return [_within(_deviation(rho.spectrum, closed), 1e-12, rho, "closed form disagreed")]
 
 

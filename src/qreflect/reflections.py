@@ -37,6 +37,7 @@ from .stokes import (
     _digits,
     _label,
     _nonempty_subset,
+    _qubits,
     _single,
     from_stokes,
     identity_times_reduction,
@@ -85,11 +86,13 @@ def _digit_rule_mask(kind: str, n: int, subset: tuple[int, ...], hit: tuple[int,
 
 def mask_partial_transpose(n: int, subset) -> SignMask:
     """Flip the sign wherever an odd number of subset digits equals 2."""
+    n = _qubits(n)
     return _digit_rule_mask("partial_transpose", n, _check_subset(subset, n), (2,), True)
 
 
 def mask_spin_flip(n: int, subset) -> SignMask:
     """Per-qubit Bloch inversion: factor -1 on digits 1, 2, 3; signs multiply."""
+    n = _qubits(n)
     return _digit_rule_mask("spin_flip", n, _check_subset(subset, n), (1, 2, 3), True)
 
 
@@ -99,6 +102,7 @@ def mask_total_reflection(n: int, subset=None) -> SignMask:
     With the full qubit set this negates the whole homogeneous part; on a
     proper subset it fixes only the complementary reduced-state block.
     """
+    n = _qubits(n)
     subset = tuple(range(1, n + 1)) if subset is None else _nonempty_subset(subset, n)
     return _digit_rule_mask("total_reflection", n, subset, (1, 2, 3), False)
 
@@ -187,7 +191,7 @@ class LocalOrthogonalMap:
     @classmethod
     def single_qubit(cls, n: int, qubit: int, rotation) -> "LocalOrthogonalMap":
         """Act with ``diag(1, rotation)`` on one qubit, identity elsewhere; a stack of rotations gives a map stack."""
-        n, qubit = _label(n, "qubit counts"), _label(qubit)
+        n, qubit = _qubits(n), _label(qubit)
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
         r = np.asarray(rotation, dtype=float)

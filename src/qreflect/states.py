@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .stokes import DensityState, QUBIT_LIMIT, _as_operator, _label, _squared_norms, qubit_count
+from .stokes import DensityState, _as_operator, _label, _qubits, _squared_norms, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -48,7 +48,7 @@ def bell_state() -> DensityState:
 
 
 def maximally_mixed(n: int) -> DensityState:
-    n = _label(n, "qubit counts")
+    n = _qubits(n)
     return DensityState(np.eye(2**n) / 2**n)
 
 
@@ -92,7 +92,7 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
     rng = as_rng(rng)
-    shape = (dim, dim) if size is None else (size, dim, dim)
+    shape = (dim, dim) if size is None else (_label(size, "stack sizes"), dim, dim)
     return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -124,9 +124,8 @@ def random_density(
     ``size=None`` draws exactly the numbers one state always drew, so seeded
     results do not change; ``size=1`` draws the same numbers as a stack.
     """
-    n = _label(n, "qubit counts")
-    if not 1 <= n <= QUBIT_LIMIT:
-        raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
+    n = _qubits(n)
+    size = None if size is None else _label(size, "stack sizes")
     if c is not None and mode != "bounded_spectrum":
         raise ValueError(f"c bounds the spectrum in mode 'bounded_spectrum' only, got mode {mode!r}")
     rng = as_rng(rng)

@@ -66,9 +66,7 @@ def qubit_count(dim: int) -> int:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    if n > QUBIT_LIMIT:
-        raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
-    return n
+    return _qubits(n)
 
 
 class _Checked:
@@ -375,6 +373,14 @@ def _label(q, what: str = "qubit labels") -> int:
     if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
         raise ValueError(f"{what} must be integers, got {q!r}")
     return operator.index(q)
+
+
+def _qubits(n) -> int:
+    """A qubit count as an int in 1..QUBIT_LIMIT, checked before anything is sized by it."""
+    n = _label(n, "qubit counts")
+    if not 1 <= n <= QUBIT_LIMIT:
+        raise ValueError(f"supported qubit counts are 1..{QUBIT_LIMIT}, got {n}")
+    return n
 
 
 def _check_subset(subset, n: int) -> tuple[int, ...]:

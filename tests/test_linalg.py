@@ -23,21 +23,16 @@ def char_poly_coeffs(matrix):
 
 
 class TestEigHermitian:
+    """Hermitian spectra: a state's kept spectrum, numpy's solve of an image, and what `min_eig` accepts."""
+
     def test_maximally_mixed(self):
         for n in (1, 2, 3):
-            vals = qr.eig_hermitian(qr.maximally_mixed(n)).eigenvalues
+            vals = qr.maximally_mixed(n).spectrum
             np.testing.assert_allclose(vals, np.full(2**n, 2.0**-n))
-
-    def test_descending_and_reconstruction(self, rng):
-        rho = qr.random_density(3, "mixed_dirichlet", rng)
-        spectrum = qr.eig_hermitian(rho, vectors=True)
-        assert np.all(np.diff(spectrum.eigenvalues) <= 1e-15)
-        rebuilt = (spectrum.eigenvectors * spectrum.eigenvalues) @ spectrum.eigenvectors.conj().T
-        assert np.abs(rebuilt - rho.matrix).max() < 1e-9
 
     def test_trace_and_norm_consistency(self, rng):
         rho = qr.random_density(3, "mixed_dirichlet", rng)
-        vals = qr.eig_hermitian(rho).eigenvalues
+        vals = rho.spectrum
         assert abs(vals.sum() - np.trace(rho.matrix).real) < 1e-10
         assert abs((vals**2).sum() - np.trace(rho.matrix @ rho.matrix).real) < 1e-10
 
@@ -45,7 +40,7 @@ class TestEigHermitian:
         rho = qr.random_density(2, "mixed_dirichlet", rng)
         u = qr.random_unitary(4, rng)
         rotated = u @ rho.matrix @ u.conj().T
-        gap = np.abs(qr.eig_hermitian(rotated).eigenvalues - qr.eig_hermitian(rho).eigenvalues)
+        gap = np.abs(np.linalg.eigvalsh(rotated) - rho.spectrum)
         assert gap.max() < 1e-9
 
     def test_bell_partial_transpose_spectrum(self):
@@ -53,22 +48,25 @@ class TestEigHermitian:
         # the characteristic polynomial must expand (x - 1/2)^3 (x + 1/2)
         expanded = [1.0, -1.0, 0.0, 0.25, -0.0625]
         np.testing.assert_allclose(char_poly_coeffs(image.matrix), expanded, atol=1e-12)
-        np.testing.assert_allclose(
-            qr.eig_hermitian(image).eigenvalues, [0.5, 0.5, 0.5, -0.5], atol=1e-12
-        )
+        np.testing.assert_allclose(np.linalg.eigvalsh(image.matrix), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            qr.eig_hermitian(np.array([[0.0, 1.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("raw", [np.full((2, 2), np.nan), np.diag([np.inf, 0.0])], ids=["nan", "inf"])
-    def test_non_finite_array_rejected(self, raw):
-        # A NaN or inf entry gives a NaN defect, which used to pass the Hermiticity check.
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (np.array([[0.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
+            # A NaN or inf entry makes the Hermiticity defect NaN, so the finiteness check must catch it.
+            (np.full((2, 2), np.nan), "must be finite"),
+            (np.diag([np.inf, 0.0]), "must be finite"),
+            (np.eye(2), "trace must equal 1"),
+            (np.stack([np.eye(2) / 2] * 3), "expected a square array"),
+        ],
+        ids=["non_hermitian", "nan", "inf", "trace_2", "three_d"],
+    )
+    def test_min_eig_applies_the_operator_check(self, raw, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for solve in (qr.min_eig, lambda m: qr.eig_hermitian(m, vectors=True)):
-                with pytest.raises(ValueError, match="not Hermitian"):
-                    solve(raw)
+            with pytest.raises(ValueError, match=match):
+                qr.min_eig(raw)
 
 
 class TestSvdValues:
@@ -139,7 +137,7 @@ class TestDensityStateSpectrum:
         raw = np.array(rho.matrix)
         assert qr.min_eig(rho) == qr.min_eig(raw)
         assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(raw))
-        assert np.array_equal(qr.eig_hermitian(rho).eigenvalues, qr.eig_hermitian(raw).eigenvalues)
+        assert np.array_equal(qr.linalg._eigenvalues(rho), qr.linalg._eigenvalues(raw))
 
 
 class TestHilbertSchmidt:
@@ -151,18 +149,18 @@ class TestHilbertSchmidt:
             a = qr.random_density(n, "mixed_dirichlet", rng)
             b = qr.complement(qr.random_density(n, "haar_pure", rng))
             raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-            assert abs(qr.linalg.hs_inner(a, b) - np.trace(a.matrix.conj().T @ b.matrix)) < 1e-14
-            assert abs(qr.linalg.hs_inner(raw, a) - np.trace(raw.conj().T @ a.matrix)) < 1e-14
+            assert abs(qr.linalg.hs_inner(a.matrix, b.matrix) - np.trace(a.matrix.conj().T @ b.matrix)) < 1e-14
+            assert abs(qr.linalg.hs_inner(raw, a.matrix) - np.trace(raw.conj().T @ a.matrix)) < 1e-14
             assert abs(qr.linalg.hs_norm(raw) - np.linalg.norm(raw)) < 1e-14 * np.linalg.norm(raw)
-            assert isinstance(qr.linalg.hs_inner(a, b), complex)
+            assert isinstance(qr.linalg.hs_inner(a.matrix, b.matrix), complex)
             assert isinstance(qr.linalg.hs_norm(raw), float)
 
     def test_one_value_per_member(self, rng):
         a = qr.random_density(2, "mixed_dirichlet", rng, size=3)
         b = qr.random_density(2, "mixed_dirichlet", rng, size=3)
-        inner = qr.linalg.hs_inner(a, b)
+        inner = qr.linalg.hs_inner(a.matrix, b.matrix)
         norms = qr.linalg.hs_norm(a.matrix)
         assert inner.shape == norms.shape == (3,)
         for k in range(3):
-            assert inner[k] == qr.linalg.hs_inner(a[k], b[k])
+            assert inner[k] == qr.linalg.hs_inner(a[k].matrix, b[k].matrix)
             assert norms[k] == qr.linalg.hs_norm(a.matrix[k])

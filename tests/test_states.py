@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qreflect as qr
+from qreflect import stokes
 
 
 class TestPureStates:
@@ -135,17 +136,55 @@ class TestCounts:
             lambda n: qr.random_density(n, rng=1),
             lambda n: qr.random_density(n, "haar_pure", rng=1, size=2),
             qr.maximally_mixed,
+            lambda n: qr.mask_partial_transpose(n, (1,)),
+            lambda n: qr.mask_spin_flip(n, (1,)),
+            qr.mask_total_reflection,
         ],
-        ids=["random_density", "random_density_stack", "maximally_mixed"],
+        ids=[
+            "random_density",
+            "random_density_stack",
+            "maximally_mixed",
+            "mask_partial_transpose",
+            "mask_spin_flip",
+            "mask_total_reflection",
+        ],
     )
     def test_qubit_counts_must_be_integers(self, make, n):
         with pytest.raises(ValueError, match="qubit counts must be integers"):
             make(n)
 
+    @pytest.mark.parametrize("n", [0, 7])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: qr.mask_partial_transpose(n, ()),
+            lambda n: qr.mask_spin_flip(n, ()),
+            qr.mask_total_reflection,
+            qr.maximally_mixed,
+            lambda n: qr.LocalOrthogonalMap.single_qubit(n, 1, -np.eye(3)),
+        ],
+        ids=["mask_partial_transpose", "mask_spin_flip", "mask_total_reflection", "maximally_mixed", "single_qubit"],
+    )
+    def test_counts_out_of_range_are_refused_before_any_table(self, make, n):
+        tables = stokes._digits.cache_info().currsize
+        with pytest.raises(ValueError, match=rf"supported qubit counts are 1\.\.6, got {n}"):
+            make(n)
+        assert stokes._digits.cache_info().currsize == tables
+
     @pytest.mark.parametrize("size", [True, 2.0, "2"], ids=["bool", "float", "string"])
     def test_reflection_stack_sizes_must_be_integers(self, size):
         with pytest.raises(ValueError, match="stack sizes must be integers"):
             qr.random_reflection(1, size=size)
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda size: qr.random_density(2, "haar_pure", rng=1, size=size), lambda size: qr.random_unitary(4, 1, size)],
+        ids=["random_density", "random_unitary"],
+    )
+    def test_generator_stack_sizes_must_be_integers(self, draw, size):
+        with pytest.raises(ValueError, match="stack sizes must be integers"):
+            draw(size)
 
     def test_numpy_integers_are_counts(self):
         assert qr.random_density(np.int64(2), rng=1).n == 2

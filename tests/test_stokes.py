@@ -340,10 +340,8 @@ class TestPurityAndSpectrum:
             rho = random_mixed(1, rng)
             v = qr.to_stokes(rho).values
             radius = math.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
-            closed = sorted(
-                [(1 / SQ2) * (1 / SQ2 + radius), (1 / SQ2) * (1 / SQ2 - radius)], reverse=True
-            )
-            np.testing.assert_allclose(qr.eig_hermitian(rho).eigenvalues, closed, atol=1e-12)
+            closed = sorted([(1 / SQ2) * (1 / SQ2 + radius), (1 / SQ2) * (1 / SQ2 - radius)])
+            np.testing.assert_allclose(rho.spectrum, closed, atol=1e-12)
 
 
 def stack_of(n, rng, size=5):
@@ -361,9 +359,6 @@ SCALAR_ONLY = {
     "reflection_report": lambda rho, s: qr.reflection_report(rho, (1,)),
     "min_eig": lambda rho, s: qr.min_eig(rho),
     "min_eig_of_an_operator": lambda rho, s: qr.min_eig(qr.complement(rho)),
-    "min_eig_of_an_array": lambda rho, s: qr.min_eig(rho.matrix),
-    "eig_hermitian": lambda rho, s: qr.eig_hermitian(rho),
-    "eig_hermitian_vectors": lambda rho, s: qr.eig_hermitian(rho, vectors=True),
     "state_to_dict": lambda rho, s: state_to_dict(rho),
     "state_to_dict_stokes": lambda rho, s: state_to_dict(s),
     "classify": lambda rho, s: qr.classify(SignMask(np.ones((2, 16)), stack=True)),
