@@ -16,7 +16,7 @@ from .stokes import (
     to_real_density,
     to_stokes,
 )
-from .linalg import min_eig, svd_values
+from .linalg import min_eig
 from .reflections import (
     LocalOrthogonalMap,
     MapClassification,

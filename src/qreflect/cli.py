@@ -143,9 +143,7 @@ def cmd_analyze(args):
         for text in args.ppt or ():
             reports.append(ppt_test(rho, _parse_subset(text), tol))
         if args.ccn:
-            if n % 2 != 0:
-                raise SystemExit(_error(EXIT_DIMENSION, f"--ccn needs an even qubit count, state has n={n}"))
-            reports.append(ccn_report(rho, tuple(range(1, n // 2 + 1)), tol))
+            reports.append(ccn_report(rho, tol=tol))
         if args.concurrence:
             reports.append(concurrence_report(rho, tol))
         for text in args.reflect or ():

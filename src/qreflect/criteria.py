@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _eigenvalues, _lowest_eig, svd_values
+from .linalg import _eigenvalues, _lowest_eig
 from .stokes import (
     PAULI,
     HermitianOperator,
@@ -84,7 +84,7 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
 def _ccn_block(n: int, block) -> tuple[int, ...]:
     """The checked left block of a cut; ``None`` is the first half."""
     if block is None and n % 2 != 0:
-        raise ValueError("odd qubit counts need an explicit left block")
+        raise ValueError(f"the first-half cut needs an even qubit count, got n={n}")
     return _proper_subset(range(1, n // 2 + 1) if block is None else block, n)
 
 
@@ -101,12 +101,12 @@ def ccn(rho, block=None):
     rest = [q for q in range(1, n + 1) if q not in block]
     order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
     realigned = _regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest)))
-    return _float_or_array(svd_values(realigned).sum(axis=-1))
+    return _float_or_array(np.linalg.svd(realigned, compute_uv=False).sum(axis=-1))
 
 
 def ccn_via_stokes(s: StokesTensor):
     """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack."""
-    return _float_or_array(svd_values(stokes_as_matrix(s)).sum(axis=-1) / 2.0)
+    return _float_or_array(np.linalg.svd(stokes_as_matrix(s), compute_uv=False).sum(axis=-1) / 2.0)
 
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
@@ -136,7 +136,7 @@ def concurrence(rho):
     values, vecs = np.linalg.eigh(op.matrix)
     values, vecs = values[..., ::-1].copy(), vecs[..., ::-1].copy()
     root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    nu = svd_values(root @ _YY @ root.conj())
+    nu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
     return _float_or_array(np.where(value > 0.0, value, 0.0))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stokes import QUBIT_LIMIT, DensityState, HermitianOperator, StokesTensor, _Checked, _single, from_stokes
+from .stokes import DensityState, HermitianOperator, StokesTensor, _Checked, _qubits, _single, from_stokes
 
 
 class StateFormatError(ValueError):
@@ -53,12 +53,10 @@ def state_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise StateFormatError("state document must be a JSON object")
     fmt = doc.get("format")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or fmt not in ("hermitian", "stokes"):
-        raise StateFormatError("state document needs integer 'n' and format 'hermitian' or 'stokes'")
-    if not 1 <= n <= QUBIT_LIMIT:
-        raise StateFormatError(f"'n' must lie in 1..{QUBIT_LIMIT}, got {n}")
+    if fmt not in ("hermitian", "stokes"):
+        raise StateFormatError("state document needs format 'hermitian' or 'stokes'")
     try:
+        n = _qubits(doc.get("n"))
         if fmt == "stokes":
             tensor = StokesTensor(_numbers(doc["values"]))
             if tensor.n != n:

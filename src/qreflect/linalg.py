@@ -1,21 +1,19 @@
-"""Dense Hermitian eigenvalues, singular values, and Hilbert-Schmidt forms.
+"""The lowest eigenvalue of one checked operator.
 
-Everything here runs on matrices of dimension at most 64, so accurate dense
-LAPACK routines are used throughout.  :func:`min_eig` reads one operator
-the way every criterion does: a raw array passes the one
+Everything here runs on matrices of dimension at most 64, so the dense
+LAPACK solver is used.  :func:`min_eig` reads one operator the way every
+criterion does: a raw array passes the one
 :class:`~qreflect.stokes.HermitianOperator` check (shape, finite entries,
 Hermiticity, trace 1), a stack is refused, and a state answers from the
 ascending spectrum it was validated with.  The criteria solve their kernel
-images, which are Hermitian bit for bit, with :func:`_lowest_eig`.  The
-Hilbert-Schmidt norm and inner product take arrays and give one value per
-member.
+images, which are Hermitian bit for bit, with :func:`_lowest_eig`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .stokes import DensityState, _as_operator, _float_or_array, _single
+from .stokes import DensityState, _as_operator, _single
 
 
 def _eigenvalues(h) -> np.ndarray:
@@ -24,11 +22,6 @@ def _eigenvalues(h) -> np.ndarray:
     if isinstance(op, DensityState):
         return op.spectrum
     return np.linalg.eigvalsh(op.matrix)
-
-
-def svd_values(m) -> np.ndarray:
-    """Singular values of a real or complex matrix, sorted descending."""
-    return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 
 def min_eig(h) -> float:
@@ -45,14 +38,3 @@ def _lowest_eig(image: np.ndarray) -> float:
     not 1, so :func:`min_eig` would refuse it.
     """
     return float(np.linalg.eigvalsh(image)[0])
-
-
-def hs_norm(m):
-    """Hilbert-Schmidt (Frobenius) norm over the last two axes: a float, or one per member of a stack."""
-    return _float_or_array(np.linalg.norm(np.asarray(m), axis=(-2, -1)))
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product ``tr(a^dagger b)`` of arrays as an entrywise sum, one per member of a stack."""
-    inner = (np.asarray(a).conj() * np.asarray(b)).sum(axis=(-2, -1))
-    return inner if inner.ndim else complex(inner)

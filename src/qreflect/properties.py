@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criteria, io, linalg, reflections, states, stokes
+from . import criteria, io, reflections, states, stokes
 
 
 @dataclass
@@ -166,10 +166,8 @@ def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
     return stokes.from_stokes(stokes.real_density_to_stokes(stokes.RealDensityMatrix(flipped, op.is_stack)))
 
 
-# Conjugators of the two-qubit operator sums: (lambda_a (x) 1, 1 (x) lambda_a) per
-# Pauli axis a, and sigma_y (x) sigma_y.
+# Conjugators of the two-qubit operator sum: (lambda_a (x) 1, 1 (x) lambda_a) per Pauli axis a.
 _ONE_BODY_PAIRS = [(np.kron(stokes.LAMBDA[a], np.eye(2)), np.kron(np.eye(2), stokes.LAMBDA[a])) for a in (1, 2, 3)]
-_YY = np.kron(stokes.PAULI[2], stokes.PAULI[2])
 
 
 def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
@@ -193,7 +191,7 @@ def spin_flipped_partner(rho) -> stokes.HermitianOperator:
     op = stokes._as_operator(rho)
     if op.n != 2:
         raise ValueError(f"defined for two qubits, got n={op.n}")
-    return stokes.HermitianOperator(_YY @ op.matrix.conj() @ _YY, op.is_stack)
+    return stokes.HermitianOperator(criteria._YY @ op.matrix.conj() @ criteria._YY, op.is_stack)
 
 
 @functools.cache
@@ -238,7 +236,7 @@ def norm_bridge(rng, trials):
     for n, at in _qubit_groups(rng, trials):
         rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
         sigma = stokes.to_real_density(stokes.to_stokes(rho)).entries
-        gap = np.abs(linalg.hs_norm(sigma) / 2 ** (n / 2) - linalg.hs_norm(rho.matrix))
+        gap = np.abs(np.linalg.norm(sigma, axis=(1, 2)) / 2 ** (n / 2) - np.linalg.norm(rho.matrix, axis=(1, 2)))
         checks.append(_within(gap, 1e-12, rho, "unfolding changed the norm", at))
     return checks
 
@@ -282,7 +280,7 @@ def mask_isometries(rng, trials):
     for n, at in _qubit_groups(rng, trials):
         a = _random_hermitian(n, rng, at.size)
         b = _random_hermitian(n, rng, at.size)
-        inner = linalg.hs_inner(a.matrix, b.matrix).real
+        inner = (a.matrix.conj() * b.matrix).sum(axis=(1, 2)).real
         ia = reflections.apply_mask(*_every_pair(_catalog_stack(n), a, at.size)).matrix
         ib = reflections.apply_mask(*_every_pair(_catalog_stack(n), b, at.size)).matrix
         catalog = _mask_catalog(n)
@@ -290,7 +288,7 @@ def mask_isometries(rng, trials):
             [
                 np.abs(np.trace(ia, axis1=1, axis2=2).real - 1.0),
                 _deviation(ia, ia.conj().swapaxes(-1, -2)),
-                np.abs(linalg.hs_inner(ia, ib).real - np.tile(inner, len(catalog))),
+                np.abs((ia.conj() * ib).sum(axis=(1, 2)).real - np.tile(inner, len(catalog))),
             ],
             axis=0,
         )
@@ -535,6 +533,7 @@ _CHECKS = [
 
 def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> list[InvariantResult]:
     """Run every invariant with per-check substreams spawned from ``seed``."""
+    trials = stokes._label(trials, "trial counts")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .stokes import (
     HermitianOperator,
-    QUBIT_LIMIT,
     StokesTensor,
     _Checked,
     _apply_per_qubit,
@@ -128,10 +127,7 @@ def apply_mask(mask: SignMask, state):
         if mask.n != state.n:
             raise ValueError(f"mask acts on {mask.n} qubits, state has {state.n}")
         return StokesTensor(state.values * mask.signs, state.is_stack or mask.is_stack)
-    op = _as_operator(state)
-    if mask.n != op.n:
-        raise ValueError(f"mask acts on {mask.n} qubits, state has {op.n}")
-    return from_stokes(apply_mask(mask, to_stokes(op)))
+    return from_stokes(apply_mask(mask, to_stokes(state)))
 
 
 def classify(mask: SignMask) -> MapClassification:
@@ -163,6 +159,8 @@ class LocalOrthogonalMap:
     __slots__ = ("_blocks", "_members")
 
     def __init__(self, blocks):
+        blocks = tuple(blocks)
+        _qubits(len(blocks))
         validated = []
         members = set()
         for b in blocks:
@@ -181,8 +179,6 @@ class LocalOrthogonalMap:
             validated.append(b)
             if b.ndim == 3:
                 members.add(len(b))
-        if not 1 <= len(validated) <= QUBIT_LIMIT:
-            raise ValueError(f"need 1..{QUBIT_LIMIT} blocks, got {len(validated)}")
         if len(members) > 1:
             raise ValueError(f"block stacks must share one member count, got {sorted(members)}")
         self._blocks = tuple(validated)
@@ -229,8 +225,7 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
         if lomap.members not in (None, paired):
             raise ValueError(f"a stack of {lomap.members} maps needs a state stack of {lomap.members}, got {state!r}")
         return StokesTensor(_apply_per_qubit(lomap.blocks, state.values), state.is_stack)
-    op = _as_operator(state)
-    return from_stokes(apply_local_orthogonal(lomap, to_stokes(op)))
+    return from_stokes(apply_local_orthogonal(lomap, to_stokes(state)))
 
 
 def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:

@@ -91,6 +91,9 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
+    dim = _label(dim, "dimensions")
+    if dim < 1:
+        raise ValueError(f"dimensions must be at least 1, got {dim}")
     rng = as_rng(rng)
     shape = (dim, dim) if size is None else (_label(size, "stack sizes"), dim, dim)
     return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))

@@ -307,6 +307,10 @@ class TestDriverContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_ccn_on_an_odd_count_names_the_first_half_cut(self, capsys):
+        assert cli.main(["analyze", str(UPB), "--ccn"]) == 3
+        assert capsys.readouterr().err == "error: the first-half cut needs an even qubit count, got n=3\n"
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize(

@@ -70,17 +70,20 @@ class TestStateFiles:
             state_from_dict({"n": 2, "format": "hermitian", "re": [[1]]})
 
     def test_bad_format_rejected(self):
-        with pytest.raises(StateFormatError):
+        with pytest.raises(StateFormatError, match="format 'hermitian' or 'stokes'"):
             state_from_dict({"n": 2, "format": "csv"})
 
     def test_inconsistent_length_rejected(self):
         with pytest.raises(StateFormatError):
             state_from_dict({"n": 3, "format": "stokes", "values": [0.5] + [0.0] * 15})
 
-    @pytest.mark.parametrize("n", [True, 0, 10**100])
+    @pytest.mark.parametrize("n", [True, 0, 10**100, 2.0, pytest.param(None, id="no-n")])
     def test_bad_qubit_count_rejected(self, n):
-        with pytest.raises(StateFormatError):
-            state_from_dict({"n": n, "format": "hermitian", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+        doc = {"n": n, "format": "hermitian", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        if n is None:
+            del doc["n"]
+        with pytest.raises(StateFormatError, match="qubit counts"):
+            state_from_dict(doc)
 
     @pytest.mark.parametrize(
         "values",

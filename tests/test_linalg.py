@@ -70,23 +70,6 @@ class TestEigHermitian:
 
 
 class TestSvdValues:
-    def test_diagonal(self):
-        vals = qr.svd_values(np.diag([-3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(vals, [3.0, 2.0, 1.0])
-
-    def test_rank_one_outer_product(self, rng):
-        u = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        vals = qr.svd_values(np.outer(u, v))
-        expected = np.zeros(4)
-        expected[0] = np.linalg.norm(u) * np.linalg.norm(v)
-        np.testing.assert_allclose(vals, expected, atol=1e-12)
-
-    def test_gram_matrix_oracle(self, rng):
-        m = rng.standard_normal((4, 4))
-        gram_eigs = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m)[::-1], 0, None))
-        np.testing.assert_allclose(qr.svd_values(m), gram_eigs, atol=1e-10)
-
     def test_schmidt_pairs_of_pure_stokes_matrix(self, rng):
         # amplitudes c1 >= c2 of a random two-qubit pure state give the
         # Stokes-matrix singular values {2 c1^2, 2 c2^2, 2 c1 c2, 2 c1 c2}
@@ -95,7 +78,7 @@ class TestSvdValues:
         c = np.linalg.svd(z.reshape(2, 2), compute_uv=False)
         predicted = np.sort([2 * c[0] ** 2, 2 * c[1] ** 2, 2 * c[0] * c[1], 2 * c[0] * c[1]])[::-1]
         rho = qr.DensityState(np.outer(z, z.conj()))
-        observed = qr.svd_values(qr.stokes_as_matrix(qr.to_stokes(rho)))
+        observed = np.linalg.svd(qr.stokes_as_matrix(qr.to_stokes(rho)), compute_uv=False)
         np.testing.assert_allclose(observed, predicted, atol=1e-9)
 
 
@@ -138,29 +121,3 @@ class TestDensityStateSpectrum:
         assert qr.min_eig(rho) == qr.min_eig(raw)
         assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(raw))
         assert np.array_equal(qr.linalg._eigenvalues(rho), qr.linalg._eigenvalues(raw))
-
-
-class TestHilbertSchmidt:
-    """The entrywise forms against the forms they replaced, and per member of a stack."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_pinned_to_the_old_forms(self, n, rng):
-        for _ in range(10):
-            a = qr.random_density(n, "mixed_dirichlet", rng)
-            b = qr.complement(qr.random_density(n, "haar_pure", rng))
-            raw = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-            assert abs(qr.linalg.hs_inner(a.matrix, b.matrix) - np.trace(a.matrix.conj().T @ b.matrix)) < 1e-14
-            assert abs(qr.linalg.hs_inner(raw, a.matrix) - np.trace(raw.conj().T @ a.matrix)) < 1e-14
-            assert abs(qr.linalg.hs_norm(raw) - np.linalg.norm(raw)) < 1e-14 * np.linalg.norm(raw)
-            assert isinstance(qr.linalg.hs_inner(a.matrix, b.matrix), complex)
-            assert isinstance(qr.linalg.hs_norm(raw), float)
-
-    def test_one_value_per_member(self, rng):
-        a = qr.random_density(2, "mixed_dirichlet", rng, size=3)
-        b = qr.random_density(2, "mixed_dirichlet", rng, size=3)
-        inner = qr.linalg.hs_inner(a.matrix, b.matrix)
-        norms = qr.linalg.hs_norm(a.matrix)
-        assert inner.shape == norms.shape == (3,)
-        for k in range(3):
-            assert inner[k] == qr.linalg.hs_inner(a[k].matrix, b[k].matrix)
-            assert norms[k] == qr.linalg.hs_norm(a.matrix[k])

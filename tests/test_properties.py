@@ -22,6 +22,12 @@ def test_every_invariant_reports_requested_trials_and_non_negative_worst(seed):
         assert r.worst >= 0, r.name
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, "3"], ids=["bool", "float", "string"])
+def test_trial_counts_must_be_integers(trials):
+    with pytest.raises(ValueError, match="trial counts must be integers"):
+        properties.run_suite(42, trials)
+
+
 def test_corrupted_run_leaves_the_cached_catalog_intact():
     clean = payload(properties.run_suite(7, 5))
     corrupted = properties.run_suite(7, 5, corrupt_mask=True)

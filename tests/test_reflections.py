@@ -386,6 +386,15 @@ class TestLocalOrthogonal:
         with pytest.raises(ValueError, match="finite"):
             qr.LocalOrthogonalMap([block, np.eye(4)])
 
+    def test_block_count_is_checked_before_any_block(self):
+        blocks = [np.full((4, 4), np.nan)] + [np.eye(4)] * 6
+        with pytest.raises(ValueError, match=r"supported qubit counts are 1\.\.6, got 7"):
+            qr.LocalOrthogonalMap(blocks)
+
+    def test_blocks_may_come_from_a_generator(self):
+        lomap = qr.LocalOrthogonalMap(np.eye(4) for _ in range(2))
+        assert lomap.n == 2 and lomap.members is None
+
     def test_a_map_stack_pairs_with_a_state_stack(self, rng):
         rho = qr.random_density(3, "mixed_dirichlet", rng, size=4)
         stacked = qr.LocalOrthogonalMap.single_qubit(3, 1, qr.random_reflection(rng, size=4)).blocks[0]

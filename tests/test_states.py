@@ -186,6 +186,20 @@ class TestCounts:
         with pytest.raises(ValueError, match="stack sizes must be integers"):
             draw(size)
 
+    @pytest.mark.parametrize(
+        "dim, match",
+        [
+            (0, "dimensions must be at least 1, got 0"),
+            (-1, "dimensions must be at least 1, got -1"),
+            (2.0, "dimensions must be integers"),
+            (True, "dimensions must be integers"),
+        ],
+        ids=["zero", "negative", "float", "bool"],
+    )
+    def test_unitary_dimensions_must_be_positive_integers(self, dim, match):
+        with pytest.raises(ValueError, match=match):
+            qr.random_unitary(dim, 1)
+
     def test_numpy_integers_are_counts(self):
         assert qr.random_density(np.int64(2), rng=1).n == 2
         assert qr.maximally_mixed(np.int64(3)).n == 3
