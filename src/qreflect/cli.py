@@ -19,8 +19,9 @@ code.  Exit codes: 0 success, 1 failed property suite, 2 unreadable input
 naming a qubit the state lacks).  Entanglement verdicts never affect the
 exit code, and neither does a reader that closes stdout early.  The
 ``QREFLECT_TOL`` environment variable sets the verdict thresholds (default
-``1e-10``); it must be a finite float >= 0 (otherwise exit 2).  It does not
-change the positivity check a state file passes when it is loaded.
+``1e-10``); it must pass the criteria's tolerance rule, a finite float >= 0
+(otherwise exit 2).  It does not change the positivity check a state file
+passes when it is loaded.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    _verdict_tolerance,
     ccn,
     ccn_report,
     concurrence_report,
@@ -70,16 +72,13 @@ def _tolerance() -> float:
     if raw is None:
         return PSD_TOL
     try:
-        tol = float(raw)
+        return _verdict_tolerance(float(raw))
     except ValueError:
-        tol = np.nan
-    if not 0 <= tol < np.inf:
         raise SystemExit(_error(EXIT_BAD_INPUT, f"QREFLECT_TOL must be a finite float >= 0, got {raw!r}"))
-    return tol
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
-    """Accept qubit letters ('A', 'AB') or 1-based digits ('1', '1,3'); the criteria range-check them."""
+    """Accept qubit letters ('A', 'AB') or 1-based digits ('1', '1,3'); the criteria's subset rule checks them."""
     cleaned = text.replace(",", "").strip()
     if not cleaned:
         raise SystemExit(_error(EXIT_BAD_INPUT, "empty qubit subset"))
@@ -91,7 +90,7 @@ def _parse_subset(text: str) -> tuple[int, ...]:
             labels.append(int(ch))
         else:
             raise SystemExit(_error(EXIT_BAD_INPUT, f"cannot parse qubit label {ch!r} in {text!r}"))
-    return tuple(sorted(set(labels)))
+    return tuple(labels)
 
 
 def _error(code: int, message: str) -> int:

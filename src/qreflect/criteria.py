@@ -9,6 +9,10 @@ which costs one batched solve.  A report is about one state, so each report refu
 a stack itself, before any kernel runs; :func:`complement` maps a stack
 member by member.
 
+The verdict tolerance has one rule, :func:`_verdict_tolerance`: a finite float
+or int >= 0, not a bool.  Every report and :func:`feasibility` apply it on
+entry, before any solve, and so does the command line to ``QREFLECT_TOL``.
+
 The kernel witnesses solve their images straight from the operator's
 checked matrix.  :func:`reflection_report` and :func:`reduction_criterion`
 share one memoised lift solve per (operator, subset, scale), so for one
@@ -18,6 +22,7 @@ qubit, where both read the same image, the pair costs one eigensolve.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +42,8 @@ from .stokes import (
     partial_transpose,
     stokes_as_matrix,
 )
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,19 @@ class CriterionReport:
         }
 
 
+def _verdict_tolerance(tol) -> float:
+    """A verdict tolerance as a float; a bool, NaN, infinity, a negative number or a non-number is an error."""
+    if isinstance(tol, bool) or not isinstance(tol, (float, int, np.floating, np.integer)) or not 0 <= tol <= _FLOAT_MAX:
+        raise ValueError(f"tolerances must be finite numbers >= 0, got {tol!r}")
+    return float(tol)
+
+
+def _entry(rho, tol) -> tuple[HermitianOperator, float]:
+    """The one checked operator and the checked tolerance a report starts from, the cheap check first."""
+    tol = _verdict_tolerance(tol)
+    return _single(_as_operator(rho)), tol
+
+
 def _proper_subset(subset, n: int) -> tuple[int, ...]:
     subset = _nonempty_subset(subset, n)
     if len(subset) >= n:
@@ -74,7 +94,7 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     the axis-swap :func:`partial_transpose`; the sign mask
     ``mask_partial_transpose`` defines the same image and is its test oracle.
     """
-    op = _single(_as_operator(rho))
+    op, tol = _entry(rho, tol)
     subset = _proper_subset(subset, op.n)
     witness = _lowest_eig(partial_transpose(op, subset))
     verdict = "entangled" if witness < -tol else "separable-consistent"
@@ -97,7 +117,12 @@ def ccn(rho, block=None):
     the singular values of the reshuffling map :func:`choi_reshuffle`.
     """
     op = _as_operator(rho)
-    n, block = op.n, _ccn_block(op.n, block)
+    return _ccn(op, _ccn_block(op.n, block))
+
+
+def _ccn(op: HermitianOperator, block: tuple[int, ...]):
+    """:func:`ccn` of a checked operator (or stack) across a checked block."""
+    n = op.n
     rest = [q for q in range(1, n + 1) if q not in block]
     order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
     realigned = _regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest)))
@@ -111,9 +136,9 @@ def ccn_via_stokes(s: StokesTensor):
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
     """:func:`ccn` with its verdict; the report names the checked block the value was measured on."""
-    op = _single(_as_operator(rho))
+    op, tol = _entry(rho, tol)
     block = _ccn_block(op.n, block)
-    value = ccn(op, block)
+    value = _ccn(op, block)
     verdict = "entangled" if value > 1.0 + tol else "separable-consistent"
     return CriterionReport("ccn", verdict, value, block, tol)
 
@@ -142,7 +167,8 @@ def concurrence(rho):
 
 
 def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
-    value = concurrence(_single(_as_operator(rho)))
+    op, tol = _entry(rho, tol)
+    value = concurrence(op)
     verdict = "entangled" if value > tol else "separable-consistent"
     return CriterionReport("concurrence", verdict, value, None, tol)
 
@@ -164,23 +190,23 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(|S|-1) (rho + R_S rho)`` (``R_S``: partial reflection on ``S``), so
     for one traced qubit the comparison operator is ``R_S rho`` itself.
     """
-    op = _single(_as_operator(rho))
+    op, tol = _entry(rho, tol)
     traced = _proper_subset(traced, op.n)
-    witness, trace = _lift_witness(op, traced, 1.0)
+    witness, image = _lift_witness(op, traced, 1.0)
     verdict = "entangled" if witness < -tol else "separable-consistent"
-    return CriterionReport("reduction", verdict, witness, traced, tol, {"trace": trace})
+    return CriterionReport("reduction", verdict, witness, traced, tol, {"trace": float(np.trace(image).real)})
 
 
 @functools.lru_cache(maxsize=8)
-def _lift_witness(op: HermitianOperator, subset: tuple[int, ...], scale: float) -> tuple[float, float]:
-    """Lowest eigenvalue and trace of ``scale * identity_times_reduction(op, subset) - op.matrix``.
+def _lift_witness(op: HermitianOperator, subset: tuple[int, ...], scale: float) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue of ``scale * identity_times_reduction(op, subset) - op.matrix``, and that image.
 
     A checked operator is immutable and hashes by identity, so each
     (operator, subset, scale) is solved once; the cache is small because
     one state's criteria run back to back.
     """
     image = scale * identity_times_reduction(op, subset) - op.matrix
-    return _lowest_eig(image), float(np.trace(image).real)
+    return _lowest_eig(image), image
 
 
 def complement(rho) -> HermitianOperator:
@@ -206,7 +232,11 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
     not move it.  One spectrum gives a float and bools, a stack one array
     per name.
     """
-    spectrum = np.asarray(spectrum)
+    return _feasibility(np.asarray(spectrum), _verdict_tolerance(tol))
+
+
+def _feasibility(spectrum: np.ndarray, tol: float) -> tuple:
+    """:func:`feasibility` of ascending spectra at a checked tolerance."""
     dim = spectrum.shape[-1]
     bound = 2.0 / dim
     # .T puts the eigenvalue axis first, so .T[k] is entry k of one spectrum or of every member.
@@ -233,9 +263,10 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
 def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
     """Whether the total reflection ``2**(1-n) identity - rho`` is a state.
 
-    All flags come from one spectrum of ``rho`` through :func:`feasibility`.
+    All flags come from one spectrum of ``rho`` through the kernel of :func:`feasibility`.
     """
-    witness, flags = feasibility(_eigenvalues(rho), tol)
+    op, tol = _entry(rho, tol)
+    witness, flags = _feasibility(_eigenvalues(op), tol)
     verdict = "feasible" if flags["exact_psd"] else "infeasible"
     return CriterionReport("total-reflection", verdict, witness, None, tol, flags)
 
@@ -250,7 +281,7 @@ def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     is the comparison operator of :func:`reduction_criterion`, so the two
     witnesses are equal and come from one solve.
     """
-    op = _single(_as_operator(rho))
+    op, tol = _entry(rho, tol)
     subset = _nonempty_subset(subset, op.n)
     witness, _ = _lift_witness(op, subset, 2.0 ** (1 - len(subset)))
     verdict = "feasible" if witness >= -tol else "infeasible"

@@ -3,7 +3,8 @@
 State files carry ``n``, a ``format`` of either ``hermitian`` (row-major
 ``re``/``im`` arrays) or ``stokes`` (a flat ``values`` array in base-4
 row-major multi-index order), plus free-form annotation fields such as
-``seed`` or ``label``.  Floats are written at full double precision.
+``seed`` or ``label``; an annotation may not reuse a schema field's name.
+Floats are written at full double precision.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ import numpy as np
 from .stokes import DensityState, HermitianOperator, StokesTensor, _Checked, _qubits, _single, from_stokes
 
 
+_SCHEMA_FIELDS = frozenset({"n", "format", "re", "im", "values"})
+
+
 class StateFormatError(ValueError):
     """Raised when a state document does not match the schema."""
 
 
 def state_to_dict(state, **annotations) -> dict:
-    """Document of one state; a stack is refused (serialise its members)."""
+    """Document of one state; a stack (serialise its members) or an annotation naming a schema field is refused."""
+    if clash := _SCHEMA_FIELDS.intersection(annotations):
+        raise ValueError(f"annotations must not name schema fields, got {sorted(clash)}")
     if isinstance(state, _Checked):
         _single(state)
     if isinstance(state, StokesTensor):

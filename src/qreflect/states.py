@@ -31,7 +31,7 @@ def ket(which) -> np.ndarray:
     vec = np.asarray(which, dtype=complex).reshape(-1)
     qubit_count(vec.size)
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails this test too
         raise ValueError(f"amplitudes must be normalised, got norm {norm:.12g}")
     return vec
 

@@ -243,6 +243,12 @@ class TestInProcess:
         second = json.loads(capsys.readouterr().out)["result"]["criteria"]
         assert [c["criterion"] for c in second] == ["total-reflection"]
 
+    def test_the_criteria_sort_and_deduplicate_parsed_subsets(self, capsys):
+        assert cli._parse_subset("BA,A") == (2, 1, 1)
+        assert cli.main(["analyze", str(UPB), "--ppt", "BA", "--reflect", "CAB", "--reduction", "b,a,a"]) == 0
+        subsets = [c["subset"] for c in json.loads(capsys.readouterr().out)["result"]["criteria"]]
+        assert subsets == [[1, 2], [1, 2, 3], [1, 2]]
+
     def test_the_parser_is_built_once_and_stays_public(self):
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()

@@ -374,3 +374,60 @@ class TestComplement:
         for vec in qr.upb_kets():
             projector = qr.DensityState(np.outer(vec, vec.conj()))
             assert qr.min_eig(qr.complement(projector).matrix) < -1e-6
+
+
+class TestVerdictTolerance:
+    """One tolerance rule, applied on entry by every report and by the spectrum kernel."""
+
+    BELL_SPECTRUM = qr.bell_state().spectrum
+    ENTRIES = {
+        "ppt": lambda m, tol: qr.ppt_test(m, (1,), tol),
+        "ccn": lambda m, tol: qr.ccn_report(m, tol=tol),
+        "concurrence": lambda m, tol: qr.concurrence_report(m, tol),
+        "reduction": lambda m, tol: qr.reduction_criterion(m, (1,), tol),
+        "reflection": lambda m, tol: qr.reflection_report(m, (1, 2), tol),
+        "total-reflection": lambda m, tol: qr.total_reflection_feasible(m, tol),
+        "feasibility": lambda m, tol: criteria.feasibility(TestVerdictTolerance.BELL_SPECTRUM, tol),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize(
+        "tol",
+        [float("nan"), -1.0, float("inf"), True, np.bool_(True), "1e-3", None, 10**400],
+        ids=["nan", "negative", "inf", "bool", "numpy-bool", "string", "none", "huge-int"],
+    )
+    def test_bad_tolerances_are_refused_before_any_solve(self, entry, tol, monkeypatch):
+        matrix = qr.bell_state().matrix  # a raw array: the reports would have to solve it themselves
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the tolerance was checked")
+
+        monkeypatch.setattr(criteria, "_lowest_eig", no_solve)
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        with pytest.raises(ValueError, match="tolerances must be finite numbers >= 0"):
+            self.ENTRIES[entry](matrix, tol)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("tol", [0, np.float64(1e-9)], ids=["int-zero", "numpy-float"])
+    def test_numbers_are_accepted_and_reported_as_floats(self, entry, tol):
+        answer = self.ENTRIES[entry](qr.bell_state().matrix, tol)
+        as_float = self.ENTRIES[entry](qr.bell_state().matrix, float(tol))
+        if entry == "feasibility":
+            assert answer == as_float
+        else:
+            assert type(answer.tolerance) is float and answer.tolerance == tol
+            assert answer.to_dict() == as_float.to_dict()
+
+    def test_ccn_report_checks_its_cut_once(self, monkeypatch):
+        calls = []
+        checked = criteria._ccn_block
+
+        def counted(n, block):
+            calls.append(block)
+            return checked(n, block)
+
+        monkeypatch.setattr(criteria, "_ccn_block", counted)
+        report = qr.ccn_report(qr.random_density(4, "mixed_dirichlet", 3), [2, 1])
+        assert calls == [[2, 1]]
+        assert report.subset == (1, 2)

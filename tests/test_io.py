@@ -142,6 +142,17 @@ class TestStateFiles:
         assert abs(np.trace(m) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
+    @pytest.mark.parametrize("field", ["n", "format", "re", "im", "values"])
+    def test_annotations_naming_a_schema_field_are_refused(self, tmp_path, field):
+        # such a document would not read back: n=3 with format="stokes" once lost its 'values'
+        for state in (qr.bell_state(), qr.to_stokes(qr.bell_state())):
+            with pytest.raises(ValueError, match=f"schema fields, got \\['{field}'\\]"):
+                state_to_dict(state, **{field: 3}, label="x")
+            with pytest.raises(ValueError, match="schema fields"):
+                write_state(tmp_path / "state.json", state, **{field: 3})
+        assert not (tmp_path / "state.json").exists()
+        assert state_to_dict(qr.bell_state(), label="x", seed=7)["seed"] == 7
+
     def test_serialising_other_types_rejected(self):
         with pytest.raises(TypeError):
             state_to_dict(np.eye(2))

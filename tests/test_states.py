@@ -29,6 +29,15 @@ class TestPureStates:
         with pytest.raises(ValueError):
             qr.pure_state([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm fails no "greater than" test, so it once passed as normalised
+        for amplitudes in ([bad, 0.0], [0.0, bad], [1.0, bad * 1j]):
+            with pytest.raises(ValueError, match="normalised"):
+                qr.ket(amplitudes)
+        with pytest.raises(ValueError, match="normalised"):
+            qr.pure_state([bad, 0.0])
+
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             qr.ket("0x")
