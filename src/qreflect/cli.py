@@ -38,16 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    _verdict_tolerance,
-    ccn,
-    ccn_report,
-    concurrence_report,
-    ppt_test,
-    reduction_criterion,
-    reflection_report,
-    total_reflection_feasible,
-)
+from .criteria import _reports, _verdict_tolerance, ccn, total_reflection_feasible
 from .io import StateFormatError, parse_density
 from .linalg import min_eig
 from .properties import run_suite
@@ -137,20 +128,17 @@ def cmd_analyze(args):
         raise SystemExit(_error(EXIT_BAD_INPUT, str(exc)))
     digest = hashlib.sha256(raw).hexdigest()
     n = rho.n
-    reports = []
+    requests = [("ppt", _parse_subset(text)) for text in args.ppt or ()]
+    if args.ccn:
+        requests.append(("ccn", None))
+    if args.concurrence:
+        requests.append(("concurrence", None))
+    requests += [("reflection", _parse_subset(text)) for text in args.reflect or ()]
+    if args.feasible:
+        requests.append(("total-reflection", None))
+    requests += [("reduction", _parse_subset(text)) for text in args.reduction or ()]
     try:
-        for text in args.ppt or ():
-            reports.append(ppt_test(rho, _parse_subset(text), tol))
-        if args.ccn:
-            reports.append(ccn_report(rho, tol=tol))
-        if args.concurrence:
-            reports.append(concurrence_report(rho, tol))
-        for text in args.reflect or ():
-            reports.append(reflection_report(rho, _parse_subset(text), tol))
-        if args.feasible:
-            reports.append(total_reflection_feasible(rho, tol))
-        for text in args.reduction or ():
-            reports.append(reduction_criterion(rho, _parse_subset(text), tol))
+        reports = _reports(rho, requests, tol)
     except ValueError as exc:
         raise SystemExit(_error(EXIT_DIMENSION, str(exc)))
     result = {
@@ -173,7 +161,7 @@ def cmd_upb_demo(args):
     reflection = mask_total_reflection(3)
     bound_entangled = DensityState(apply_mask(reflection, separable))
     reflected_min = min_eig(bound_entangled)
-    ppt_reports = [ppt_test(bound_entangled, (q,), tol) for q in (1, 2, 3)]
+    ppt_reports = _reports(bound_entangled, [("ppt", (q,)) for q in (1, 2, 3)], tol)
     kets = upb_kets()
     component_minima = [min_eig(apply_mask(reflection, np.outer(vec, vec.conj()))) for vec in kets]
     overlaps = [float((vec.conj() @ bound_entangled.matrix @ vec).real) for vec in kets]

@@ -13,15 +13,15 @@ The verdict tolerance has one rule, :func:`_verdict_tolerance`: a finite float
 or int >= 0, not a bool.  Every report and :func:`feasibility` apply it on
 entry, before any solve, and so does the command line to ``QREFLECT_TOL``.
 
-The kernel witnesses solve their images straight from the operator's
-checked matrix.  :func:`reflection_report` and :func:`reduction_criterion`
-share one memoised lift solve per (operator, subset, scale), so for one
-qubit, where both read the same image, the pair costs one eigensolve.
+Every report comes from one evaluation pass over one state, :func:`_reports`,
+which checks each input once before any solve and solves each distinct kernel
+image once per call; nothing it memoises outlives the call.  :func:`_report`
+turns every witness into its verdict by one rule table.  The six public
+reports are one-request calls of the pass; ``analyze`` makes one call.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -35,11 +35,11 @@ from .stokes import (
     StokesTensor,
     _as_operator,
     _float_or_array,
+    _identity_times_reduction,
     _nonempty_subset,
+    _partial_transpose,
     _regroup,
     _single,
-    identity_times_reduction,
-    partial_transpose,
     stokes_as_matrix,
 )
 
@@ -73,17 +73,74 @@ def _verdict_tolerance(tol) -> float:
     return float(tol)
 
 
-def _entry(rho, tol) -> tuple[HermitianOperator, float]:
-    """The one checked operator and the checked tolerance a report starts from, the cheap check first."""
-    tol = _verdict_tolerance(tol)
-    return _single(_as_operator(rho)), tol
-
-
 def _proper_subset(subset, n: int) -> tuple[int, ...]:
     subset = _nonempty_subset(subset, n)
     if len(subset) >= n:
         raise ValueError(f"need a proper subset of 1..{n}, got {subset}")
     return subset
+
+
+# criterion: (subset rule, answering None for a criterion of the whole state; verdict rule at tolerance tol;
+#             the verdict where the witness meets the rule; the verdict otherwise)
+_RULES = {
+    "ppt": (_proper_subset, lambda w, tol: w < -tol, "entangled", "separable-consistent"),
+    "ccn": (lambda block, n: _ccn_block(n, block), lambda w, tol: w > 1.0 + tol, "entangled", "separable-consistent"),
+    "concurrence": (lambda _, n: _two_qubits(n), lambda w, tol: w > tol, "entangled", "separable-consistent"),
+    "reflection": (_nonempty_subset, lambda w, tol: w >= -tol, "feasible", "infeasible"),
+    "total-reflection": (lambda _, n: None, lambda w, tol: w >= -tol, "feasible", "infeasible"),
+    "reduction": (_proper_subset, lambda w, tol: w < -tol, "entangled", "separable-consistent"),
+}
+
+
+def _report(criterion: str, witness: float, subset, tol: float, extra=None) -> CriterionReport:
+    """The report of one witness, with the verdict of the criterion's rule in :data:`_RULES`."""
+    _, rule, met, unmet = _RULES[criterion]
+    return CriterionReport(criterion, met if rule(witness, tol) else unmet, witness, subset, tol, extra or {})
+
+
+def _reports(rho, requests, tol) -> list[CriterionReport]:
+    """One report per ``(criterion, subset)`` request on one state, each distinct image solved once.
+
+    The tolerance, the state and every request's subset are checked first, so
+    a bad request fails before any solve.  A reflection on ``S`` solves the
+    lift at scale ``2**(1-|S|)`` and a reduction tracing ``S`` at scale 1, so
+    for one qubit the two share one solve.  The partial transpose on the
+    complement of ``S`` is the full transpose of the one on ``S``, so both
+    have one spectrum: the memo keys it by the unordered cut and solves the
+    side requested first.  The memo keeps each witness, and the trace of a
+    lift that a reduction reports, as floats, never an image.
+    """
+    tol = _verdict_tolerance(tol)
+    op = _single(_as_operator(rho))
+    n = op.n
+    checked = [(criterion, _RULES[criterion][0](subset, n)) for criterion, subset in requests]
+    traced = {subset for criterion, subset in checked if criterion == "reduction"}
+    solved = {}
+    reports = []
+    for criterion, subset in checked:
+        extra = None
+        if criterion == "ppt":
+            cut = frozenset((subset, tuple(q for q in range(1, n + 1) if q not in subset)))
+            if cut not in solved:
+                solved[cut] = _lowest_eig(_partial_transpose(op, subset))
+            witness = solved[cut]
+        elif criterion in ("reflection", "reduction"):
+            scale = 1.0 if criterion == "reduction" else 2.0 ** (1 - len(subset))
+            if (subset, scale) not in solved:
+                image = scale * _identity_times_reduction(op, subset) - op.matrix
+                trace = float(np.trace(image).real) if scale == 1.0 and subset in traced else None
+                solved[subset, scale] = _lowest_eig(image), trace
+            witness, trace = solved[subset, scale]
+            if criterion == "reduction":
+                extra = {"trace": trace}
+        elif criterion == "ccn":
+            witness = _ccn(op, subset)
+        elif criterion == "concurrence":
+            witness = _concurrence(op)
+        else:
+            witness, extra = _feasibility(_eigenvalues(op), tol)
+        reports.append(_report(criterion, witness, subset, tol, extra))
+    return reports
 
 
 def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
@@ -94,11 +151,7 @@ def ppt_test(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     the axis-swap :func:`partial_transpose`; the sign mask
     ``mask_partial_transpose`` defines the same image and is its test oracle.
     """
-    op, tol = _entry(rho, tol)
-    subset = _proper_subset(subset, op.n)
-    witness = _lowest_eig(partial_transpose(op, subset))
-    verdict = "entangled" if witness < -tol else "separable-consistent"
-    return CriterionReport("ppt", verdict, witness, subset, tol)
+    return _reports(rho, [("ppt", subset)], tol)[0]
 
 
 def _ccn_block(n: int, block) -> tuple[int, ...]:
@@ -136,11 +189,7 @@ def ccn_via_stokes(s: StokesTensor):
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
     """:func:`ccn` with its verdict; the report names the checked block the value was measured on."""
-    op, tol = _entry(rho, tol)
-    block = _ccn_block(op.n, block)
-    value = _ccn(op, block)
-    verdict = "entangled" if value > 1.0 + tol else "separable-consistent"
-    return CriterionReport("ccn", verdict, value, block, tol)
+    return _reports(rho, [("ccn", block)], tol)[0]
 
 
 _YY = np.kron(PAULI[2], PAULI[2])
@@ -156,8 +205,18 @@ def concurrence(rho):
     value's rounding bit for bit.
     """
     op = _as_operator(rho)
-    if op.n != 2:
-        raise ValueError(f"concurrence is defined for two qubits, got n={op.n}")
+    _two_qubits(op.n)
+    return _concurrence(op)
+
+
+def _two_qubits(n: int) -> None:
+    """Refuse a qubit count other than 2, the only one concurrence is defined for."""
+    if n != 2:
+        raise ValueError(f"concurrence is defined for two qubits, got n={n}")
+
+
+def _concurrence(op: HermitianOperator):
+    """:func:`concurrence` of a checked two-qubit operator (or stack)."""
     values, vecs = np.linalg.eigh(op.matrix)
     values, vecs = values[..., ::-1].copy(), vecs[..., ::-1].copy()
     root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -167,10 +226,7 @@ def concurrence(rho):
 
 
 def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
-    op, tol = _entry(rho, tol)
-    value = concurrence(op)
-    verdict = "entangled" if value > tol else "separable-consistent"
-    return CriterionReport("concurrence", verdict, value, None, tol)
+    return _reports(rho, [("concurrence", None)], tol)[0]
 
 
 def lorentz_metric(s: StokesTensor):
@@ -190,23 +246,7 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(|S|-1) (rho + R_S rho)`` (``R_S``: partial reflection on ``S``), so
     for one traced qubit the comparison operator is ``R_S rho`` itself.
     """
-    op, tol = _entry(rho, tol)
-    traced = _proper_subset(traced, op.n)
-    witness, image = _lift_witness(op, traced, 1.0)
-    verdict = "entangled" if witness < -tol else "separable-consistent"
-    return CriterionReport("reduction", verdict, witness, traced, tol, {"trace": float(np.trace(image).real)})
-
-
-@functools.lru_cache(maxsize=8)
-def _lift_witness(op: HermitianOperator, subset: tuple[int, ...], scale: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue of ``scale * identity_times_reduction(op, subset) - op.matrix``, and that image.
-
-    A checked operator is immutable and hashes by identity, so each
-    (operator, subset, scale) is solved once; the cache is small because
-    one state's criteria run back to back.
-    """
-    image = scale * identity_times_reduction(op, subset) - op.matrix
-    return _lowest_eig(image), image
+    return _reports(rho, [("reduction", traced)], tol)[0]
 
 
 def complement(rho) -> HermitianOperator:
@@ -265,10 +305,7 @@ def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:
 
     All flags come from one spectrum of ``rho`` through the kernel of :func:`feasibility`.
     """
-    op, tol = _entry(rho, tol)
-    witness, flags = _feasibility(_eigenvalues(op), tol)
-    verdict = "feasible" if flags["exact_psd"] else "infeasible"
-    return CriterionReport("total-reflection", verdict, witness, None, tol, flags)
+    return _reports(rho, [("total-reflection", None)], tol)[0]
 
 
 def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
@@ -279,10 +316,7 @@ def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     ``2**(1-n) identity - rho``.  The sign mask ``mask_total_reflection``
     defines the same image and is its test oracle.  For one qubit the image
     is the comparison operator of :func:`reduction_criterion`, so the two
-    witnesses are equal and come from one solve.
+    witnesses are equal, and one :func:`_reports` pass that asks for both
+    solves it once.
     """
-    op, tol = _entry(rho, tol)
-    subset = _nonempty_subset(subset, op.n)
-    witness, _ = _lift_witness(op, subset, 2.0 ** (1 - len(subset)))
-    verdict = "feasible" if witness >= -tol else "infeasible"
-    return CriterionReport("reflection", verdict, witness, subset, tol)
+    return _reports(rho, [("reflection", subset)], tol)[0]

@@ -34,12 +34,12 @@ from .stokes import (
     _as_operator,
     _check_subset,
     _digits,
+    _identity_times_reduction,
     _label,
     _nonempty_subset,
     _qubits,
     _single,
     from_stokes,
-    identity_times_reduction,
     to_stokes,
 )
 
@@ -240,4 +240,4 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    return HermitianOperator((identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)
+    return HermitianOperator((_identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)

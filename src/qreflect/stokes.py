@@ -109,14 +109,18 @@ class _Checked:
         return a
 
     @staticmethod
-    def _require(ok, message: str, values=None) -> None:
-        """Raise ``message`` (formatted with the value) unless ``ok``; a stack names its first failing member."""
+    def _require(ok, message: str, values=None, scale: float = 1.0) -> None:
+        """Raise ``message`` (formatted with the value) unless ``ok``; a stack names its first failing member.
+
+        The value is multiplied by ``scale`` as a Python number, which reads
+        ``inf`` where a numpy scalar would warn of an overflow.
+        """
         if ok.ndim:
             if not ok.all():
                 k = int(ok.argmin())
-                raise ValueError(f"member {k}: " + message.format(None if values is None else values[k]))
+                raise ValueError(f"member {k}: " + message.format(None if values is None else values[k].item() * scale))
         elif not ok:
-            raise ValueError(message.format(values))
+            raise ValueError(message.format(None if values is None else values.item() * scale))
 
     def _keep(self, array: np.ndarray) -> None:
         array.setflags(write=False)
@@ -165,6 +169,15 @@ class HermitianOperator(_Checked):
     trace are measured on the input; ``matrix`` is the input's Hermitian
     part ``(m + m^dagger) / 2``, so every consumer reads an exactly
     Hermitian matrix and none symmetrizes it again.
+
+    Both checks and the Hermitian part are computed from ``m / (2 d)`` and
+    compared with tolerances scaled the same way, so no finite input can
+    overflow them: a difference of two entries, its modulus, a sum of ``d``
+    diagonal entries and the Hermitian part all stay below the float range.
+    Scaling by a power of two is exact above the subnormal range, so the
+    verdicts, the kept matrix (up to the sign of a zero entry) and the
+    messages are those of the unscaled formulas; a defect or a trace beyond
+    the float range reads ``inf``.
     """
 
     __slots__ = ()
@@ -172,13 +185,17 @@ class HermitianOperator(_Checked):
 
     def __init__(self, matrix, stack: bool = False):
         m = self._shaped(matrix, complex, stack)
-        adjoint = m.conj().swapaxes(-1, -2)
+        scale = 2.0 ** (self._n + 1)
+        scaled = m * (1.0 / scale)
+        adjoint = scaled.conj().swapaxes(-1, -2)
         axes = (-2, -1) if stack else None
-        herm_defect = np.abs(m - adjoint).max(axis=axes)
-        self._require(herm_defect <= HERMITICITY_TOL, "matrix is not Hermitian (defect {:.3e})", herm_defect)
-        trace = m.trace(axis1=-2, axis2=-1)
-        self._require(abs(trace - 1.0) <= TRACE_TOL, "trace must equal 1, got {:.12g}", trace)
-        self._keep((m + adjoint) / 2)
+        herm_defect = np.abs(scaled - adjoint).max(axis=axes)
+        self._require(
+            herm_defect <= HERMITICITY_TOL / scale, "matrix is not Hermitian (defect {:.3e})", herm_defect, scale
+        )
+        trace = scaled.trace(axis1=-2, axis2=-1)
+        self._require(abs(trace - 1.0 / scale) <= TRACE_TOL / scale, "trace must equal 1, got {:.12g}", trace, scale)
+        self._keep((scaled + adjoint) * (scale / 2))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -405,7 +422,12 @@ def partial_transpose(op, subset) -> np.ndarray:
     (one matrix per member of a stack) with the input's Hermiticity defect.
     """
     op = _as_operator(op)
-    n, swapped = op.n, _check_subset(subset, op.n)
+    return _partial_transpose(op, _check_subset(subset, op.n))
+
+
+def _partial_transpose(op: HermitianOperator, swapped: tuple[int, ...]) -> np.ndarray:
+    """:func:`partial_transpose` of a checked operator (or stack) on a checked subset."""
+    n = op.n
     # Row bits first, then column bits; a transposed qubit takes each from the other half.
     order = [q - 1 + n * (col != (q in swapped)) for col in (0, 1) for q in range(1, n + 1)]
     return _regroup(op.matrix, n, order, (2**n, 2**n))
@@ -428,8 +450,12 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     stack).
     """
     op = _as_operator(op)
+    return _identity_times_reduction(op, _nonempty_subset(subset, op.n))
+
+
+def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...]) -> np.ndarray:
+    """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset."""
     n = op.n
-    subset = _nonempty_subset(subset, n)
     lift = op.matrix.copy()
     for q in subset:
         # The leading -1 is the row block above qubit q; a stack's member axis folds into it.

@@ -20,12 +20,12 @@ MIXED = FIXTURES / "maximally_mixed_2q.json"
 NEAR_HERMITIAN = FIXTURES / "near_hermitian_3q.json"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "qreflect", *args],
+        [sys.executable, *python_flags, "-m", "qreflect", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -152,6 +152,29 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 1.2711610061536464e308, 0.0]},
+            {"n": 1, "format": "hermitian", "re": [[0.5, 1e308], [-1e308, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        ],
+        ids=["stokes-huge-off-diagonal", "hermitian-huge-defect"],
+    )
+    def test_overflowing_input_exits_2_with_warnings_as_errors(self, tmp_path, doc):
+        # a RuntimeWarning under -W error would be exit 1: the checks must not overflow on finite input
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", str(path), "--feasible", python_flags=("-X", "dev", "-W", "error"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Warning" not in proc.stderr
+
+    def test_labels_parse_before_any_criterion_checks_its_subset(self):
+        # a malformed label is exit 2 even after an out-of-range subset, which alone is exit 3
+        proc = run_cli("analyze", str(BELL), "--ppt", "D", "--reduction", "?")
+        assert proc.returncode == 2
+        assert "cannot parse qubit label" in proc.stderr
+
     @pytest.mark.parametrize("flag,text", [("--ppt", ""), ("--reflect", "A?"), ("--reduction", "\u00b2")])
     def test_unparseable_subset_exits_2(self, flag, text):
         proc = run_cli("analyze", str(BELL), flag, text)
@@ -224,6 +247,22 @@ class TestSolveOnce:
         _, reduction = self.solves_and_result(["analyze", str(path), "--reduction", qubit], monkeypatch, capsys)
         apart = {**reflect, "criteria": reflect["criteria"] + reduction["criteria"]}
         assert json.dumps(together, sort_keys=True) == json.dumps(apart, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "path,cut,rest,dim",
+        [(BELL, "A", "B", 4), (UPB, "A", "BC", 8)],
+        ids=["bell-A-B", "upb-A-BC"],
+    )
+    def test_a_cut_and_its_complement_share_one_solve(self, path, cut, rest, dim, monkeypatch, capsys):
+        argv = ["analyze", str(path), "--ppt", cut, "--ppt", rest]
+        solved, together = self.solves_and_result(argv, monkeypatch, capsys)
+        assert solved == [(dim, dim), (dim, dim)]  # the state and one cut
+        for report, side in zip(together["criteria"], (cut, rest)):
+            alone_solved, alone = self.solves_and_result(["analyze", str(path), "--ppt", side], monkeypatch, capsys)
+            assert alone_solved == [(dim, dim), (dim, dim)]
+            assert report["subset"] == alone["criteria"][0]["subset"]
+            assert report["verdict"] == alone["criteria"][0]["verdict"]
+            assert abs(report["witness"] - alone["criteria"][0]["witness"]) <= 1e-15
 
     def test_two_qubit_reflection_and_reduction_solve_apart(self, monkeypatch, capsys):
         # R_AB rho = lift / 2 - rho, while the reduction criterion solves lift - rho

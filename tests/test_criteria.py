@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURES, oracle_label
 
 import qreflect as qr
-from qreflect import criteria, properties
+from qreflect import criteria, properties, stokes
 from qreflect.io import load_density
 
 
@@ -236,14 +236,14 @@ class TestKernelImagesAreExactlyHermitian:
             return float(np.linalg.eigvalsh(image)[0])
 
         monkeypatch.setattr(criteria, "_lowest_eig", capture)
-        criteria._lift_witness.cache_clear()
         n = op.n
+        requests = []
         for size in range(1, n + 1):
             for subset in itertools.combinations(range(1, n + 1), size):
-                qr.reflection_report(op, subset)
+                requests.append(("reflection", subset))
                 if size < n:
-                    qr.ppt_test(op, subset)
-                    qr.reduction_criterion(op, subset)
+                    requests += [("ppt", subset), ("reduction", subset)]
+        criteria._reports(op, requests, 1e-10)
         return images
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -258,7 +258,8 @@ class TestKernelImagesAreExactlyHermitian:
     def test_near_hermitian_fixture(self, monkeypatch):
         # the input's anti-Hermitian part (about 9e-11) is within the load check; the kept matrix drops it
         images = self.solved_images(load_density(FIXTURES / "near_hermitian_3q.json"), monkeypatch)
-        assert len(images) == 6 + 7 + 3  # PPT cuts, reflections, and the reductions not shared with a reflection
+        # unordered PPT cuts, reflections, and the reductions not shared with a reflection
+        assert len(images) == 3 + 7 + 3
         for image in images:
             assert np.array_equal(image, image.conj().T)
 
@@ -431,3 +432,115 @@ class TestVerdictTolerance:
         report = qr.ccn_report(qr.random_density(4, "mixed_dirichlet", 3), [2, 1])
         assert calls == [[2, 1]]
         assert report.subset == (1, 2)
+
+    @pytest.mark.parametrize(
+        "report,subset",
+        [(qr.ppt_test, (2, 1)), (qr.reflection_report, (1,)), (qr.reduction_criterion, (2,))],
+        ids=["ppt", "reflection", "reduction"],
+    )
+    def test_each_report_checks_its_subset_once(self, report, subset, monkeypatch):
+        calls = []
+        checked = stokes._check_subset
+
+        def counted(given, n):
+            calls.append(given)
+            return checked(given, n)
+
+        monkeypatch.setattr(stokes, "_check_subset", counted)
+        answer = report(qr.random_density(3, "mixed_dirichlet", 5), subset)
+        assert calls == [subset]
+        assert answer.subset == tuple(sorted(subset))
+
+
+class TestVerdictRules:
+    """Each report's verdict flips where its rule says: ``< -tol``, ``> 1 + tol``, ``> tol`` or ``>= -tol``."""
+
+    # report, where the verdict flips as a function of the witness, verdict below that tolerance, verdict above it
+    RULES = {
+        "ppt": (lambda m, tol: qr.ppt_test(m, (1,), tol), lambda w: -w, "entangled", "separable-consistent"),
+        "ccn": (lambda m, tol: qr.ccn_report(m, tol=tol), lambda w: w - 1.0, "entangled", "separable-consistent"),
+        "concurrence": (lambda m, tol: qr.concurrence_report(m, tol), lambda w: w, "entangled", "separable-consistent"),
+        "reduction": (
+            lambda m, tol: qr.reduction_criterion(m, (1,), tol),
+            lambda w: -w,
+            "entangled",
+            "separable-consistent",
+        ),
+        "reflection": (lambda m, tol: qr.reflection_report(m, (1, 2), tol), lambda w: -w, "infeasible", "feasible"),
+        "total-reflection": (
+            lambda m, tol: qr.total_reflection_feasible(m, tol),
+            lambda w: -w,
+            "infeasible",
+            "feasible",
+        ),
+    }
+
+    @pytest.mark.parametrize("criterion", list(RULES))
+    def test_the_verdict_flips_at_the_witness_boundary(self, criterion):
+        report, boundary_of, below, above = self.RULES[criterion]
+        rho = qr.remix(qr.bell_state(), 0.9)
+        witness = report(rho, 0).witness
+        boundary = boundary_of(witness)
+        assert boundary > 0.01  # a tolerance on each side of it is a valid one
+        assert report(rho, 0).verdict == below
+        assert report(rho, boundary * (1 - 1e-9)).verdict == below
+        assert report(rho, boundary * (1 + 1e-9)).verdict == above
+        for tol in (boundary * (1 - 1e-9), boundary * (1 + 1e-9)):
+            assert report(rho, tol).witness == witness
+
+    @pytest.mark.parametrize("criterion", ["ppt", "concurrence", "reduction", "reflection", "total-reflection"])
+    def test_a_tolerance_equal_to_the_boundary_sides_with_the_rule(self, criterion):
+        # at the boundary itself the strict entanglement rules fail and the feasibility rule ">= -tol" holds,
+        # so every verdict reads as it does above the boundary
+        report, boundary_of, below, above = self.RULES[criterion]
+        rho = qr.remix(qr.bell_state(), 0.9)
+        boundary = boundary_of(report(rho, 0).witness)
+        assert report(rho, boundary).verdict == above
+        assert report(rho, np.nextafter(boundary, 0.0)).verdict == below
+
+
+class TestOnePass:
+    """``criteria._reports``: every check before any solve, each distinct image solved once, nothing kept."""
+
+    def test_every_subset_is_checked_before_any_solve(self, monkeypatch):
+        def no_solve(image):
+            raise AssertionError("solved before every request was checked")
+
+        monkeypatch.setattr(criteria, "_lowest_eig", no_solve)
+        with pytest.raises(ValueError, match="proper subset"):
+            criteria._reports(qr.bell_state(), [("ppt", (1,)), ("reflection", (1,)), ("reduction", (1, 2))], 0.0)
+
+    def test_one_pass_solves_each_distinct_image_once(self, monkeypatch, rng):
+        images = []
+
+        def capture(image):
+            images.append(image.shape)
+            return float(np.linalg.eigvalsh(image)[0])
+
+        monkeypatch.setattr(criteria, "_lowest_eig", capture)
+        rho = qr.random_density(3, "mixed_dirichlet", rng)
+        requests = [("ppt", (1,)), ("ppt", (2, 3)), ("ppt", (3, 2)), ("reflection", (2,)), ("reduction", (2,))]
+        requests += [("reflection", (1, 2)), ("reduction", (1, 2))]
+        reports = criteria._reports(rho, requests, 1e-10)
+        assert len(images) == 1 + 1 + 2  # one cut, the shared one-qubit lift, and the pair's two scales
+        assert reports[0].witness == reports[1].witness == reports[2].witness
+        assert reports[3].witness == reports[4].witness
+        for (criterion, subset), answer in zip(requests, reports):
+            alone = criteria._reports(rho, [(criterion, subset)], 1e-10)[0]
+            assert answer.to_dict() == {**alone.to_dict(), "witness": answer.witness}
+            assert abs(answer.witness - alone.witness) <= 1e-15
+
+    def test_reports_called_one_at_a_time_each_solve_their_own_image(self, monkeypatch, rng):
+        solved = []
+
+        def counting(image):
+            solved.append(image.shape)
+            return float(np.linalg.eigvalsh(image)[0])
+
+        monkeypatch.setattr(criteria, "_lowest_eig", counting)
+        rho = qr.random_density(2, "mixed_dirichlet", rng)
+        for _ in range(2):
+            qr.reflection_report(rho, (1,))
+            qr.reduction_criterion(rho, (1,))
+            qr.ppt_test(rho, (2,))
+        assert len(solved) == 6

@@ -117,6 +117,33 @@ class TestStokesConversion:
         with pytest.raises(ValueError, match="trace"):
             qr.from_stokes(tensor)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([[0.5, 1e308], [-1e308, 0.5]], r"not Hermitian \(defect inf\)"),
+            ([[0.5, 1.7e308 + 1.7e308j], [-1.7e308 + 1.7e308j, 0.5]], r"not Hermitian \(defect inf\)"),
+            (np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]), "trace must equal 1, got 0"),
+            (np.diag([1.7e308] * 4), "trace must equal 1, got inf"),
+        ],
+        ids=["defect", "defect-modulus", "cancelling-trace", "trace"],
+    )
+    def test_finite_entries_cannot_overflow_the_checks(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            qr.HermitianOperator(entries)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_hermitian_entries_keep_a_finite_hermitian_part(self):
+        m = np.array([[0.5, 9e307 - 1.7e308j], [9e307 + 1.7e308j, 0.5]])
+        assert np.array_equal(qr.HermitianOperator(m).matrix, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_kept_part_is_the_unscaled_hermitian_part(self, n, rng):
+        m = qr.random_density(n, "mixed_dirichlet", rng).matrix
+        m = m + 1e-11 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        m = m - np.eye(2**n) * (np.trace(m) - 1) / 2**n
+        assert np.array_equal(qr.HermitianOperator(m).matrix, (m + m.conj().T) / 2)
+
     def test_qubit_limit_enforced(self):
         with pytest.raises(ValueError):
             qr.HermitianOperator(np.eye(2**7) / 2**7)
