@@ -14,10 +14,13 @@ or int >= 0, not a bool.  Every report and :func:`feasibility` apply it on
 entry, before any solve, and so does the command line to ``QREFLECT_TOL``.
 
 Every report comes from one evaluation pass over one state, :func:`_reports`,
-which checks each input once before any solve and solves each distinct kernel
-image once per call; nothing it memoises outlives the call.  :func:`_report`
-turns every witness into its verdict by one rule table.  The six public
-reports are one-request calls of the pass; ``analyze`` makes one call.
+which checks each input once before any solve and solves each spectrum once
+per call, shared by every image that has it: a cut and its complement, the
+one-qubit reflections and reductions with the partial transpose on that
+qubit, and the full-set reflection with the total reflection.  Nothing it
+memoises outlives the call.  :func:`_report` turns every witness into its
+verdict by one rule table.  The six public reports are one-request calls of
+the pass; ``analyze`` makes one call.
 """
 
 from __future__ import annotations
@@ -99,46 +102,58 @@ def _report(criterion: str, witness: float, subset, tol: float, extra=None) -> C
 
 
 def _reports(rho, requests, tol) -> list[CriterionReport]:
-    """One report per ``(criterion, subset)`` request on one state, each distinct image solved once.
+    """One report per ``(criterion, subset)`` request on one state, each spectrum solved once.
 
     The tolerance, the state and every request's subset are checked first, so
-    a bad request fails before any solve.  A reflection on ``S`` solves the
-    lift at scale ``2**(1-|S|)`` and a reduction tracing ``S`` at scale 1, so
-    for one qubit the two share one solve.  The partial transpose on the
-    complement of ``S`` is the full transpose of the one on ``S``, so both
-    have one spectrum: the memo keys it by the unordered cut and solves the
-    side requested first.  The memo keeps each witness, and the trace of a
-    lift that a reduction reports, as floats, never an image.
+    a bad request fails before any solve.  The memo keys each witness by the
+    class of images that share one spectrum, and keeps floats and flags, never
+    an image:
+
+    * The partial transpose on the complement of ``S`` is the full transpose
+      of the one on ``S``: one solve per unordered cut, of the side requested
+      first.
+    * On one qubit ``tr(X) 1 - X = sigma_y X^T sigma_y``, so on a qubit ``q``
+      of two or more the reflection and the reduction image are both
+      ``R_q rho = Y_q rho^{T_q} Y_q``: they read the cut ``{q} | rest``.
+    * The reflection on the full set is ``2**(1-n) 1 - rho``: its witness
+      ``2**(1-n) - max(spectrum)`` comes from the spectrum the total
+      reflection reads, a state's own or one solve of a bare operator.
+    * On ``2 <= |S| < n`` qubits a reflection solves the lift at scale
+      ``2**(1-|S|)`` and a reduction at scale 1.
+
+    The lift has trace ``2**|S| tr(rho)``, so a reduction reports the trace
+    ``(2**|S| - 1) tr(rho)`` of its image.
     """
     tol = _verdict_tolerance(tol)
     op = _single(_as_operator(rho))
     n = op.n
     checked = [(criterion, _RULES[criterion][0](subset, n)) for criterion, subset in requests]
-    traced = {subset for criterion, subset in checked if criterion == "reduction"}
     solved = {}
     reports = []
     for criterion, subset in checked:
         extra = None
-        if criterion == "ppt":
+        if criterion == "ccn":
+            witness = _ccn(op, subset)
+        elif criterion == "concurrence":
+            witness = _concurrence(op)
+        elif criterion == "total-reflection" or criterion == "reflection" and len(subset) == n:
+            if None not in solved:
+                solved[None] = _feasibility(_eigenvalues(op), tol)
+            witness, flags = solved[None]
+            if criterion == "total-reflection":
+                extra = dict(flags)
+        elif criterion == "ppt" or len(subset) == 1:
             cut = frozenset((subset, tuple(q for q in range(1, n + 1) if q not in subset)))
             if cut not in solved:
                 solved[cut] = _lowest_eig(_partial_transpose(op, subset))
             witness = solved[cut]
-        elif criterion in ("reflection", "reduction"):
+        else:
             scale = 1.0 if criterion == "reduction" else 2.0 ** (1 - len(subset))
             if (subset, scale) not in solved:
-                image = scale * _identity_times_reduction(op, subset) - op.matrix
-                trace = float(np.trace(image).real) if scale == 1.0 and subset in traced else None
-                solved[subset, scale] = _lowest_eig(image), trace
-            witness, trace = solved[subset, scale]
-            if criterion == "reduction":
-                extra = {"trace": trace}
-        elif criterion == "ccn":
-            witness = _ccn(op, subset)
-        elif criterion == "concurrence":
-            witness = _concurrence(op)
-        else:
-            witness, extra = _feasibility(_eigenvalues(op), tol)
+                solved[subset, scale] = _lowest_eig(scale * _identity_times_reduction(op, subset) - op.matrix)
+            witness = solved[subset, scale]
+        if criterion == "reduction":
+            extra = {"trace": (2 ** len(subset) - 1) * float(np.trace(op.matrix).real)}
         reports.append(_report(criterion, witness, subset, tol, extra))
     return reports
 
@@ -242,9 +257,14 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
     """Positivity of ``identity on traced qubits (x) reduced state - rho``.
 
     A necessary condition for separability; the comparison operator has
-    trace ``2**len(traced) - 1`` and so is not itself a state.  The lift is
-    ``2**(|S|-1) (rho + R_S rho)`` (``R_S``: partial reflection on ``S``), so
-    for one traced qubit the comparison operator is ``R_S rho`` itself.
+    trace ``(2**len(traced) - 1) tr(rho)``, reported as ``extra["trace"]``,
+    and so is not itself a state.  The lift is ``2**(|S|-1) (rho + R_S rho)``
+    (``R_S``: partial reflection on ``S``), so for one traced qubit the
+    comparison operator is ``R_S rho`` itself.  On one qubit
+    ``tr(X) 1 - X = sigma_y X^T sigma_y``, so that operator is
+    ``Y_q rho^{T_q} Y_q`` and its witness is the :func:`ppt_test` witness on
+    ``q``, the one spectrum both solve: the 2 x N equivalence of the
+    reduction and PPT criteria.
     """
     return _reports(rho, [("reduction", traced)], tol)[0]
 
@@ -312,11 +332,17 @@ def reflection_report(rho, subset, tol: float = PSD_TOL) -> CriterionReport:
     """Positivity of the (possibly partial) reflection across ``subset``.
 
     The image is ``R_S rho = 2**(1-|S|) lift - rho`` with the lift of
-    :func:`identity_times_reduction`; the full set gives the complement
-    ``2**(1-n) identity - rho``.  The sign mask ``mask_total_reflection``
-    defines the same image and is its test oracle.  For one qubit the image
-    is the comparison operator of :func:`reduction_criterion`, so the two
-    witnesses are equal, and one :func:`_reports` pass that asks for both
-    solves it once.
+    :func:`identity_times_reduction`.  The sign mask ``mask_total_reflection``
+    defines the same image and is its test oracle.  Two cases read another
+    criterion's spectrum:
+
+    * The full set gives the complement ``2**(1-n) identity - rho``, whose
+      lowest eigenvalue is ``2**(1-n) - max(spectrum)``: the
+      :func:`total_reflection_feasible` witness, bit for bit.
+    * On one qubit ``q`` of several, ``tr(X) 1 - X = sigma_y X^T sigma_y``
+      gives ``R_q rho = Y_q rho^{T_q} Y_q``, so the witness is the
+      :func:`ppt_test` witness on ``q`` and that of
+      :func:`reduction_criterion`; one :func:`_reports` pass that asks for
+      them solves the partial transpose once.
     """
     return _reports(rho, [("reflection", subset)], tol)[0]

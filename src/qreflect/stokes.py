@@ -218,8 +218,15 @@ class DensityState(HermitianOperator):
         else:
             super().__init__(matrix, stack)
         spectrum = np.linalg.eigvalsh(self._array)
+        finite = np.isfinite(spectrum).all(axis=-1)
         lowest = spectrum.T[0]
-        self._require(lowest >= -PSD_TOL, "matrix has a negative eigenvalue {:.3e}", lowest)
+        positive = lowest >= -PSD_TOL
+        # A finite matrix can have eigenvalues beyond the float range, which read nan.  Only the members up to
+        # the first one failing either check are read for finiteness, so a stack names its first failing member.
+        if finite.ndim:
+            finite = finite[: int((finite & positive).argmin()) + 1]
+        self._require(finite, "the spectrum is not finite (beyond the float range)")
+        self._require(positive, "matrix has a negative eigenvalue {:.3e}", lowest)
         spectrum.setflags(write=False)
         self._spectrum = spectrum
 
@@ -341,8 +348,14 @@ def to_stokes(op) -> StokesTensor:
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
-    """Inverse of :func:`to_stokes`."""
-    return HermitianOperator(_deinterleaved(_apply_per_qubit([_K_FROM] * s.n, s.values), s.n), s.is_stack)
+    """Inverse of :func:`to_stokes`.
+
+    Finite values can sum past the float range; such entries read ``inf`` or
+    ``nan`` with no warning, and the operator's finite check refuses them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
+    return HermitianOperator(_deinterleaved(matrix, s.n), s.is_stack)
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:

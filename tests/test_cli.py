@@ -11,13 +11,22 @@ import numpy as np
 import pytest
 from conftest import FIXTURES
 
+import qreflect as qr
 from qreflect import cli, reflections, stokes
+from qreflect.io import write_state
 
 BELL = FIXTURES / "bell.json"
 BELL_STOKES = FIXTURES / "bell_stokes.json"
 UPB = FIXTURES / "upb_separable.json"
 MIXED = FIXTURES / "maximally_mixed_2q.json"
 NEAR_HERMITIAN = FIXTURES / "near_hermitian_3q.json"
+# finite, Hermitian and of trace one, with eigenvalues +-2.4e308 beyond the float range
+HUGE_SPECTRUM = {
+    "n": 1,
+    "format": "hermitian",
+    "re": [[0.5, 1.7e308], [1.7e308, 0.5]],
+    "im": [[0.0, 1.7e308], [-1.7e308, 0.0]],
+}
 
 
 def run_cli(*args, env_extra=None, python_flags=()):
@@ -157,8 +166,15 @@ class TestAnalyze:
         [
             {"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 1.2711610061536464e308, 0.0]},
             {"n": 1, "format": "hermitian", "re": [[0.5, 1e308], [-1e308, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"n": 2, "format": "stokes", "values": [0.5, 0.0, 0.0, 1.7e308] + [0.0] * 11 + [1.7e308]},
+            HUGE_SPECTRUM,
         ],
-        ids=["stokes-huge-off-diagonal", "hermitian-huge-defect"],
+        ids=[
+            "stokes-huge-off-diagonal",
+            "hermitian-huge-defect",
+            "stokes-transform-overflow",
+            "hermitian-huge-spectrum",
+        ],
     )
     def test_overflowing_input_exits_2_with_warnings_as_errors(self, tmp_path, doc):
         # a RuntimeWarning under -W error would be exit 1: the checks must not overflow on finite input
@@ -168,6 +184,15 @@ class TestAnalyze:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "Warning" not in proc.stderr
+
+    def test_a_spectrum_beyond_the_float_range_is_named(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(HUGE_SPECTRUM))
+        proc = run_cli("analyze", str(path), "--feasible")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: state in {path} is not a density operator: the spectrum is not finite (beyond the float range)\n"
+        )
 
     def test_labels_parse_before_any_criterion_checks_its_subset(self):
         # a malformed label is exit 2 even after an out-of-range subset, which alone is exit 3
@@ -202,8 +227,10 @@ class TestSolveOnce:
             solved.append(np.shape(matrix))
             return eigvalsh(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        assert cli.main(argv) == 0
+        # undone on return, so a later call counts into its own list only
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigvalsh", counting)
+            assert cli.main(argv) == 0
         return solved, json.loads(capsys.readouterr().out)["result"]
 
     def test_feasible_analyze_solves_the_state_once(self, monkeypatch, capsys):
@@ -233,16 +260,42 @@ class TestSolveOnce:
         monkeypatch.setattr(reflections.SignMask, "__init__", counting("SignMask", reflections.SignMask.__init__))
         argv = ["analyze", str(UPB), "--ppt", "A", "--ppt", "B", "--ppt", "C", "--reflect", "A", "--feasible"]
         assert cli.main(argv + ["--reduction", "A"]) == 0
-        # the state, three PPT cuts, and one lift that --reflect A and --reduction A share
-        assert calls == {"eigvalsh": 5, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
+        # the state and the three PPT cuts; --reflect A and --reduction A read the cut A | BC
+        assert calls == {"eigvalsh": 4, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
         assert len(json.loads(capsys.readouterr().out)["result"]["criteria"]) == 6
+
+    @pytest.mark.parametrize("fmt", ["hermitian", "stokes"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_applicable_criterion_solves_the_state_and_each_single_qubit_cut(
+        self, n, fmt, tmp_path, monkeypatch, capsys
+    ):
+        # --ppt on each qubit, --ccn for even n, --concurrence for n=2, and --reflect A --feasible --reduction A
+        rho = qr.random_density(n, "mixed_dirichlet", np.random.default_rng(n))
+        path = tmp_path / "state.json"
+        write_state(path, rho if fmt == "hermitian" else qr.to_stokes(rho))
+        letters = [chr(ord("A") + q) for q in range(n)]
+        argv = ["analyze", str(path)] + [arg for letter in letters for arg in ("--ppt", letter)]
+        argv += ["--ccn"] * (n % 2 == 0) + ["--concurrence"] * (n == 2)
+        argv += ["--reflect", "A", "--feasible", "--reduction", "A"]
+        solved, result = self.solves_and_result(argv, monkeypatch, capsys)
+        # the state and one partial transpose per unordered single-qubit cut; the cut A | B is one at n=2
+        assert solved == [(2**n, 2**n)] * (2 if n == 2 else n + 1)
+        everything = ["--reflect", "".join(letters)]
+        solved_too, result_too = self.solves_and_result(argv + everything, monkeypatch, capsys)
+        assert solved_too == solved  # the full-set reflection reads the state's spectrum
+        # the reflections are reported in order, so the full set's comes right after A's
+        full = result_too["criteria"].pop(-3)
+        assert result_too["criteria"] == result["criteria"]
+        assert (full["criterion"], full["subset"]) == ("reflection", list(range(1, n + 1)))
+        feasible = result["criteria"][-2]
+        assert (full["witness"], full["verdict"]) == (feasible["witness"], feasible["verdict"])
 
     @pytest.mark.parametrize("path", [BELL, UPB, NEAR_HERMITIAN], ids=lambda p: p.stem)
     @pytest.mark.parametrize("qubit", ["A", "B"])
     def test_one_qubit_reflection_and_reduction_share_one_solve(self, path, qubit, monkeypatch, capsys):
         both = ["analyze", str(path), "--reflect", qubit, "--reduction", qubit]
         solved, together = self.solves_and_result(both, monkeypatch, capsys)
-        assert len(solved) == 2  # the state and one lift
+        assert len(solved) == 2  # the state and the partial transpose on that qubit, which both read
         _, reflect = self.solves_and_result(["analyze", str(path), "--reflect", qubit], monkeypatch, capsys)
         _, reduction = self.solves_and_result(["analyze", str(path), "--reduction", qubit], monkeypatch, capsys)
         apart = {**reflect, "criteria": reflect["criteria"] + reduction["criteria"]}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import FIXTURES, oracle_label
 import qreflect as qr
 from qreflect import criteria, properties, stokes
 from qreflect.io import load_density
+from qreflect.stokes import identity_times_reduction
 
 
 def random_separable(rng, terms=3):
@@ -219,9 +221,28 @@ class TestMatrixKernelWitnesses:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_qubit_reflection_is_the_reduction_criterion(self, n, rng):
+        # R_q rho = Y_q rho^{T_q} Y_q, so each report solves the one partial transpose on q
         rho = qr.random_density(n, "mixed_dirichlet", rng)
         for q in range(1, n + 1):
-            assert qr.reflection_report(rho, (q,)).witness == qr.reduction_criterion(rho, (q,)).witness
+            witness = qr.ppt_test(rho, (q,)).witness
+            assert qr.reflection_report(rho, (q,)).witness == qr.reduction_criterion(rho, (q,)).witness == witness
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_set_reflection_is_the_total_reflection_witness(self, n, rng):
+        everything = tuple(range(1, n + 1))
+        dim = 2**n
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (h + h.conj().T) / 2
+        # a trace 5e-11 away from 1, inside the load check, and no positivity
+        off_trace = h + np.eye(dim) * (1 + 5e-11 - np.trace(h).real) / dim
+        for rho in (qr.random_density(n, "mixed_dirichlet", rng), qr.HermitianOperator(off_trace), off_trace):
+            witness = qr.reflection_report(rho, everything).witness
+            assert witness == qr.total_reflection_feasible(rho).witness
+            # the lift of the full set is tr(rho) 1, so the lift route differs by 2**(1-n) |tr(rho) - 1|
+            op = qr.HermitianOperator(rho) if isinstance(rho, np.ndarray) else rho
+            lifted = 2.0 ** (1 - n) * identity_times_reduction(op, everything) - op.matrix
+            bound = 2.0 ** (1 - n) * abs(np.trace(op.matrix).real - 1) + 1e-15
+            assert abs(witness - np.linalg.eigvalsh(lifted)[0]) <= bound
 
 
 class TestKernelImagesAreExactlyHermitian:
@@ -251,15 +272,17 @@ class TestKernelImagesAreExactlyHermitian:
     def test_random_states(self, n, mode, rng, monkeypatch):
         c = 2.0 ** (1 - n) if mode == "bounded_spectrum" else None
         images = self.solved_images(qr.random_density(n, mode, rng, c=c), monkeypatch)
-        assert images
+        # one per unordered cut, which the one-qubit reflections and reductions read too, and a reflection and
+        # a reduction lift per subset of 2..n-1 qubits; the full-set reflection reads the state's spectrum
+        assert len(images) == 2 ** (n - 1) - 1 + 2 * sum(math.comb(n, size) for size in range(2, n))
         for image in images:
             assert np.array_equal(image, image.conj().T)
 
     def test_near_hermitian_fixture(self, monkeypatch):
         # the input's anti-Hermitian part (about 9e-11) is within the load check; the kept matrix drops it
         images = self.solved_images(load_density(FIXTURES / "near_hermitian_3q.json"), monkeypatch)
-        # unordered PPT cuts, reflections, and the reductions not shared with a reflection
-        assert len(images) == 3 + 7 + 3
+        # the unordered PPT cuts, then a reflection and a reduction lift per two-qubit subset
+        assert len(images) == 3 + 3 + 3
         for image in images:
             assert np.array_equal(image, image.conj().T)
 
@@ -522,7 +545,8 @@ class TestOnePass:
         requests = [("ppt", (1,)), ("ppt", (2, 3)), ("ppt", (3, 2)), ("reflection", (2,)), ("reduction", (2,))]
         requests += [("reflection", (1, 2)), ("reduction", (1, 2))]
         reports = criteria._reports(rho, requests, 1e-10)
-        assert len(images) == 1 + 1 + 2  # one cut, the shared one-qubit lift, and the pair's two scales
+        # the cut {1} | {2, 3}, the cut {2} | {1, 3} that the one-qubit pair reads, and the pair's two lift scales
+        assert len(images) == 1 + 1 + 2
         assert reports[0].witness == reports[1].witness == reports[2].witness
         assert reports[3].witness == reports[4].witness
         for (criterion, subset), answer in zip(requests, reports):

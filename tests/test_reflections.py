@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    SIGMA,
     oracle_apply_real_density_mask,
     oracle_choi_matrix_of_map,
     oracle_partial_transpose,
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import qreflect as qr
 from qreflect import properties
 from qreflect.reflections import SignMask
+from qreflect.stokes import _digits, identity_times_reduction, partial_transpose
 
 
 def stokes_of(rho):
@@ -432,6 +434,41 @@ class TestLocalOrthogonal:
             blocks[2, 1, 2] = np.nan
         with pytest.raises(ValueError, match=match):
             qr.LocalOrthogonalMap([np.eye(4), blocks])
+
+
+class TestOneQubitReflectionIsAConjugatedTranspose:
+    """On one qubit ``tr(X) 1 - X = sigma_y X^T sigma_y``, so ``R_q rho = Y_q rho^{T_q} Y_q``."""
+
+    @staticmethod
+    def sigma_y_on(n, q):
+        return np.kron(np.kron(np.eye(2 ** (q - 1)), SIGMA[2]), np.eye(2 ** (n - q)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_two_masks_differ_by_sigma_y_conjugation(self, n, rng):
+        rho = qr.random_density(n, "mixed_dirichlet", rng)
+        for q in range(1, n + 1):
+            product = qr.mask_total_reflection(n, (q,)).signs * qr.mask_partial_transpose(n, (q,)).signs
+            # flipped exactly where qubit q's digit is 1 or 3: sigma_y conjugation negates sigma_x and sigma_z
+            digit = _digits(n)[:, q - 1]
+            assert np.array_equal(product, np.where((digit == 1) | (digit == 3), -1.0, 1.0))
+            y = self.sigma_y_on(n, q)
+            assert np.abs(qr.apply_mask(SignMask(product), rho).matrix - y @ rho.matrix @ y).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("positive", [True, False], ids=["state", "non-positive"])
+    def test_the_reduction_image_is_the_conjugated_partial_transpose(self, n, positive, rng):
+        if positive:
+            op = qr.random_density(n, "mixed_dirichlet", rng)
+        else:
+            dim = 2**n
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = (h + h.conj().T) / 2
+            op = qr.HermitianOperator(h + np.eye(dim) * (1 - np.trace(h).real) / dim)
+            assert np.linalg.eigvalsh(op.matrix)[0] < 0
+        for q in range(1, n + 1):
+            y = self.sigma_y_on(n, q)
+            reduction = identity_times_reduction(op, (q,)) - op.matrix
+            assert np.abs(reduction - y @ partial_transpose(op, (q,)) @ y).max() <= 1e-15
 
 
 class TestOperatorSums:

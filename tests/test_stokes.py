@@ -118,6 +118,44 @@ class TestStokesConversion:
             qr.from_stokes(tensor)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_values_summing_past_the_float_range_are_refused_by_from_stokes(self, stack):
+        # finite Stokes values whose sums in the Pauli transform overflow: refused by the finite check, no warning
+        values = np.zeros((3, 16))
+        values[:, 0] = 0.5
+        values[1, [3, 15]] = 1.7e308
+        tensor = StokesTensor(values, stack=True) if stack else StokesTensor(values[1])
+        with pytest.raises(ValueError, match=("member 1: " if stack else "^") + "entries must be finite"):
+            qr.from_stokes(tensor)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_spectrum_beyond_the_float_range_is_refused_as_such(self):
+        # finite, Hermitian and of trace one, but the eigenvalues are +-2.4e308: eigvalsh answers nan
+        m = np.array([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]])
+        assert np.array_equal(qr.HermitianOperator(m).matrix, m)
+        with pytest.raises(ValueError, match=r"^the spectrum is not finite \(beyond the float range\)$"):
+            qr.DensityState(m)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "order,match",
+        [
+            (("negative", "non-finite"), "member 1: matrix has a negative eigenvalue"),
+            (("non-finite", "negative"), "member 1: the spectrum is not finite"),
+        ],
+        ids=["negative-first", "non-finite-first"],
+    )
+    def test_a_stack_names_the_first_member_failing_either_spectral_check(self, order, match):
+        ops = np.stack([np.eye(2, dtype=complex) / 2] * 4)
+        bad = {
+            "negative": np.diag([1.5, -0.5]),
+            "non-finite": np.array([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]]),
+        }
+        ops[1], ops[2] = bad[order[0]], bad[order[1]]
+        with pytest.raises(ValueError, match=match):
+            qr.DensityState(ops, stack=True)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "entries,message",
         [
@@ -467,7 +505,8 @@ class TestStacks:
         assert qr.HermitianOperator((np.eye(2) / 2)[None], stack=True).is_stack
 
     @pytest.mark.parametrize(
-        "kind", ["non-hermitian", "trace", "nan", "negative-eigenvalue", "affine", "cancelled-trace"]
+        "kind",
+        ["non-hermitian", "trace", "nan", "negative-eigenvalue", "non-finite-spectrum", "affine", "cancelled-trace"],
     )
     def test_one_bad_member_is_named(self, kind):
         ops = np.stack([np.eye(4, dtype=complex) / 4] * 4)
@@ -485,6 +524,9 @@ class TestStacks:
         elif kind == "negative-eigenvalue":
             ops[2] = np.diag([0.5, 0.5, 0.25, -0.25])
             build, match = lambda: qr.DensityState(ops, stack=True), "member 2: matrix has a negative eigenvalue"
+        elif kind == "non-finite-spectrum":
+            ops[2, 0, 1], ops[2, 1, 0] = 1.7e308 + 1.7e308j, 1.7e308 - 1.7e308j
+            build, match = lambda: qr.DensityState(ops, stack=True), "member 2: the spectrum is not finite"
         elif kind == "affine":
             values[2, 0] = 0.0
             build, match = lambda: StokesTensor(values, stack=True), "member 2: affine component"
