@@ -38,17 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .criteria import _reports, _verdict_tolerance, ccn, total_reflection_feasible
+from .criteria import _reports, _verdict_tolerance, complement, feasibility, total_reflection_feasible
 from .io import StateFormatError, parse_density
 from .linalg import min_eig
 from .properties import run_suite
-from .reflections import (
-    apply_mask,
-    classify,
-    mask_partial_transpose,
-    mask_spin_flip,
-    mask_total_reflection,
-)
+from .reflections import classify, mask_partial_transpose, mask_spin_flip, mask_total_reflection
 from .states import upb_kets, upb_separable
 from .stokes import PSD_TOL, DensityState, _digits
 
@@ -157,30 +151,30 @@ def cmd_analyze(args):
 def cmd_upb_demo(args):
     tol = _tolerance()
     separable = upb_separable()
-    feasibility = total_reflection_feasible(separable, tol)
-    reflection = mask_total_reflection(3)
-    bound_entangled = DensityState(apply_mask(reflection, separable))
-    reflected_min = min_eig(bound_entangled)
-    ppt_reports = _reports(bound_entangled, [("ppt", (q,)) for q in (1, 2, 3)], tol)
+    # The reflected mixture is the complement, so its lowest eigenvalue is this report's witness.
+    reflected = total_reflection_feasible(separable, tol)
+    bound_entangled = complement(separable)
+    cuts = _reports(bound_entangled, [(criterion, (q,)) for criterion in ("ppt", "ccn") for q in (1, 2, 3)], tol)
+    ppt_reports = cuts[:3]
     kets = upb_kets()
-    component_minima = [min_eig(apply_mask(reflection, np.outer(vec, vec.conj()))) for vec in kets]
+    components = DensityState(np.stack([np.outer(vec, vec.conj()) for vec in kets]), stack=True)
+    component_minima = feasibility(components.spectrum, tol)[0].tolist()
     overlaps = [float((vec.conj() @ bound_entangled.matrix @ vec).real) for vec in kets]
-    cross_norms = {f"cut_{q}": ccn(bound_entangled, (q,)) for q in (1, 2, 3)}
     result = {
-        "separable_feasible": feasibility.extra,
-        "reflected_min_eig": reflected_min,
-        "reflected_is_density": bool(reflected_min >= -tol),
+        "separable_feasible": reflected.extra,
+        "reflected_min_eig": reflected.witness,
+        "reflected_is_density": reflected.verdict == "feasible",
         "ppt_cuts": [r.to_dict() for r in ppt_reports],
         "component_min_eigs": component_minima,
         "components_all_nonpositive": bool(max(component_minima) < -1e-6),
         "support_overlaps": overlaps,
-        "cross_norms": cross_norms,
+        "cross_norms": {f"cut_{r.subset[0]}": r.witness for r in cuts[3:]},
     }
     lines = [
-        f"reflected separable mixture: min_eig={reflected_min:+.6e} -> density={result['reflected_is_density']}",
+        f"reflected separable mixture: min_eig={reflected.witness:+.6e} -> density={result['reflected_is_density']}",
         "ppt cuts: " + ", ".join(f"{r.subset}: {r.verdict}" for r in ppt_reports),
         "reflected components min_eig: " + ", ".join(f"{v:+.3e}" for v in component_minima),
-        "cross norms per cut: " + ", ".join(f"{k}={v:.6f}" for k, v in cross_norms.items()),
+        "cross norms per cut: " + ", ".join(f"{k}={v:.6f}" for k, v in result["cross_norms"].items()),
     ]
     return EXIT_OK, None, result, lines
 

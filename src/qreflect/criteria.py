@@ -39,6 +39,7 @@ from .stokes import (
     _as_operator,
     _float_or_array,
     _identity_times_reduction,
+    _is_real,
     _nonempty_subset,
     _partial_transpose,
     _regroup,
@@ -71,7 +72,7 @@ class CriterionReport:
 
 def _verdict_tolerance(tol) -> float:
     """A verdict tolerance as a float; a bool, NaN, infinity, a negative number or a non-number is an error."""
-    if isinstance(tol, bool) or not isinstance(tol, (float, int, np.floating, np.integer)) or not 0 <= tol <= _FLOAT_MAX:
+    if not _is_real(tol) or not 0 <= tol <= _FLOAT_MAX:
         raise ValueError(f"tolerances must be finite numbers >= 0, got {tol!r}")
     return float(tol)
 

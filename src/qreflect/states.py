@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from .stokes import DensityState, _as_operator, _label, _qubits, _squared_norms, qubit_count
+from .criteria import complement
+from .stokes import DensityState, _as_operator, _is_real, _label, _qubits, _squared_norms, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -70,9 +71,10 @@ def upb_bound_entangled() -> DensityState:
     """Normalised projector onto the complement of the product-ket span.
 
     This is the three-qubit bound entangled state: positive semidefinite,
-    positive under every partial transpose, yet nonseparable.
+    positive under every partial transpose, yet nonseparable.  It is the
+    :func:`~qreflect.criteria.complement` of :func:`upb_separable`.
     """
-    return DensityState(np.eye(8) / 4 - upb_separable().matrix)
+    return DensityState(complement(upb_separable()))
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -144,7 +146,7 @@ def random_density(
         raise ValueError(f"unknown mode {mode!r}")
     spectrum = rng.dirichlet(np.ones(dim), size=size)
     if mode == "bounded_spectrum":
-        if c is None or not (2.0**-n < c <= 1.0):
+        if not _is_real(c) or not 2.0**-n < c <= 1.0:
             raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
         top = spectrum.max(axis=-1, keepdims=True)
         mix = 2.0**-n
@@ -155,8 +157,8 @@ def random_density(
 
 
 def remix(rho, w: float) -> DensityState:
-    """Convex mixture ``(1 - w) * maximally mixed + w * rho``."""
-    if not 0.0 <= w <= 1.0:
+    """Convex mixture ``(1 - w) * maximally mixed + w * rho``; a bool or a non-number weight is an error."""
+    if not _is_real(w) or not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w}")
     op = _as_operator(rho)
     dim = 2**op.n

@@ -293,17 +293,22 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
     same 2-D steps as one value, with wider matrices.  A kernel with a
     leading member axis (one 4x4 per member of the stack) acts on each
     member with its own matrix.
+
+    Finite values can sum past the float range; such entries read ``inf`` or
+    ``nan`` with no warning, and the finite check of the checked type each
+    caller builds from the image refuses them.
     """
     shape = values.shape
     values = values.T
-    for m, k in enumerate(kernels):
-        if k.ndim == 2:
-            values = (k @ values.reshape(4, -1)).T
-        else:
-            # Axes (this digit, later digits, member, earlier outputs) with the member moved first.
-            per_member = values.reshape(4, 4 ** (len(kernels) - 1 - m), len(k), 4**m).transpose(2, 0, 1, 3)
-            image = k @ per_member.reshape(len(k), 4, -1)
-            values = image.reshape(per_member.shape).transpose(1, 2, 0, 3).reshape(4, -1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, k in enumerate(kernels):
+            if k.ndim == 2:
+                values = (k @ values.reshape(4, -1)).T
+            else:
+                # Axes (this digit, later digits, member, earlier outputs) with the member moved first.
+                per_member = values.reshape(4, 4 ** (len(kernels) - 1 - m), len(k), 4**m).transpose(2, 0, 1, 3)
+                image = k @ per_member.reshape(len(k), 4, -1)
+                values = image.reshape(per_member.shape).transpose(1, 2, 0, 3).reshape(4, -1).T
     return values.reshape(shape)
 
 
@@ -348,20 +353,21 @@ def to_stokes(op) -> StokesTensor:
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
-    """Inverse of :func:`to_stokes`.
-
-    Finite values can sum past the float range; such entries read ``inf`` or
-    ``nan`` with no warning, and the operator's finite check refuses them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
+    """Inverse of :func:`to_stokes`."""
+    matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
     return HermitianOperator(_deinterleaved(matrix, s.n), s.is_stack)
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
-    """Real unfolding of a Stokes tensor, multiplicative over tensor factors."""
+    """Real unfolding of a Stokes tensor, multiplicative over tensor factors.
+
+    Finite values can scale past the float range; such entries read ``inf``
+    with no warning, and the finite check refuses them.
+    """
     # Each digit splits as 2 * col + row, so it de-interleaves to the transpose.
-    return RealDensityMatrix(_deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2), s.is_stack)
+    with np.errstate(over="ignore"):
+        entries = _deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2)
+    return RealDensityMatrix(entries, s.is_stack)
 
 
 def real_density_to_stokes(sigma) -> StokesTensor:
@@ -403,6 +409,11 @@ def _label(q, what: str = "qubit labels") -> int:
     if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
         raise ValueError(f"{what} must be integers, got {q!r}")
     return operator.index(q)
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number: a Python or numpy float or int, not a bool (nor a string or None)."""
+    return not isinstance(x, bool) and isinstance(x, (float, int, np.floating, np.integer))
 
 
 def _qubits(n) -> int:

@@ -240,8 +240,11 @@ class TestSolveOnce:
         assert result["min_eig"] == pytest.approx(0.0, abs=1e-14)
 
 
-    def test_kernel_verdicts_make_no_stokes_hops(self, monkeypatch, capsys):
-        calls = {"eigvalsh": 0, "to_stokes": 0, "from_stokes": 0, "SignMask": 0}
+    @staticmethod
+    def counting_calls(monkeypatch, linalg_names, extra=()):
+        """A dict counting the calls of each named ``np.linalg`` function, ``to_stokes``, ``from_stokes`` and each
+        ``(owner, attribute, key)`` in ``extra``, filled as the calls happen."""
+        calls = dict.fromkeys([*linalg_names, "to_stokes", "from_stokes", *(key for _, _, key in extra)], 0)
 
         def counting(key, fn):
             def counted(*args, **kwargs):
@@ -250,14 +253,20 @@ class TestSolveOnce:
 
             return counted
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        for name in linalg_names:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for name in ("to_stokes", "from_stokes"):
             # bound by name in several modules, so patch every binding of the original
             original = getattr(stokes, name)
             for module in [m for key, m in sys.modules.items() if key.startswith("qreflect.")]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
-        monkeypatch.setattr(reflections.SignMask, "__init__", counting("SignMask", reflections.SignMask.__init__))
+        for owner, attribute, key in extra:
+            monkeypatch.setattr(owner, attribute, counting(key, getattr(owner, attribute)))
+        return calls
+
+    def test_kernel_verdicts_make_no_stokes_hops(self, monkeypatch, capsys):
+        calls = self.counting_calls(monkeypatch, ["eigvalsh"], [(reflections.SignMask, "__init__", "SignMask")])
         argv = ["analyze", str(UPB), "--ppt", "A", "--ppt", "B", "--ppt", "C", "--reflect", "A", "--feasible"]
         assert cli.main(argv + ["--reduction", "A"]) == 0
         # the state and the three PPT cuts; --reflect A and --reduction A read the cut A | BC
@@ -449,6 +458,29 @@ class TestUpbDemo:
         assert all(r["verdict"] == "separable-consistent" for r in result["ppt_cuts"])
         assert max(abs(o) for o in result["support_overlaps"]) < 1e-12
         assert set(result["cross_norms"]) == {"cut_1", "cut_2", "cut_3"}
+
+    @pytest.mark.parametrize("setting", [None, "0"], ids=["default", "zero"])
+    def test_the_reflected_mixture_is_read_off_the_separable_report(self, setting, monkeypatch, capsys):
+        # the image is the complement of the separable mixture, so both fields come from one report
+        if setting is not None:
+            monkeypatch.setenv("QREFLECT_TOL", setting)
+        tol = stokes.PSD_TOL if setting is None else float(setting)
+        assert cli.main(["upb-demo"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        report = qr.total_reflection_feasible(qr.upb_separable(), tol)
+        assert result["reflected_is_density"] is result["separable_feasible"]["exact_psd"] is True
+        assert result["separable_feasible"] == report.extra
+        assert np.float64(result["reflected_min_eig"]).tobytes() == np.float64(report.witness).tobytes()
+
+    def test_one_producer_per_fact(self, monkeypatch, capsys):
+        calls = TestSolveOnce.counting_calls(monkeypatch, ["eigvalsh", "svd"])
+        assert cli.main(["upb-demo"]) == 0
+        # the separable mixture, the complement's three PPT cuts and one stack of the four components;
+        # one singular-value solve per cross norm, and no Pauli transform
+        assert calls == {"eigvalsh": 5, "svd": 3, "to_stokes": 0, "from_stokes": 0}
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["cross_norms"] == {f"cut_{q}": qr.ccn(qr.upb_bound_entangled(), (q,)) for q in (1, 2, 3)}
+        assert result["component_min_eigs"] == pytest.approx([-0.75] * 4, abs=1e-15)
 
 
 class TestProp:

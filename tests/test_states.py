@@ -86,8 +86,9 @@ class TestUpbFamily:
             assert abs(vec.conj() @ bound.matrix @ vec) < 1e-13
 
     def test_complement_relation(self):
+        # the bound entangled state is built as this complement, bit for bit
         lhs = qr.complement(qr.upb_separable()).matrix
-        assert np.abs(lhs - qr.upb_bound_entangled().matrix).max() < 1e-14
+        assert np.array_equal(lhs, qr.upb_bound_entangled().matrix)
 
 
 class TestRandomStates:
@@ -230,6 +231,18 @@ class TestRemix:
         with pytest.raises(ValueError):
             qr.remix(qr.random_density(1, "mixed_dirichlet", rng), 1.5)
 
+    @pytest.mark.parametrize("w", [True, np.True_, "0.5", None], ids=["bool", "numpy-bool", "string", "none"])
+    def test_a_weight_must_be_a_number(self, w):
+        with pytest.raises(ValueError, match=r"^mixing weight must lie in \[0, 1\], got "):
+            qr.remix(qr.bell_state(), w)
+
+    @pytest.mark.parametrize(
+        "w", [0, 1, np.float64(0.5), np.int64(1)], ids=["int-0", "int-1", "numpy-float", "numpy-int"]
+    )
+    def test_numeric_weights_of_any_real_type_mix(self, w):
+        direct = (1 - float(w)) * np.eye(4) / 4 + float(w) * qr.bell_state().matrix
+        assert np.abs(qr.remix(qr.bell_state(), w).matrix - direct).max() <= 1e-15
+
 
 MODES = [("haar_pure", None), ("mixed_dirichlet", None), ("bounded_spectrum", 0.4)]
 
@@ -273,6 +286,11 @@ class TestStackedDraws:
             if mode == "haar_pure":
                 assert qr.purity(qr.to_stokes(member)) == pytest.approx(1.0, abs=1e-12)
         assert len({member.tobytes() for member in rho.matrix}) == 20
+
+    @pytest.mark.parametrize("c", [True, np.True_, "0.5", None], ids=["bool", "numpy-bool", "string", "none"])
+    def test_a_spectrum_cap_must_be_a_number(self, c):
+        with pytest.raises(ValueError, match=r"^bounded_spectrum needs c in \(2\*\*-1, 1\], got "):
+            qr.random_density(1, "bounded_spectrum", 1, c=c)
 
     @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet"])
     def test_a_spectrum_cap_needs_the_bounded_mode(self, mode, rng):

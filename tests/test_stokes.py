@@ -119,14 +119,31 @@ class TestStokesConversion:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
-    def test_values_summing_past_the_float_range_are_refused_by_from_stokes(self, stack):
-        # finite Stokes values whose sums in the Pauli transform overflow: refused by the finite check, no warning
-        values = np.zeros((3, 16))
-        values[:, 0] = 0.5
-        values[1, [3, 15]] = 1.7e308
-        tensor = StokesTensor(values, stack=True) if stack else StokesTensor(values[1])
-        with pytest.raises(ValueError, match=("member 1: " if stack else "^") + "entries must be finite"):
-            qr.from_stokes(tensor)
+    @pytest.mark.parametrize("transform", ["to_stokes", "from_stokes", "apply_local_orthogonal", "to_real_density"])
+    def test_every_pauli_basis_transform_refuses_an_overflow_without_a_warning(self, transform, stack):
+        # finite inputs whose transform sums or scales past the float range; member 1 of a stack overflows
+        c = math.sqrt(0.5)
+        if transform == "to_stokes":
+            members = np.stack([np.eye(2) / 2, [[0.5, 1.7e308], [1.7e308, 0.5]], np.eye(2) / 2])
+            build, run = qr.HermitianOperator, qr.to_stokes
+        else:
+            n = 2 if transform == "from_stokes" else 1
+            members = np.zeros((3, 4**n))
+            members[:, 0] = 2 ** (-n / 2)
+            build = StokesTensor
+            if transform == "from_stokes":
+                members[1, [3, 15]] = 1.7e308
+                run = qr.from_stokes
+            elif transform == "apply_local_orthogonal":
+                members[1, 1:3] = 1.7e308
+                lomap = qr.LocalOrthogonalMap.single_qubit(1, 1, [[c, -c, 0], [c, c, 0], [0, 0, 1]])
+                run = lambda tensor: qr.apply_local_orthogonal(lomap, tensor)  # noqa: E731
+            else:
+                members[1, 1] = 1.7e308
+                run = qr.to_real_density
+        value = build(members, stack=True) if stack else build(members[1])
+        with pytest.raises(ValueError, match=("member 1: " if stack else "^") + "entries must be finite$"):
+            run(value)
 
     @pytest.mark.filterwarnings("error")
     def test_a_spectrum_beyond_the_float_range_is_refused_as_such(self):
