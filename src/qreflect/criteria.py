@@ -42,8 +42,9 @@ from .stokes import (
     _is_real,
     _nonempty_subset,
     _partial_transpose,
-    _regroup,
+    _realigned,
     _single,
+    _two_qubits,
     stokes_as_matrix,
 )
 
@@ -89,7 +90,7 @@ def _proper_subset(subset, n: int) -> tuple[int, ...]:
 _RULES = {
     "ppt": (_proper_subset, lambda w, tol: w < -tol, "entangled", "separable-consistent"),
     "ccn": (lambda block, n: _ccn_block(n, block), lambda w, tol: w > 1.0 + tol, "entangled", "separable-consistent"),
-    "concurrence": (lambda _, n: _two_qubits(n), lambda w, tol: w > tol, "entangled", "separable-consistent"),
+    "concurrence": (lambda _, n: _two_qubits(n, "concurrence"), lambda w, tol: w > tol, "entangled", "separable-consistent"),
     "reflection": (_nonempty_subset, lambda w, tol: w >= -tol, "feasible", "infeasible"),
     "total-reflection": (lambda _, n: None, lambda w, tol: w >= -tol, "feasible", "infeasible"),
     "reduction": (_proper_subset, lambda w, tol: w < -tol, "entangled", "separable-consistent"),
@@ -144,14 +145,16 @@ def _reports(rho, requests, tol) -> list[CriterionReport]:
             if criterion == "total-reflection":
                 extra = dict(flags)
         elif criterion == "ppt" or len(subset) == 1:
-            cut = frozenset((subset, tuple(q for q in range(1, n + 1) if q not in subset)))
+            # A cut and its complement share one key: the smaller bitmask of the two sides.
+            side = sum(1 << (q - 1) for q in subset)
+            cut = min(side, (1 << n) - 1 ^ side)
             if cut not in solved:
                 solved[cut] = _lowest_eig(_partial_transpose(op, subset))
             witness = solved[cut]
         else:
             scale = 1.0 if criterion == "reduction" else 2.0 ** (1 - len(subset))
             if (subset, scale) not in solved:
-                solved[subset, scale] = _lowest_eig(scale * _identity_times_reduction(op, subset) - op.matrix)
+                solved[subset, scale] = _lowest_eig(_identity_times_reduction(op, subset, scale))
             witness = solved[subset, scale]
         if criterion == "reduction":
             extra = {"trace": (2 ** len(subset) - 1) * float(np.trace(op.matrix).real)}
@@ -181,9 +184,8 @@ def ccn(rho, block=None):
     """Trace norm of the realigned matrix across a bipartition: a float, or one per member of a stack.
 
     ``block`` lists the qubits of the left factor (default: the first half).
-    The realignment is one regroup of the checked matrix, rows indexed by the
-    block's (row, column) bits and columns by the rest's; on square cuts it has
-    the singular values of the reshuffling map :func:`choi_reshuffle`.
+    The realignment is :func:`stokes._realigned`; on square cuts it has the
+    singular values of the reshuffling map :func:`choi_reshuffle`.
     """
     op = _as_operator(rho)
     return _ccn(op, _ccn_block(op.n, block))
@@ -191,11 +193,7 @@ def ccn(rho, block=None):
 
 def _ccn(op: HermitianOperator, block: tuple[int, ...]):
     """:func:`ccn` of a checked operator (or stack) across a checked block."""
-    n = op.n
-    rest = [q for q in range(1, n + 1) if q not in block]
-    order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
-    realigned = _regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest)))
-    return _float_or_array(np.linalg.svd(realigned, compute_uv=False).sum(axis=-1))
+    return _float_or_array(np.linalg.svd(_realigned(op, block), compute_uv=False).sum(axis=-1))
 
 
 def ccn_via_stokes(s: StokesTensor):
@@ -221,14 +219,8 @@ def concurrence(rho):
     value's rounding bit for bit.
     """
     op = _as_operator(rho)
-    _two_qubits(op.n)
+    _two_qubits(op.n, "concurrence")
     return _concurrence(op)
-
-
-def _two_qubits(n: int) -> None:
-    """Refuse a qubit count other than 2, the only one concurrence is defined for."""
-    if n != 2:
-        raise ValueError(f"concurrence is defined for two qubits, got n={n}")
 
 
 def _concurrence(op: HermitianOperator):
@@ -247,9 +239,7 @@ def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
 
 def lorentz_metric(s: StokesTensor):
     """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member."""
-    if s.n != 2:
-        raise ValueError(f"defined for two qubits, got n={s.n}")
-    v = s.values.reshape(*s.values.shape[:-1], 4, 4)
+    v = stokes_as_matrix(s) / 2
     time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
     return _float_or_array(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1)))
 

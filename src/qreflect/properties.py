@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,17 +43,8 @@ class InvariantResult:
     counterexample: dict | None = field(default=None)
 
     def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "trials": self.trials,
-            "passed": self.passed,
-            "worst": self.worst,
-        }
-        if self.detail:
-            doc["detail"] = self.detail
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
-        return doc
+        """The fields in order, leaving out ``detail`` and ``counterexample`` when they are empty."""
+        return {k: v for k, v in asdict(self).items() if k not in ("detail", "counterexample") or v}
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,7 @@ def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
     three Pauli axes and subtracts half the identity.
     """
     op = stokes._as_operator(rho)
-    if op.n != 2:
-        raise ValueError(f"defined for two qubits, got n={op.n}")
+    stokes._two_qubits(op.n, "the two-body flip operator sum")
     m = op.matrix
     acc = np.zeros_like(m)
     for left, right in _ONE_BODY_PAIRS:
@@ -189,8 +179,7 @@ def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
 def spin_flipped_partner(rho) -> stokes.HermitianOperator:
     """Two-qubit double spin flip via conjugation of the complex conjugate."""
     op = stokes._as_operator(rho)
-    if op.n != 2:
-        raise ValueError(f"defined for two qubits, got n={op.n}")
+    stokes._two_qubits(op.n, "the spin-flipped partner")
     return stokes.HermitianOperator(criteria._YY @ op.matrix.conj() @ criteria._YY, op.is_stack)
 
 
@@ -533,9 +522,7 @@ _CHECKS = [
 
 def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> list[InvariantResult]:
     """Run every invariant with per-check substreams spawned from ``seed``."""
-    trials = stokes._label(trials, "trial counts")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = stokes._count(trials, "trial counts")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     results = []
     for (name, invariant), child in zip(_CHECKS, children):

@@ -240,4 +240,4 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    return HermitianOperator((_identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)
+    return HermitianOperator(_identity_times_reduction(op, pair, 1.0) / 3, op.is_stack)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .criteria import complement
-from .stokes import DensityState, _as_operator, _is_real, _label, _qubits, _squared_norms, qubit_count
+from .stokes import DensityState, _as_operator, _count, _is_real, _qubits, _squared_norms, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -93,11 +93,9 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
-    dim = _label(dim, "dimensions")
-    if dim < 1:
-        raise ValueError(f"dimensions must be at least 1, got {dim}")
+    dim = _count(dim, "dimensions")
     rng = as_rng(rng)
-    shape = (dim, dim) if size is None else (_label(size, "stack sizes"), dim, dim)
+    shape = (dim, dim) if size is None else (_count(size, "stack sizes"), dim, dim)
     return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -106,7 +104,7 @@ def random_reflection(rng, size: int | None = None) -> np.ndarray:
 
     A stack draws the numbers of ``size`` successive calls.
     """
-    shape = (3, 3) if size is None else (_label(size, "stack sizes"), 3, 3)
+    shape = (3, 3) if size is None else (_count(size, "stack sizes"), 3, 3)
     q = _haar_qr(as_rng(rng).standard_normal(shape))
     q[..., 0] *= np.where(np.linalg.det(q) > 0, -1.0, 1.0)[..., None]
     return q
@@ -130,8 +128,11 @@ def random_density(
     results do not change; ``size=1`` draws the same numbers as a stack.
     """
     n = _qubits(n)
-    size = None if size is None else _label(size, "stack sizes")
-    if c is not None and mode != "bounded_spectrum":
+    size = None if size is None else _count(size, "stack sizes")
+    if mode == "bounded_spectrum":
+        if not _is_real(c) or not 2.0**-n < c <= 1.0:
+            raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
+    elif c is not None:
         raise ValueError(f"c bounds the spectrum in mode 'bounded_spectrum' only, got mode {mode!r}")
     rng = as_rng(rng)
     dim = 2**n
@@ -146,8 +147,6 @@ def random_density(
         raise ValueError(f"unknown mode {mode!r}")
     spectrum = rng.dirichlet(np.ones(dim), size=size)
     if mode == "bounded_spectrum":
-        if not _is_real(c) or not 2.0**-n < c <= 1.0:
-            raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
         top = spectrum.max(axis=-1, keepdims=True)
         mix = 2.0**-n
         t = (c - mix) / (top - mix)

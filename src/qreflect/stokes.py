@@ -21,7 +21,7 @@ the result and dividing by sqrt(2) per factor recovers the Stokes values.
 
 The qubit layout is written once: :func:`_regroup` reorders the row and
 column bits of a matrix (or of flat Stokes values) for every conversion,
-the partial transpose and the realignment of ``criteria.ccn``, and
+the partial transpose and the realignment :func:`_realigned`, and
 :func:`_digits` tables the base-4 digits of each Stokes component for the
 sign masks.  A conversion interleaves each qubit's row and column bits into
 one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
@@ -76,9 +76,11 @@ class _Checked:
     built with ``stack=True``, a stack of them along one leading axis.
     Every check runs per member, and a failing stack names its first
     failing member; ``array.T[0]`` is the first entry of one value or of
-    every member, because ``.T`` moves the member axis last.  ``value[k]`` is member k as a single value, and
-    ``value[index_array]`` the stack of those members; either shares or
-    copies the checked read-only values and is not checked again.
+    every member, because ``.T`` moves the member axis last.  A stack holds
+    at least one member.  ``value[k]`` is member k as a single value, and
+    ``value[index_array]`` (a nonempty 1-D integer array) the stack of those
+    members; either shares or copies the checked read-only values and is
+    not checked again.  A bool is no index: numpy would read it as a new axis.
     """
 
     __slots__ = ("_n", "_array")
@@ -89,13 +91,14 @@ class _Checked:
 
         Each member must be a square ``2**n`` matrix (``_ndim=2``) or a flat
         ``4**n`` array (``_ndim=1``); both have side ``isqrt(size)``, which
-        :func:`qubit_count` turns into ``n``.  Every entry must be finite,
-        and a real type refuses a nonzero imaginary part.
+        :func:`qubit_count` turns into ``n``.  A stack must have a member.
+        Every entry must be finite, and a real type refuses a nonzero
+        imaginary part.
         """
         a = np.asarray(data)
         member = a.shape[1:] if stack else a.shape
         side = math.isqrt(math.prod(member))
-        if member != ((side, side) if self._ndim == 2 else (side * side,)):
+        if member != ((side, side) if self._ndim == 2 else (side * side,)) or stack and a.shape[:1] == (0,):
             kind = "a square" if self._ndim == 2 else "a flat 4**n"
             raise ValueError(f"expected {kind} array{' per member' if stack else ''}, got shape {a.shape}")
         self._n = qubit_count(side)
@@ -137,8 +140,10 @@ class _Checked:
     def __getitem__(self, k):
         if not self.is_stack:
             raise TypeError(f"a single {type(self).__name__} has no members")
-        if not isinstance(k, (int, np.integer)) and np.ndim(k) != 1:
-            raise IndexError("index a stack with an integer or a 1-D index array")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            k = np.asarray(k)
+            if k.ndim != 1 or not k.size or k.dtype.kind not in "iu":
+                raise IndexError("index a stack with an integer or a nonempty 1-D integer index array")
         picked = object.__new__(type(self))
         for cls in type(self).__mro__:
             for slot in getattr(cls, "__slots__", ()):
@@ -240,6 +245,10 @@ class StokesTensor(_Checked):
 
     ``values`` has length ``4**n`` in base-4 row-major multi-index order and
     ``values[0]`` equals ``2**(-n/2)``; a stack has one such row per member.
+    The trace is ``2**(n/2) values[0]``, so ``values[0]`` is bounded by the
+    trace bound in the tensor's units, ``TRACE_TOL * 2**(-n/2)``: a tensor
+    accepted here is not refused for its trace by the conversions, which
+    bound the trace by ``TRACE_TOL`` (up to rounding at the bound itself).
     """
 
     __slots__ = ()
@@ -247,8 +256,9 @@ class StokesTensor(_Checked):
     def __init__(self, values, stack: bool = False):
         v = self._shaped(values, float, stack)
         affine = v.T[0]
+        unit = 2.0 ** (-self._n / 2)
         self._require(
-            abs(affine - 2.0 ** (-self._n / 2)) <= TRACE_TOL,
+            abs(affine - unit) <= TRACE_TOL * unit,
             f"affine component must equal 2**(-{self._n}/2), got {{:.12g}}",
             affine,
         )
@@ -380,8 +390,7 @@ def real_density_to_stokes(sigma) -> StokesTensor:
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:
     """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack)."""
-    if s.n != 2:
-        raise ValueError(f"the square Stokes matrix is defined for n=2, got n={s.n}")
+    _two_qubits(s.n, "the square Stokes matrix")
     return 2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4)
 
 
@@ -409,6 +418,19 @@ def _label(q, what: str = "qubit labels") -> int:
     if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
         raise ValueError(f"{what} must be integers, got {q!r}")
     return operator.index(q)
+
+
+def _count(x, what: str) -> int:
+    """A count (trials, a dimension, a stack size) as an int >= 1, checked before anything is drawn or sized by it."""
+    if (x := _label(x, what)) < 1:
+        raise ValueError(f"{what} must be at least 1, got {x}")
+    return x
+
+
+def _two_qubits(n: int, what: str) -> None:
+    """Refuse a qubit count other than 2 for ``what``, which is defined for two qubits only."""
+    if n != 2:
+        raise ValueError(f"{what} is defined for two qubits, got n={n}")
 
 
 def _is_real(x) -> bool:
@@ -457,6 +479,14 @@ def _partial_transpose(op: HermitianOperator, swapped: tuple[int, ...]) -> np.nd
     return _regroup(op.matrix, n, order, (2**n, 2**n))
 
 
+def _realigned(op: HermitianOperator, block: tuple[int, ...]) -> np.ndarray:
+    """Realignment across the cut ``block | rest``: rows are the block's (row, column) bits, columns the rest's."""
+    n = op.n
+    rest = [q for q in range(1, n + 1) if q not in block]
+    order = [q - 1 + n * col for part in (block, rest) for col in (0, 1) for q in part]
+    return _regroup(op.matrix, n, order, (4 ** len(block), 4 ** len(rest)))
+
+
 def identity_times_reduction(op, subset) -> np.ndarray:
     """Matrix of ``identity on subset (x) partial trace over subset``.
 
@@ -477,18 +507,26 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     return _identity_times_reduction(op, _nonempty_subset(subset, op.n))
 
 
-def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...]) -> np.ndarray:
-    """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset."""
+def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...], scale: float | None = None) -> np.ndarray:
+    """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset.
+
+    With ``scale``, the image ``scale * lift - matrix`` instead.  Sums past the float range read ``inf`` or
+    ``nan`` with no warning, and a non-finite lift or image is refused ("entries must be finite").
+    """
     n = op.n
     lift = op.matrix.copy()
-    for q in subset:
-        # The leading -1 is the row block above qubit q; a stack's member axis folds into it.
-        blocks = lift.reshape(-1, 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
-        total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
-        blocks[:, 0, :, :, 0] = total
-        blocks[:, 1, :, :, 1] = total
-        blocks[:, 0, :, :, 1] = 0
-        blocks[:, 1, :, :, 0] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in subset:
+            # The leading -1 is the row block above qubit q; a stack's member axis folds into it.
+            blocks = lift.reshape(-1, 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
+            total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
+            blocks[:, 0, :, :, 0] = total
+            blocks[:, 1, :, :, 1] = total
+            blocks[:, 0, :, :, 1] = 0
+            blocks[:, 1, :, :, 0] = 0
+        if scale is not None:
+            lift = scale * lift - op.matrix
+    _Checked._require(np.isfinite(lift).all(axis=(-2, -1)), "entries must be finite")
     return lift
 
 

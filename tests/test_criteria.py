@@ -92,10 +92,6 @@ class TestCcn:
         for _ in range(50):
             assert qr.ccn(random_separable(rng)) <= 1.0 + 1e-10
 
-    def test_stokes_route_needs_two_qubits(self):
-        with pytest.raises(ValueError):
-            qr.ccn_via_stokes(qr.to_stokes(qr.maximally_mixed(1)))
-
     def test_rectangular_cut_runs(self):
         # one-vs-two cut of the bound entangled state: reported, no verdict
         value = qr.ccn(qr.upb_bound_entangled(), (2,))
@@ -180,6 +176,43 @@ class TestLorentzMetric:
             rho = qr.random_density(2, "mixed_dirichlet", rng)
             direct = np.trace(rho.matrix @ properties.spin_flipped_partner(rho).matrix).real
             assert abs(qr.lorentz_metric(qr.to_stokes(rho)) - direct) < 1e-12
+
+    def test_reads_the_stokes_values_exactly(self, rng):
+        # The metric reads stokes_as_matrix(s) / 2, an exact halving of 2 * values.
+        s = qr.to_stokes(qr.random_density(2, "mixed_dirichlet", rng, size=20))
+        v = s.values.reshape(20, 4, 4)
+        time_like = v[:, 0, 0] ** 2 - np.sum(v[:, 0, 1:] ** 2, axis=-1) - np.sum(v[:, 1:, 0] ** 2, axis=-1)
+        assert np.array_equal(qr.lorentz_metric(s), time_like + np.sum(v[:, 1:, 1:] ** 2, axis=(-2, -1)))
+
+
+class TestTwoQubitRule:
+    """One rule, stokes._two_qubits, refuses every two-qubit quantity on another qubit count."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "measure, name",
+        [
+            (qr.concurrence, "concurrence"),
+            (qr.concurrence_report, "concurrence"),
+            (lambda rho: qr.stokes_as_matrix(qr.to_stokes(rho)), "the square Stokes matrix"),
+            (lambda rho: qr.lorentz_metric(qr.to_stokes(rho)), "the square Stokes matrix"),
+            (lambda rho: qr.ccn_via_stokes(qr.to_stokes(rho)), "the square Stokes matrix"),
+            (properties.two_body_flip_operator_sum, "the two-body flip operator sum"),
+            (properties.spin_flipped_partner, "the spin-flipped partner"),
+        ],
+        ids=[
+            "concurrence",
+            "concurrence_report",
+            "stokes_as_matrix",
+            "lorentz_metric",
+            "ccn_via_stokes",
+            "two_body_flip_operator_sum",
+            "spin_flipped_partner",
+        ],
+    )
+    def test_other_qubit_counts_are_refused(self, measure, name, n):
+        with pytest.raises(ValueError, match=rf"^{name} is defined for two qubits, got n={n}$"):
+            measure(qr.maximally_mixed(n))
 
 
 class TestReduction:

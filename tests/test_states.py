@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qreflect as qr
-from qreflect import stokes
+from qreflect import properties, stokes
 
 
 class TestPureStates:
@@ -181,34 +181,45 @@ class TestCounts:
             make(n)
         assert stokes._digits.cache_info().currsize == tables
 
-    @pytest.mark.parametrize("size", [True, 2.0, "2"], ids=["bool", "float", "string"])
-    def test_reflection_stack_sizes_must_be_integers(self, size):
-        with pytest.raises(ValueError, match="stack sizes must be integers"):
-            qr.random_reflection(1, size=size)
-
-    @pytest.mark.parametrize("size", [True, 2.0, "2"], ids=["bool", "float", "string"])
     @pytest.mark.parametrize(
-        "draw",
-        [lambda size: qr.random_density(2, "haar_pure", rng=1, size=size), lambda size: qr.random_unitary(4, 1, size)],
-        ids=["random_density", "random_unitary"],
-    )
-    def test_generator_stack_sizes_must_be_integers(self, draw, size):
-        with pytest.raises(ValueError, match="stack sizes must be integers"):
-            draw(size)
-
-    @pytest.mark.parametrize(
-        "dim, match",
+        "count, rule",
         [
-            (0, "dimensions must be at least 1, got 0"),
-            (-1, "dimensions must be at least 1, got -1"),
-            (2.0, "dimensions must be integers"),
-            (True, "dimensions must be integers"),
+            (0, "must be at least 1, got 0"),
+            (-1, "must be at least 1, got -1"),
+            (True, "must be integers, got True"),
+            (2.5, "must be integers, got 2.5"),
+            ("3", "must be integers, got '3'"),
         ],
-        ids=["zero", "negative", "float", "bool"],
+        ids=["zero", "negative", "bool", "float", "string"],
     )
-    def test_unitary_dimensions_must_be_positive_integers(self, dim, match):
-        with pytest.raises(ValueError, match=match):
-            qr.random_unitary(dim, 1)
+    @pytest.mark.parametrize(
+        "draw, what",
+        [
+            (lambda k, g: qr.random_density(2, "haar_pure", rng=g, size=k), "stack sizes"),
+            (lambda k, g: qr.random_density(2, "mixed_dirichlet", rng=g, size=k), "stack sizes"),
+            (lambda k, g: qr.random_density(2, "bounded_spectrum", rng=g, c=0.5, size=k), "stack sizes"),
+            (lambda k, g: qr.random_unitary(4, g, k), "stack sizes"),
+            (lambda k, g: qr.random_reflection(g, size=k), "stack sizes"),
+            (lambda k, g: qr.random_unitary(k, g), "dimensions"),
+            (lambda k, g: properties.run_suite(42, k), "trial counts"),
+        ],
+        ids=[
+            "random_density-haar_pure",
+            "random_density-mixed_dirichlet",
+            "random_density-bounded_spectrum",
+            "random_unitary-size",
+            "random_reflection-size",
+            "random_unitary-dimension",
+            "run_suite-trials",
+        ],
+    )
+    def test_a_count_is_an_integer_of_at_least_one(self, draw, what, count, rule):
+        # One rule, stokes._count, refuses the count before anything is drawn: the generator's state is unchanged.
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{what} {re.escape(rule)}$"):
+            draw(count, rng)
+        assert rng.bit_generator.state == before
 
     def test_numpy_integers_are_counts(self):
         assert qr.random_density(np.int64(2), rng=1).n == 2
@@ -289,8 +300,12 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("c", [True, np.True_, "0.5", None], ids=["bool", "numpy-bool", "string", "none"])
     def test_a_spectrum_cap_must_be_a_number(self, c):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"^bounded_spectrum needs c in \(2\*\*-1, 1\], got "):
-            qr.random_density(1, "bounded_spectrum", 1, c=c)
+            qr.random_density(1, "bounded_spectrum", rng, c=c)
+        # The cap is checked before anything is drawn.
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet"])
     def test_a_spectrum_cap_needs_the_bounded_mode(self, mode, rng):

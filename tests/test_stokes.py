@@ -20,7 +20,7 @@ from conftest import (
 import qreflect as qr
 from qreflect.io import state_from_dict, state_to_dict
 from qreflect.reflections import SignMask
-from qreflect.stokes import StokesTensor, identity_times_reduction, partial_transpose
+from qreflect.stokes import TRACE_TOL, StokesTensor, identity_times_reduction, partial_transpose
 
 SQ2 = math.sqrt(2.0)
 
@@ -116,6 +116,25 @@ class TestStokesConversion:
         tensor = StokesTensor([2**-0.5, 1.7e308, 1.7e308, 1.7e308])
         with pytest.raises(ValueError, match="trace"):
             qr.from_stokes(tensor)
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_affine_bound_is_the_trace_bound_in_the_tensors_units(self, n, stack):
+        # values[0] = 2**(-n/2) (1 + e) is the trace 1 + e: a tensor accepted here converts, and one
+        # whose trace the conversions would refuse is refused itself, by its affine component.
+        unit = 2.0 ** (-n / 2)
+        for e in (0.9 * TRACE_TOL, -0.9 * TRACE_TOL, 1.1 * TRACE_TOL, -1.1 * TRACE_TOL):
+            values = np.zeros((3, 4**n))
+            values[:, 0] = unit
+            values[1, 0] = unit * (1 + e)
+            data = values if stack else values[1]
+            if abs(e) < TRACE_TOL:
+                tensor = StokesTensor(data, stack=stack)
+                assert qr.from_stokes(tensor).is_stack == qr.to_real_density(tensor).is_stack == stack
+            else:
+                member = "member 1: " if stack else ""
+                with pytest.raises(ValueError, match=rf"^{member}affine component must equal 2\*\*\(-{n}/2\), got "):
+                    StokesTensor(data, stack=stack)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
@@ -299,10 +318,6 @@ class TestStokesMatrix:
         m = qr.stokes_as_matrix(qr.to_stokes(qr.bell_state()))
         np.testing.assert_allclose(m, np.diag([1.0, 1.0, -1.0, 1.0]), atol=1e-14)
 
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            qr.stokes_as_matrix(qr.to_stokes(qr.maximally_mixed(1)))
-
     def test_reshuffle_correspondence_exact(self, rng):
         # the reshuffled real density matrix is the transposed Stokes matrix
         for _ in range(20):
@@ -373,6 +388,34 @@ class TestProductsAndReductions:
                 assert np.abs(lift - 2 ** (size - 1) * (rho.matrix + reflected)).max() < 1e-12
 
 
+A = 1.7e308
+
+
+def overflowing_lift():
+    """Finite entries whose diagonal blocks on qubits 2 and 3 sum past the float range."""
+    return qr.HermitianOperator(np.diag([0, 0, -A, -A, 0, 1, A, A]))
+
+
+def overflowing_image():
+    """A finite lift on qubits 2 and 3 whose images ``scale * lift - rho`` overflow.
+
+    Lift entry (0, 4) sums (-A + A) + (A/2 + A/2) = A, and the image adds A
+    to ``scale`` times that.
+    """
+    m = np.eye(8) / 8
+    m[[0, 1, 2, 3], [4, 5, 6, 7]] = -A, A / 2, A, A / 2
+    return qr.HermitianOperator(np.triu(m) + np.triu(m, 1).T)
+
+
+# Every call that builds a lift on qubits 2 and 3 of a three-qubit operator.
+LIFT_CALLS = {
+    "reduction_criterion": lambda op: qr.reduction_criterion(op, (2, 3)),
+    "reflection_report": lambda op: qr.reflection_report(op, (2, 3)),
+    "relaxed_reflection": lambda op: qr.relaxed_reflection(op, (2, 3)),
+    "identity_times_reduction": lambda op: identity_times_reduction(op, (2, 3)),
+}
+
+
 class TestMatrixKernels:
     """The matrix kernels against the sign masks that define their images."""
 
@@ -402,6 +445,25 @@ class TestMatrixKernels:
             lift = identity_times_reduction(op, subset)
             assert np.array_equal(lift, lift.conj().T)
             assert np.array_equal(lift, identity_times_reduction((m + m.T) / 2, subset))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", list(LIFT_CALLS))
+    def test_an_overflowing_lift_or_image_is_refused_without_a_warning(self, call):
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            LIFT_CALLS[call](overflowing_lift())
+        if call == "identity_times_reduction":
+            # The lift of the second operator is finite; only an image of it overflows.
+            assert np.isfinite(LIFT_CALLS[call](overflowing_image())).all()
+        else:
+            with pytest.raises(ValueError, match="^entries must be finite$"):
+                LIFT_CALLS[call](overflowing_image())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", ["relaxed_reflection", "identity_times_reduction"])
+    def test_an_overflowing_lift_names_its_member(self, call):
+        stack = qr.HermitianOperator(np.stack([np.eye(8) / 8, overflowing_lift().matrix]), stack=True)
+        with pytest.raises(ValueError, match="^member 1: entries must be finite$"):
+            LIFT_CALLS[call](stack)
 
 
 class TestPurityAndSpectrum:
@@ -514,6 +576,23 @@ class TestStacks:
             member[0]
         with pytest.raises(IndexError):
             rho[np.zeros((1, 1), dtype=int)]
+
+    @pytest.mark.parametrize(
+        "index",
+        [True, np.True_, np.array([], dtype=int), [], np.array([True, False, True])],
+        ids=["bool", "numpy-bool", "empty-array", "empty-list", "bool-array"],
+    )
+    def test_a_pick_is_an_integer_or_a_nonempty_index_array(self, index, rng):
+        # numpy reads a bool as a new axis and an empty index array as an empty stack.
+        rho = stack_of(2, rng, 3)
+        with pytest.raises(IndexError, match="^index a stack with an integer or a nonempty 1-D integer index array$"):
+            rho[index]
+
+    @pytest.mark.parametrize("kind", [*CHECKED_TYPES, "DensityState"])
+    def test_a_stack_holds_at_least_one_member(self, kind):
+        cls, valid, _ = CHECKED_TYPES.get(kind, (qr.DensityState, CHECKED_TYPES["HermitianOperator"][1], None))
+        with pytest.raises(ValueError, match=r"^expected a (square|flat 4\*\*n) array per member, got shape \(0, "):
+            cls(np.empty((0, *valid(2).shape)), stack=True)
 
     def test_a_stack_is_declared_not_inferred(self):
         # One extra leading axis is a stack only when asked for.
