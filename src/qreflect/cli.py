@@ -9,19 +9,23 @@ Subcommands:
   entangled state and verify the whole chain.
 * ``prop``     -- seeded randomised invariant suite.
 
-``main`` builds and prints every report: JSON on stdout with ``command``,
-``input_digest``, ``result`` and ``wall_time_s``, or with ``--plain`` the
-command's aligned text.  A ``cmd_*`` only computes and returns
-``(exit_code, input_digest, result, plain_lines)``; every error exit raises
-``SystemExit(_error(code, message))``, which ``main`` maps to its exit
-code.  Exit codes: 0 success, 1 failed property suite, 2 unreadable input
-(state file or qubit subset), 3 dimension mismatch (including a subset
-naming a qubit the state lacks).  Entanglement verdicts never affect the
-exit code, and neither does a reader that closes stdout early.  The
-``QREFLECT_TOL`` environment variable sets the verdict thresholds (default
-``1e-10``); it must pass the criteria's tolerance rule, a finite float >= 0
-(otherwise exit 2).  It does not change the positivity check a state file
-passes when it is loaded.
+``main`` parses the command line once, with the parser of the command it
+names; a command line that parser cannot take whole (no command, an unknown
+command, an unrecognized argument) goes to the full parser, which reports it
+with the full usage line.  ``main`` builds and prints every report: JSON on
+stdout with ``command``, ``input_digest``, ``result`` and ``wall_time_s``,
+or with ``--plain`` the command's aligned text.  A ``cmd_*`` only computes
+and returns ``(exit_code, input_digest, result, plain_lines)``, where
+``plain_lines`` is a generator that ``main`` runs only under ``--plain``;
+every error exit raises ``SystemExit(_error(code, message))``, which
+``main`` maps to its exit code.  Exit codes: 0 success, 1 failed property
+suite, 2 unreadable input (state file or qubit subset), 3 dimension
+mismatch (including a subset naming a qubit the state lacks).
+Entanglement verdicts never affect the exit code, and neither does a
+reader that closes stdout early.  The ``QREFLECT_TOL`` environment variable
+sets the verdict thresholds (default ``1e-10``); it must pass the criteria's
+tolerance rule, a finite float >= 0 (otherwise exit 2).  It does not change
+the positivity check a state file passes when it is loaded.
 """
 
 from __future__ import annotations
@@ -102,15 +106,16 @@ def cmd_table1(args):
         "signs": signs,
         "sign_change_counts": counts,
     }
-    width = max(len(c) for c in masks)
-    header = "component  " + "  ".join(c.rjust(width) for c in masks)
-    lines = [header]
-    for row, sign_row in zip(rows, signs):
-        cells = "  ".join(("+" if s > 0 else "-").rjust(width) for s in sign_row)
-        lines.append(f"{row:<9}  {cells}")
-    changes = "  ".join(str(c).rjust(width) for c in counts)
-    lines.append(f"{'changes':<9}  {changes}")
-    return EXIT_OK, None, result, lines
+
+    def lines():
+        width = max(len(c) for c in masks)
+        yield "component  " + "  ".join(c.rjust(width) for c in masks)
+        for row, sign_row in zip(rows, signs):
+            cells = "  ".join(("+" if s > 0 else "-").rjust(width) for s in sign_row)
+            yield f"{row:<9}  {cells}"
+        yield f"{'changes':<9}  " + "  ".join(str(c).rjust(width) for c in counts)
+
+    return EXIT_OK, None, result, lines()
 
 
 def cmd_analyze(args):
@@ -141,11 +146,14 @@ def cmd_analyze(args):
         "min_eig": min_eig(rho),
         "criteria": [r.to_dict() for r in reports],
     }
-    lines = [f"state: n={n} purity={result['purity']:.12g} min_eig={result['min_eig']:.3e}"]
-    for r in reports:
-        subset = "" if r.subset is None else f" subset={list(r.subset)}"
-        lines.append(f"{r.criterion:<17} verdict={r.verdict:<21} witness={r.witness:+.12g}{subset}")
-    return EXIT_OK, digest, result, lines
+
+    def lines():
+        yield f"state: n={n} purity={result['purity']:.12g} min_eig={result['min_eig']:.3e}"
+        for r in reports:
+            subset = "" if r.subset is None else f" subset={list(r.subset)}"
+            yield f"{r.criterion:<17} verdict={r.verdict:<21} witness={r.witness:+.12g}{subset}"
+
+    return EXIT_OK, digest, result, lines()
 
 
 def cmd_upb_demo(args):
@@ -170,13 +178,15 @@ def cmd_upb_demo(args):
         "support_overlaps": overlaps,
         "cross_norms": {f"cut_{r.subset[0]}": r.witness for r in cuts[3:]},
     }
-    lines = [
-        f"reflected separable mixture: min_eig={reflected.witness:+.6e} -> density={result['reflected_is_density']}",
-        "ppt cuts: " + ", ".join(f"{r.subset}: {r.verdict}" for r in ppt_reports),
-        "reflected components min_eig: " + ", ".join(f"{v:+.3e}" for v in component_minima),
-        "cross norms per cut: " + ", ".join(f"{k}={v:.6f}" for k, v in result["cross_norms"].items()),
-    ]
-    return EXIT_OK, None, result, lines
+
+    def lines():
+        density = result["reflected_is_density"]
+        yield f"reflected separable mixture: min_eig={reflected.witness:+.6e} -> density={density}"
+        yield "ppt cuts: " + ", ".join(f"{r.subset}: {r.verdict}" for r in ppt_reports)
+        yield "reflected components min_eig: " + ", ".join(f"{v:+.3e}" for v in component_minima)
+        yield "cross norms per cut: " + ", ".join(f"{k}={v:.6f}" for k, v in result["cross_norms"].items())
+
+    return EXIT_OK, None, result, lines()
 
 
 def cmd_prop(args):
@@ -191,9 +201,13 @@ def cmd_prop(args):
         "invariants": [r.to_dict() for r in results],
         "all_passed": all_passed,
     }
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} (worst deviation {r.worst:.3e})" for r in results]
-    lines.append(f"{'all passed' if all_passed else 'FAILURES DETECTED'} [seed={args.seed}, trials={args.trials}]")
-    return (EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE), None, result, lines
+
+    def lines():
+        for r in results:
+            yield f"{'PASS' if r.passed else 'FAIL'} {r.name} (worst deviation {r.worst:.3e})"
+        yield f"{'all passed' if all_passed else 'FAILURES DETECTED'} [seed={args.seed}, trials={args.trials}]"
+
+    return (EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE), None, result, lines()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative control: tamper with one mask sign so the suite must fail",
     )
     p.set_defaults(fn=cmd_prop)
+    for name, command_parser in sub.choices.items():
+        # main parses with a command's own parser, so that parser sets ``command`` too
+        command_parser.set_defaults(command=name)
     return parser
 
 
@@ -239,8 +256,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name: the subparsers of :func:`_parser`."""
+    (sub,) = (action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """The namespace the full parser gives ``argv``, parsed by the parser of the command ``argv`` names.
+
+    Each command's parser sets ``command`` itself.  Anything that parser does not
+    take whole (no command, an unknown one, an unrecognized argument) goes to the
+    full parser, which exits with its usage line and error.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _commands():
+        args, rest = _commands()[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         code, digest, result, lines = args.fn(args)

@@ -37,6 +37,7 @@ from .stokes import (
     PSD_TOL,
     StokesTensor,
     _as_operator,
+    _finite,
     _float_or_array,
     _identity_times_reduction,
     _is_real,
@@ -197,8 +198,13 @@ def _ccn(op: HermitianOperator, block: tuple[int, ...]):
 
 
 def ccn_via_stokes(s: StokesTensor):
-    """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack."""
-    return _float_or_array(np.linalg.svd(stokes_as_matrix(s), compute_uv=False).sum(axis=-1) / 2.0)
+    """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack.
+
+    A norm past the float range is refused (:func:`stokes._finite`).
+    """
+    singular_values = np.linalg.svd(stokes_as_matrix(s), compute_uv=False)
+    with np.errstate(over="ignore"):
+        return _float_or_array(_finite(singular_values.sum(axis=-1) / 2.0))
 
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
@@ -238,10 +244,14 @@ def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
 
 
 def lorentz_metric(s: StokesTensor):
-    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member."""
+    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member.
+
+    Squares past the float range are refused (:func:`stokes._finite`); their difference would read ``nan``.
+    """
     v = stokes_as_matrix(s) / 2
-    time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
-    return _float_or_array(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
+        return _float_or_array(_finite(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1))))
 
 
 def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:

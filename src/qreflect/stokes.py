@@ -389,9 +389,13 @@ def real_density_to_stokes(sigma) -> StokesTensor:
 
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:
-    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack)."""
+    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack).
+
+    Values past half the float range are refused (:func:`_finite`).
+    """
     _two_qubits(s.n, "the square Stokes matrix")
-    return 2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4)
+    with np.errstate(over="ignore"):
+        return _finite(2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4), (-2, -1))
 
 
 def choi_reshuffle(m) -> np.ndarray:
@@ -526,8 +530,19 @@ def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...], sc
             blocks[:, 1, :, :, 0] = 0
         if scale is not None:
             lift = scale * lift - op.matrix
-    _Checked._require(np.isfinite(lift).all(axis=(-2, -1)), "entries must be finite")
-    return lift
+    return _finite(lift, (-2, -1))
+
+
+def _finite(value: np.ndarray, axes=()) -> np.ndarray:
+    """``value`` unless an entry is not finite; then "entries must be finite", naming a stack's first such member.
+
+    This is the overflow rule of every result computed from checked values:
+    the computation runs with overflow warnings off, so entries past the
+    float range read ``inf`` or ``nan``, and this refuses them.  ``axes``
+    are the axes of one member's entries.
+    """
+    _Checked._require(np.isfinite(value).all(axis=axes), "entries must be finite")
+    return value
 
 
 def _float_or_array(value: np.ndarray):
@@ -544,5 +559,9 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
 
 
 def purity(s: StokesTensor):
-    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values: a float, or one per member of a stack."""
-    return _float_or_array(_squared_norms(s.values))
+    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values: a float, or one per member of a stack.
+
+    A norm past the float range is refused (:func:`_finite`).
+    """
+    with np.errstate(over="ignore"):
+        return _float_or_array(_finite(_squared_norms(s.values)))

@@ -27,6 +27,47 @@ HUGE_SPECTRUM = {
     "re": [[0.5, 1.7e308], [1.7e308, 0.5]],
     "im": [[0.0, 1.7e308], [-1.7e308, 0.0]],
 }
+# CI's analyze flags: every criterion that applies at n = 2 and at n = 3
+CI_FLAGS = {
+    2: "--ppt A --ppt B --ccn --concurrence --reflect A --reflect B --reflect AB --feasible"
+    " --reduction A --reduction B",
+    3: "--ppt A --ppt B --ppt C --ppt AB --ppt AC --ppt BC --reflect A --reflect B --reflect C"
+    " --reflect AB --reflect AC --reflect BC --reflect ABC --feasible"
+    " --reduction A --reduction B --reduction C --reduction AB --reduction AC --reduction BC",
+}
+ANALYZE_EVERY_FIXTURE = {
+    f"analyze-{path.stem}": ["analyze", str(path), *CI_FLAGS[json.loads(path.read_text())["n"]].split()]
+    for path in sorted(FIXTURES.glob("*.json"))
+}
+# Command lines the full parser takes, or refuses with its usage line, help or version.
+ARGV_FORMS = {
+    "empty": [],
+    "help": ["-h"],
+    "version": ["--version"],
+    "unknown-command": ["bogus"],
+    "analyze-no-state": ["analyze"],
+    "analyze-help": ["analyze", "--help"],
+    "analyze-unknown-option": ["analyze", str(BELL), "--bogus"],
+    "analyze-unknown-short-option": ["analyze", "-p", "A", str(BELL)],
+    "analyze-second-state": ["analyze", str(BELL), str(UPB)],
+    "analyze-every-flag": ["analyze", str(BELL), *CI_FLAGS[2].split(), "--plain"],
+    "analyze-abbreviated": ["analyze", str(BELL), "--pl", "--feas"],
+    "analyze-ambiguous": ["analyze", str(BELL), "--p", "A"],
+    "analyze-missing-subset": ["analyze", str(BELL), "--ppt"],
+    "analyze-version-prefix": ["analyze", str(BELL), "--v"],
+    "analyze-double-dash": ["analyze", "--", str(BELL)],
+    "table1": ["table1"],
+    "table1-plain": ["table1", "--plain"],
+    "table1-extra": ["table1", "extra"],
+    "table1-version": ["table1", "--version"],
+    "plain-before-command": ["--plain", "table1"],
+    "upb-demo-plain": ["upb-demo", "--plain"],
+    "upb-demo-help": ["upb-demo", "-h"],
+    "prop-every-option": ["prop", "--seed", "7", "--trials", "5", "--inject-mask-corruption"],
+    "prop-equals": ["prop", "--trials=2", "--seed=3", "--plain"],
+    "prop-bad-trials": ["prop", "--trials", "x"],
+    "prop-missing-trials": ["prop", "--trials"],
+}
 
 
 def run_cli(*args, env_extra=None, python_flags=()):
@@ -354,6 +395,19 @@ class TestInProcess:
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()
 
+    @pytest.mark.parametrize("argv", list(ARGV_FORMS.values()), ids=list(ARGV_FORMS))
+    def test_the_command_parser_answers_as_the_full_parser(self, argv, capsys):
+        # main parses with the parser of the command argv names; the full parser is the reference
+        try:
+            expected = vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            refused = (exc.code, *capsys.readouterr())
+            with pytest.raises(SystemExit) as caught:
+                cli.main(argv)
+            assert (caught.value.code, *capsys.readouterr()) == refused
+        else:
+            assert vars(cli._parse_args(argv)) == expected
+
     def test_near_tolerance_input_keeps_its_verdicts(self, capsys):
         # the anti-Hermitian defect (9e-11) passes the input check; a lift summed
         # without taking the Hermitian part first would push it past the tolerance
@@ -387,14 +441,33 @@ class TestDriverContract:
         assert (doc["input_digest"] is None) == (command != "analyze")
         assert doc["wall_time_s"] >= 0
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_plain_prints_text_not_json(self, command, capsys):
-        argv, marker = self.COMMANDS[command]
+    PLAIN_RUNS = {
+        **{command: argv for command, (argv, _) in COMMANDS.items() if command != "analyze"},
+        **ANALYZE_EVERY_FIXTURE,
+    }
+
+    @pytest.mark.parametrize("argv", list(PLAIN_RUNS.values()), ids=list(PLAIN_RUNS))
+    def test_plain_prints_text_not_json(self, argv, capsys):
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
         assert cli.main(argv + ["--plain"]) == 0
         out = capsys.readouterr().out
-        assert marker in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+        if argv[0] == "table1":
+            # no floats, so the same text on every platform
+            assert out == (FIXTURES / "table1_plain.txt").read_text()
+        elif argv[0] == "analyze":
+            # each criterion line reads the verdict and witness of the JSON report
+            state, *lines = out.splitlines()
+            assert state.startswith(f"state: n={result['n']} purity={result['purity']:.12g} ")
+            assert len(lines) == len(result["criteria"])
+            for line, c in zip(lines, result["criteria"]):
+                subset = [] if c["subset"] is None else [f"subset={c['subset']}"]
+                words = [c["criterion"], f"verdict={c['verdict']}", f"witness={c['witness']:+.12g}", *subset]
+                assert line.split(maxsplit=3) == words
+        else:
+            assert self.COMMANDS[argv[0]][1] in out
 
     @pytest.mark.parametrize(
         "argv,tol,code",

@@ -325,6 +325,27 @@ class TestStokesMatrix:
             lhs = qr.choi_reshuffle(qr.to_real_density(s).entries).T
             assert np.array_equal(lhs, qr.stokes_as_matrix(s))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize(
+        "witness, components, value",
+        [
+            # the doubled matrix, the squares, the singular-value sum and the norm each pass the float range
+            ("stokes_as_matrix", [5], 1e308),
+            ("lorentz_metric", [5], 1e200),
+            ("ccn_via_stokes", [5, 10, 15], 8e307),
+            ("purity", [5], 1e200),
+        ],
+    )
+    def test_a_witness_past_the_float_range_is_refused_without_a_warning(self, witness, components, value, stack):
+        # finite Stokes values whose witness overflows; member 1 of a stack does
+        members = np.zeros((3, 16))
+        members[:, 0] = 0.5
+        members[1, components] = value
+        tensor = StokesTensor(members, stack=True) if stack else StokesTensor(members[1])
+        with pytest.raises(ValueError, match=("member 1: " if stack else "^") + "entries must be finite$"):
+            getattr(qr, witness)(tensor)
+
 
 class TestChoiReshuffle:
     def test_self_inverse(self, rng):
