@@ -10,7 +10,10 @@ Subcommands:
 * ``prop``     -- seeded randomised invariant suite.
 
 ``main`` parses the command line once, with the parser of the command it
-names; a command line that parser cannot take whole (no command, an unknown
+names.  A command line made only of exact option names and their values is
+read from that parser's own actions (:func:`_read_exact`); argparse reads any
+other, so every usage line, error, help and version text is its own.  A
+command line the command's parser cannot take whole (no command, an unknown
 command, an unrecognized argument) goes to the full parser, which reports it
 with the full usage line.  ``main`` builds and prints every report: JSON on
 stdout with ``command``, ``input_digest``, ``result`` and ``wall_time_s``,
@@ -263,15 +266,103 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
+_EXACT_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+@functools.cache
+def _exact_grammar(name: str):
+    """``(parser, defaults, options, positionals)`` read off the actions of command ``name``'s parser.
+
+    ``defaults`` are the values argparse starts a namespace with, ``options``
+    maps each option string but the help action's to its action, and
+    ``positionals`` lists the positional actions in order.  ``None`` when the
+    parser has an action :func:`_read_exact` cannot read exactly as argparse
+    does: one of another class, with ``choices``, with ``nargs`` other than
+    ``None`` or 0, required as an option, or with a string default that its
+    ``type`` would convert; or when the parser has mutually exclusive groups
+    or prefix characters other than ``-``.
+    """
+    parser = _commands()[name]
+    if parser._mutually_exclusive_groups or parser.prefix_chars != "-" or parser.fromfile_prefix_chars:
+        return None
+    defaults, options, positionals = {}, {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (
+            type(action) not in _EXACT_ACTIONS
+            or action.choices is not None
+            or action.nargs not in (None, 0)
+            or action.required and action.option_strings
+            or isinstance(action.default, str) and action.type is not None
+        ):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return parser, defaults, options, positionals
+
+
+def _read_exact(name: str, tokens) -> argparse.Namespace | None:
+    """The namespace command ``name``'s parser gives ``tokens``, if they are only exact option names and values.
+
+    A token led by ``-`` must be an option string of :func:`_exact_grammar`,
+    and an option's value is the next token, which must not be led by ``-``;
+    any other token fills the next positional.  Each value goes through the
+    action's ``type`` and the action itself, as argparse does.  ``None``
+    (argparse reads the line) for anything else: an unknown or abbreviated
+    option, ``--opt=value``, ``--``, ``-h``, a missing or dash-led value, a
+    ``type`` that raises, a missing or an extra positional.
+    """
+    grammar = _exact_grammar(name)
+    if grammar is None:
+        return None
+    parser, defaults, options, positionals = grammar
+    namespace = argparse.Namespace(**defaults)
+    pending = iter(positionals)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            action, option = options.get(token), token
+            if action is None:
+                return None
+            # a flag gets the empty list argparse hands it; any other option reads the next token
+            value = [] if action.nargs == 0 else next(tokens, "-")
+            if value[:1] == "-":  # a missing or dash-led value
+                return None
+        else:
+            action, option, value = next(pending, None), None, token
+            if action is None:
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        action(parser, namespace, value, option)
+    if next(pending, None) is not None:
+        return None
+    return namespace
+
+
 def _parse_args(argv=None) -> argparse.Namespace:
     """The namespace the full parser gives ``argv``, parsed by the parser of the command ``argv`` names.
 
-    Each command's parser sets ``command`` itself.  Anything that parser does not
-    take whole (no command, an unknown one, an unrecognized argument) goes to the
-    full parser, which exits with its usage line and error.
+    A command line of exact option names is read by :func:`_read_exact` from
+    that parser's own actions; the parser itself reads any other.  Each
+    command's parser sets ``command`` itself.  Anything that parser does not
+    take whole (no command, an unknown one, an unrecognized argument) goes to
+    the full parser, which exits with its usage line and error.
     """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _commands():
+        args = _read_exact(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = _commands()[argv[0]].parse_known_args(argv[1:])
         if not rest:
             return args

@@ -193,8 +193,13 @@ def ccn(rho, block=None):
 
 
 def _ccn(op: HermitianOperator, block: tuple[int, ...]):
-    """:func:`ccn` of a checked operator (or stack) across a checked block."""
-    return _float_or_array(np.linalg.svd(_realigned(op, block), compute_uv=False).sum(axis=-1))
+    """:func:`ccn` of a checked operator (or stack) across a checked block.
+
+    A norm past the float range is refused (:func:`stokes._finite`).
+    """
+    singular_values = np.linalg.svd(_realigned(op, block), compute_uv=False)
+    with np.errstate(over="ignore"):
+        return _float_or_array(_finite(singular_values.sum(axis=-1)))
 
 
 def ccn_via_stokes(s: StokesTensor):
@@ -230,12 +235,17 @@ def concurrence(rho):
 
 
 def _concurrence(op: HermitianOperator):
-    """:func:`concurrence` of a checked two-qubit operator (or stack)."""
+    """:func:`concurrence` of a checked two-qubit operator (or stack).
+
+    Eigenvalues and singular values past the float range are refused
+    (:func:`stokes._finite`): ``nan`` ones would read as a concurrence of 0.
+    """
     values, vecs = np.linalg.eigh(op.matrix)
-    values, vecs = values[..., ::-1].copy(), vecs[..., ::-1].copy()
-    root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    nu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
+    values, vecs = _finite(values[..., ::-1].copy(), (-1,)), vecs[..., ::-1].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        nu = _finite(np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False), (-1,))
+        value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
     return _float_or_array(np.where(value > 0.0, value, 0.0))
 
 

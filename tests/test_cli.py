@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -56,6 +57,10 @@ ARGV_FORMS = {
     "analyze-missing-subset": ["analyze", str(BELL), "--ppt"],
     "analyze-version-prefix": ["analyze", str(BELL), "--v"],
     "analyze-double-dash": ["analyze", "--", str(BELL)],
+    "analyze-options-before-state": ["analyze", "--ppt", "A", "--feasible", str(BELL)],
+    "analyze-empty-values": ["analyze", "", "--ppt", ""],
+    "analyze-dash-led-subset": ["analyze", str(BELL), "--ppt", "-1"],
+    "analyze-equals": ["analyze", str(BELL), "--ppt=A"],
     "table1": ["table1"],
     "table1-plain": ["table1", "--plain"],
     "table1-extra": ["table1", "extra"],
@@ -67,7 +72,24 @@ ARGV_FORMS = {
     "prop-equals": ["prop", "--trials=2", "--seed=3", "--plain"],
     "prop-bad-trials": ["prop", "--trials", "x"],
     "prop-missing-trials": ["prop", "--trials"],
+    "prop-repeated-seed": ["prop", "--seed", "1", "--seed", "2"],
+    "prop-spaced-trials": ["prop", "--trials", " 5"],
 }
+# The forms of ARGV_FORMS made only of exact option names and values; argparse reads every other one.
+READ_EXACTLY = {
+    "analyze-every-flag",
+    "analyze-options-before-state",
+    "analyze-empty-values",
+    "table1",
+    "table1-plain",
+    "upb-demo-plain",
+    "prop-every-option",
+    "prop-repeated-seed",
+    "prop-spaced-trials",
+}
+# Tokens outside every command's option strings: empty, spaced and dash-led values, a bare "--",
+# an abbreviation, an "=" form, help, version, and plain values.
+EDGE_TOKENS = ["", " 5", "-1", "--", "--pp", "--ppt=A", "-h", "--version", "x", "7", "A", str(BELL)]
 
 
 def run_cli(*args, env_extra=None, python_flags=()):
@@ -407,6 +429,39 @@ class TestInProcess:
             assert (caught.value.code, *capsys.readouterr()) == refused
         else:
             assert vars(cli._parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("name", list(ARGV_FORMS))
+    def test_the_exact_reader_takes_only_exact_command_lines(self, name, capsys):
+        argv = ARGV_FORMS[name]
+        read = bool(argv) and argv[0] in cli._commands() and cli._read_exact(argv[0], argv[1:]) is not None
+        assert read == (name in READ_EXACTLY)
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            # a refused form is never read exactly, so its message stays argparse's own
+            assert not read
+
+    def test_the_exact_reader_answers_as_the_full_parser_on_a_seeded_corpus(self):
+        reference = cli.build_parser()
+        rng = random.Random(2022)
+        accepted = 0
+        for _ in range(4000):
+            name = rng.choice(list(cli._commands()))
+            pool = [*cli._commands()[name]._option_string_actions, *EDGE_TOKENS]
+            argv = [name, *rng.choices(pool, k=rng.randrange(8))]
+            args = cli._read_exact(name, argv[1:])
+            if args is not None:
+                accepted += 1
+                assert vars(args) == vars(reference.parse_args(argv)), argv
+        # the reader must take a share of the corpus, or the comparison above shows nothing
+        assert accepted >= 400
+
+    @pytest.mark.parametrize("name", list(cli._commands()))
+    def test_the_exact_grammar_has_no_list_of_its_own(self, name):
+        parser = cli._commands()[name]
+        _, _, options, positionals = cli._exact_grammar(name)
+        assert set(options) == set(parser._option_string_actions) - {"-h", "--help"}
+        assert positionals == parser._get_positional_actions()
 
     def test_near_tolerance_input_keeps_its_verdicts(self, capsys):
         # the anti-Hermitian defect (9e-11) passes the input check; a lift summed

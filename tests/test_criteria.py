@@ -277,6 +277,29 @@ class TestMatrixKernelWitnesses:
             bound = 2.0 ** (1 - n) * abs(np.trace(op.matrix).real - 1) + 1e-15
             assert abs(witness - np.linalg.eigvalsh(lifted)[0]) <= bound
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize(
+        "witness, entries",
+        [
+            # the realigned matrix's singular values sum past the float range
+            ("ccn", [(0, 3), (3, 0), (1, 2), (2, 1)]),
+            # an eigenvalue of sqrt(2) * 1.7e308: the square root and the singular values would read nan
+            ("concurrence", [(0, 1), (1, 0), (0, 2), (2, 0)]),
+        ],
+    )
+    def test_a_matrix_witness_past_the_float_range_is_refused_without_a_warning(self, witness, entries, stack):
+        # finite, Hermitian operators of trace one; member 1 of a stack overflows
+        members = np.stack([np.eye(4) / 4] * 3)
+        for entry in entries:
+            members[(1, *entry)] = 1.7e308
+        op = qr.HermitianOperator(members, stack=True) if stack else qr.HermitianOperator(members[1])
+        with pytest.raises(ValueError, match=("member 1: " if stack else "^") + "entries must be finite$"):
+            getattr(criteria, witness)(op)
+        if not stack:
+            with pytest.raises(ValueError, match="^entries must be finite$"):
+                getattr(criteria, f"{witness}_report")(op)
+
 
 class TestKernelImagesAreExactlyHermitian:
     """The witness kernels solve their images with no Hermiticity check; this is what that check guarded."""
