@@ -9,16 +9,15 @@ Subcommands:
   entangled state and verify the whole chain.
 * ``prop``     -- seeded randomised invariant suite.
 
-``main`` parses the command line once, with the parser of the command it
-names.  A command line made only of exact option names and their values is
-read from that parser's own actions (:func:`_read_exact`); argparse reads any
-other, so every usage line, error, help and version text is its own.  A
-command line the command's parser cannot take whole (no command, an unknown
-command, an unrecognized argument) goes to the full parser, which reports it
-with the full usage line.  ``main`` builds and prints every report: JSON on
-stdout with ``command``, ``input_digest``, ``result`` and ``wall_time_s``,
-or with ``--plain`` the command's aligned text.  A ``cmd_*`` only computes
-and returns ``(exit_code, input_digest, result, plain_lines)``, where
+``main`` reads the command line by one of two paths.  A command line that
+names a command and holds only exact option names and their values is read
+from that command's parser's own actions (:func:`_read_exact`); the full
+argparse parser reads every other, so every usage line, error, help and
+version text is argparse's own.  ``main`` builds and prints every report:
+JSON on stdout with ``command``, ``input_digest``, ``result`` and
+``wall_time_s``, or with ``--plain`` the command's aligned text.  A
+``cmd_*`` only computes and returns
+``(exit_code, input_digest, result, plain_lines)``, where
 ``plain_lines`` is a generator that ``main`` runs only under ``--plain``;
 every error exit raises ``SystemExit(_error(code, message))``, which
 ``main`` maps to its exit code.  Exit codes: 0 success, 1 failed property
@@ -247,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative control: tamper with one mask sign so the suite must fail",
     )
     p.set_defaults(fn=cmd_prop)
-    for name, command_parser in sub.choices.items():
-        # main parses with a command's own parser, so that parser sets ``command`` too
-        command_parser.set_defaults(command=name)
     return parser
 
 
@@ -273,11 +269,13 @@ _EXACT_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._Ap
 def _exact_grammar(name: str):
     """``(parser, defaults, options, positionals)`` read off the actions of command ``name``'s parser.
 
-    ``defaults`` are the values argparse starts a namespace with, ``options``
-    maps each option string but the help action's to its action, and
-    ``positionals`` lists the positional actions in order.  ``None`` when the
-    parser has an action :func:`_read_exact` cannot read exactly as argparse
-    does: one of another class, with ``choices``, with ``nargs`` other than
+    ``defaults`` are the values the full parser starts the command's
+    namespace with (``command`` set to ``name``, then each action's default
+    and the parser's own defaults), ``options`` maps each option string but
+    the help action's to its action, and ``positionals`` lists the
+    positional actions in order.  ``None`` when the parser has an action
+    :func:`_read_exact` cannot read exactly as argparse does: one of
+    another class, with ``choices``, with ``nargs`` other than
     ``None`` or 0, required as an option, or with a string default that its
     ``type`` would convert; or when the parser has mutually exclusive groups
     or prefix characters other than ``-``.
@@ -285,7 +283,7 @@ def _exact_grammar(name: str):
     parser = _commands()[name]
     if parser._mutually_exclusive_groups or parser.prefix_chars != "-" or parser.fromfile_prefix_chars:
         return None
-    defaults, options, positionals = {}, {}, []
+    defaults, options, positionals = {"command": name}, {}, []
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue
@@ -308,15 +306,15 @@ def _exact_grammar(name: str):
 
 
 def _read_exact(name: str, tokens) -> argparse.Namespace | None:
-    """The namespace command ``name``'s parser gives ``tokens``, if they are only exact option names and values.
+    """The namespace the full parser gives ``[name, *tokens]``, if ``tokens`` are exact option names and values.
 
     A token led by ``-`` must be an option string of :func:`_exact_grammar`,
     and an option's value is the next token, which must not be led by ``-``;
     any other token fills the next positional.  Each value goes through the
     action's ``type`` and the action itself, as argparse does.  ``None``
-    (argparse reads the line) for anything else: an unknown or abbreviated
-    option, ``--opt=value``, ``--``, ``-h``, a missing or dash-led value, a
-    ``type`` that raises, a missing or an extra positional.
+    (the full parser reads the line) for anything else: an unknown or
+    abbreviated option, ``--opt=value``, ``--``, ``-h``, a missing or
+    dash-led value, a ``type`` that raises, a missing or an extra positional.
     """
     grammar = _exact_grammar(name)
     if grammar is None:
@@ -350,23 +348,16 @@ def _read_exact(name: str, tokens) -> argparse.Namespace | None:
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
-    """The namespace the full parser gives ``argv``, parsed by the parser of the command ``argv`` names.
+    """The namespace the full parser gives ``argv``, read by one of two paths.
 
-    A command line of exact option names is read by :func:`_read_exact` from
-    that parser's own actions; the parser itself reads any other.  Each
-    command's parser sets ``command`` itself.  Anything that parser does not
-    take whole (no command, an unknown one, an unrecognized argument) goes to
-    the full parser, which exits with its usage line and error.
+    A command line that names a command and holds only exact option names and
+    values is read by :func:`_read_exact` from that command's parser's own
+    actions.  The full parser reads every other one, and exits with its own
+    usage line and error, help or version text.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _commands():
-        args = _read_exact(argv[0], argv[1:])
-        if args is not None:
-            return args
-        args, rest = _commands()[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _parser().parse_args(argv)
+    args = _read_exact(argv[0], argv[1:]) if argv and argv[0] in _commands() else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -37,6 +37,7 @@ from .stokes import (
     PSD_TOL,
     StokesTensor,
     _as_operator,
+    _Checked,
     _finite,
     _float_or_array,
     _identity_times_reduction,
@@ -46,6 +47,7 @@ from .stokes import (
     _realigned,
     _single,
     _two_qubits,
+    qubit_count,
     stokes_as_matrix,
 )
 
@@ -301,9 +303,17 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
     ``rank >= 2**(n-1)``; the rank counts eigenvalues above ``PSD_TOL``, the
     numerical zero of the load check, so the verdict tolerance ``tol`` does
     not move it.  One spectrum gives a float and bools, a stack one array
-    per name.
+    per name.  A spectrum whose length is not ``2**n``, with an entry that
+    is not finite, or not in ascending order is refused with ``ValueError``.
     """
-    return _feasibility(np.asarray(spectrum), _verdict_tolerance(tol))
+    spectrum = np.asarray(spectrum)
+    tol = _verdict_tolerance(tol)
+    if not spectrum.ndim:
+        raise ValueError("a spectrum needs one axis of eigenvalues, got a scalar")
+    qubit_count(spectrum.shape[-1])
+    _Checked._require(np.isfinite(spectrum).all(axis=-1), "entries must be finite")
+    _Checked._require((spectrum[..., :-1] <= spectrum[..., 1:]).all(axis=-1), "the spectrum must be ascending")
+    return _feasibility(spectrum, tol)
 
 
 def _feasibility(spectrum: np.ndarray, tol: float) -> tuple:

@@ -6,14 +6,19 @@ criterion does: a raw array passes the one
 :class:`~qreflect.stokes.HermitianOperator` check (shape, finite entries,
 Hermiticity, trace 1), a stack is refused, and a state answers from the
 ascending spectrum it was validated with.  The criteria solve their kernel
-images, which are Hermitian bit for bit, with :func:`_lowest_eig`.
+images, which are Hermitian bit for bit, with :func:`_lowest_eig`.  A finite
+matrix can still have eigenvalues past the float range; both solves refuse
+them with "entries must be finite", the overflow rule of
+:func:`~qreflect.stokes._finite`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .stokes import DensityState, _as_operator, _single
+from .stokes import DensityState, _as_operator, _finite, _single
 
 
 def _eigenvalues(h) -> np.ndarray:
@@ -21,7 +26,7 @@ def _eigenvalues(h) -> np.ndarray:
     op = _single(_as_operator(h))
     if isinstance(op, DensityState):
         return op.spectrum
-    return np.linalg.eigvalsh(op.matrix)
+    return _finite(np.linalg.eigvalsh(op.matrix), -1)
 
 
 def min_eig(h) -> float:
@@ -29,12 +34,16 @@ def min_eig(h) -> float:
 
 
 def _lowest_eig(image: np.ndarray) -> float:
-    """Lowest eigenvalue of a kernel image of a checked operator, with no second check.
+    """Lowest eigenvalue of a kernel image of a checked operator, with no second Hermiticity check.
 
     A partial transpose permutes the entries of the operator's exactly
     Hermitian matrix, and a lift adds them in conjugate pairs and scales by
     a power of two, so the image is Hermitian bit for bit and a second
     Hermiticity check would find nothing.  The reduction image's trace is
-    not 1, so :func:`min_eig` would refuse it.
+    not 1, so :func:`min_eig` would refuse it.  Only the returned float is
+    checked, which costs far less than an array check on every solve.
     """
-    return float(np.linalg.eigvalsh(image)[0])
+    lowest = float(np.linalg.eigvalsh(image)[0])
+    if not math.isfinite(lowest):
+        raise ValueError("entries must be finite")
+    return lowest

@@ -419,7 +419,7 @@ class TestInProcess:
 
     @pytest.mark.parametrize("argv", list(ARGV_FORMS.values()), ids=list(ARGV_FORMS))
     def test_the_command_parser_answers_as_the_full_parser(self, argv, capsys):
-        # main parses with the parser of the command argv names; the full parser is the reference
+        # main reads argv exactly or hands it to the full parser; a fresh full parser is the reference
         try:
             expected = vars(cli.build_parser().parse_args(argv))
         except SystemExit as exc:
@@ -441,7 +441,8 @@ class TestInProcess:
             # a refused form is never read exactly, so its message stays argparse's own
             assert not read
 
-    def test_the_exact_reader_answers_as_the_full_parser_on_a_seeded_corpus(self):
+    def test_the_exact_reader_answers_as_the_full_parser_on_a_seeded_corpus(self, capsys):
+        # every command line drawn, read exactly or not, parses to the reference's namespace or exit
         reference = cli.build_parser()
         rng = random.Random(2022)
         accepted = 0
@@ -449,11 +450,17 @@ class TestInProcess:
             name = rng.choice(list(cli._commands()))
             pool = [*cli._commands()[name]._option_string_actions, *EDGE_TOKENS]
             argv = [name, *rng.choices(pool, k=rng.randrange(8))]
-            args = cli._read_exact(name, argv[1:])
-            if args is not None:
-                accepted += 1
-                assert vars(args) == vars(reference.parse_args(argv)), argv
-        # the reader must take a share of the corpus, or the comparison above shows nothing
+            accepted += cli._read_exact(name, argv[1:]) is not None
+            try:
+                expected = vars(reference.parse_args(argv))
+            except SystemExit as exc:
+                refused = (exc.code, *capsys.readouterr())
+                with pytest.raises(SystemExit) as caught:
+                    cli._parse_args(argv)
+                assert (caught.value.code, *capsys.readouterr()) == refused, argv
+            else:
+                assert vars(cli._parse_args(argv)) == expected, argv
+        # the reader must take a share of the corpus, or the comparison shows nothing of it
         assert accepted >= 400
 
     @pytest.mark.parametrize("name", list(cli._commands()))

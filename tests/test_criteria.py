@@ -300,6 +300,25 @@ class TestMatrixKernelWitnesses:
             with pytest.raises(ValueError, match="^entries must be finite$"):
                 getattr(criteria, f"{witness}_report")(op)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda op: qr.ppt_test(op, (1,)),
+            lambda op: qr.reduction_criterion(op, (1,)),
+            lambda op: qr.total_reflection_feasible(op),
+            lambda op: qr.reflection_report(op, (1, 2)),
+            qr.min_eig,
+        ],
+        ids=["ppt", "reduction", "total_reflection", "reflection_ab", "min_eig"],
+    )
+    def test_an_eigenvalue_witness_past_the_float_range_is_refused(self, call):
+        # a finite, Hermitian operator of trace one whose lowest eigenvalue is -inf in floats
+        m = np.eye(4) / 4 + 0j
+        m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = 1.7e308
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            call(qr.HermitianOperator(m))
+
 
 class TestKernelImagesAreExactlyHermitian:
     """The witness kernels solve their images with no Hermiticity check; this is what that check guarded."""
@@ -423,6 +442,23 @@ class TestTotalReflectionFeasibility:
             assert report.extra["purity_bound"] == (np.trace(m @ m).real <= bound + 1e-12)
             assert report.extra["rank_bound"] == (rank >= 2 ** (n - 1))
             assert np.count_nonzero(np.abs(rho.spectrum) > 1e-10) == rank
+
+    @pytest.mark.parametrize(
+        "spectrum, match",
+        [
+            # descending: its last entry is not the largest eigenvalue
+            ([0.7, 0.1, 0.1, 0.1], "^the spectrum must be ascending$"),
+            ([[0.1, 0.1, 0.1, 0.7], [0.7, 0.1, 0.1, 0.1]], "^member 1: the spectrum must be ascending$"),
+            ([math.nan] * 4, "^entries must be finite$"),
+            ([0.1, 0.2, 0.3], "^dimension 3 is not a power of two$"),
+            ([], "^dimension 0 is not a power of two >= 2$"),
+            (0.5, "^a spectrum needs one axis of eigenvalues, got a scalar$"),
+        ],
+        ids=["descending", "descending_member", "nan", "three_entries", "empty", "scalar"],
+    )
+    def test_the_public_kernel_refuses_what_is_not_an_ascending_spectrum(self, spectrum, match):
+        with pytest.raises(ValueError, match=match):
+            criteria.feasibility(spectrum)
 
     def test_pinned_counterexample_purity_without_feasibility(self):
         doc = json.loads((FIXTURES / "purity_bound_counterexample.json").read_text())
