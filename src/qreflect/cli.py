@@ -11,7 +11,7 @@ Subcommands:
 
 ``main`` reads the command line by one of two paths.  A command line that
 names a command and holds only exact option names and their values is read
-from that command's parser's own actions (:func:`_read_exact`); the full
+from the command parser's own tables (:func:`_read_exact`); the full
 argparse parser reads every other, so every usage line, error, help and
 version text is argparse's own.  ``main`` builds and prints every report:
 JSON on stdout with ``command``, ``input_digest``, ``result`` and
@@ -262,71 +262,43 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
-_EXACT_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
-
-
 @functools.cache
-def _exact_grammar(name: str):
-    """``(parser, defaults, options, positionals)`` read off the actions of command ``name``'s parser.
-
-    ``defaults`` are the values the full parser starts the command's
-    namespace with (``command`` set to ``name``, then each action's default
-    and the parser's own defaults), ``options`` maps each option string but
-    the help action's to its action, and ``positionals`` lists the
-    positional actions in order.  ``None`` when the parser has an action
-    :func:`_read_exact` cannot read exactly as argparse does: one of
-    another class, with ``choices``, with ``nargs`` other than
-    ``None`` or 0, required as an option, or with a string default that its
-    ``type`` would convert; or when the parser has mutually exclusive groups
-    or prefix characters other than ``-``.
-    """
+def _defaults(name: str) -> dict:
+    """The namespace the full parser starts command ``name`` with: ``command``, each action's default, the parser's."""
     parser = _commands()[name]
-    if parser._mutually_exclusive_groups or parser.prefix_chars != "-" or parser.fromfile_prefix_chars:
-        return None
-    defaults, options, positionals = {"command": name}, {}, []
+    defaults = {"command": name}
     for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if (
-            type(action) not in _EXACT_ACTIONS
-            or action.choices is not None
-            or action.nargs not in (None, 0)
-            or action.required and action.option_strings
-            or isinstance(action.default, str) and action.type is not None
-        ):
-            return None
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
             defaults.setdefault(action.dest, action.default)
-        options.update(dict.fromkeys(action.option_strings, action))
-        if not action.option_strings:
-            positionals.append(action)
     for dest, value in parser._defaults.items():
         defaults.setdefault(dest, value)
-    return parser, defaults, options, positionals
+    return defaults
 
 
 def _read_exact(name: str, tokens) -> argparse.Namespace | None:
     """The namespace the full parser gives ``[name, *tokens]``, if ``tokens`` are exact option names and values.
 
-    A token led by ``-`` must be an option string of :func:`_exact_grammar`,
-    and an option's value is the next token, which must not be led by ``-``;
-    any other token fills the next positional.  Each value goes through the
-    action's ``type`` and the action itself, as argparse does.  ``None``
-    (the full parser reads the line) for anything else: an unknown or
-    abbreviated option, ``--opt=value``, ``--``, ``-h``, a missing or
-    dash-led value, a ``type`` that raises, a missing or an extra positional.
+    Tokens are looked up in the command parser's own tables: a token led by
+    ``-`` must be one of its option strings other than ``-h``/``--help``,
+    and an option's value is the next token, which must not be led by
+    ``-``; any other token fills the parser's next positional.  Each value
+    goes through the action's ``type`` and the action itself, as argparse
+    does.  ``None`` (the full parser reads the line) for anything else: an
+    unknown or abbreviated option, ``--opt=value``, ``--``, help, a missing
+    or dash-led value, a ``type`` that raises, a missing or an extra
+    positional.  This is argparse's own reading for parsers like this
+    program's (no ``choices``, ``nargs`` of ``None`` or 0, no required
+    option, ...); a test pins that premise for every command parser.
     """
-    grammar = _exact_grammar(name)
-    if grammar is None:
-        return None
-    parser, defaults, options, positionals = grammar
-    namespace = argparse.Namespace(**defaults)
-    pending = iter(positionals)
+    parser = _commands()[name]
+    options = parser._option_string_actions
+    namespace = argparse.Namespace(**_defaults(name))
+    pending = iter(parser._positionals._group_actions)
     tokens = iter(tokens)
     for token in tokens:
         if token.startswith("-"):
             action, option = options.get(token), token
-            if action is None:
+            if action is None or isinstance(action, argparse._HelpAction):
                 return None
             # a flag gets the empty list argparse hands it; any other option reads the next token
             value = [] if action.nargs == 0 else next(tokens, "-")
@@ -351,8 +323,8 @@ def _parse_args(argv=None) -> argparse.Namespace:
     """The namespace the full parser gives ``argv``, read by one of two paths.
 
     A command line that names a command and holds only exact option names and
-    values is read by :func:`_read_exact` from that command's parser's own
-    actions.  The full parser reads every other one, and exits with its own
+    values is read by :func:`_read_exact` from that command parser's own
+    tables.  The full parser reads every other one, and exits with its own
     usage line and error, help or version text.
     """
     argv = sys.argv[1:] if argv is None else argv

@@ -43,6 +43,7 @@ from .stokes import (
     _identity_times_reduction,
     _is_real,
     _nonempty_subset,
+    _numbers,
     _partial_transpose,
     _realigned,
     _single,
@@ -304,13 +305,15 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
     numerical zero of the load check, so the verdict tolerance ``tol`` does
     not move it.  One spectrum gives a float and bools, a stack one array
     per name.  A spectrum whose length is not ``2**n``, with an entry that
-    is not finite, or not in ascending order is refused with ``ValueError``.
+    is not a finite real number (:func:`stokes._numbers`), or not in
+    ascending order is refused with ``ValueError``.
     """
     spectrum = np.asarray(spectrum)
     tol = _verdict_tolerance(tol)
     if not spectrum.ndim:
         raise ValueError("a spectrum needs one axis of eigenvalues, got a scalar")
     qubit_count(spectrum.shape[-1])
+    spectrum = _numbers(spectrum, True, -1)
     _Checked._require(np.isfinite(spectrum).all(axis=-1), "entries must be finite")
     _Checked._require((spectrum[..., :-1] <= spectrum[..., 1:]).all(axis=-1), "the spectrum must be ascending")
     return _feasibility(spectrum, tol)

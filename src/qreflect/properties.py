@@ -521,8 +521,14 @@ _CHECKS = [
 
 
 def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> list[InvariantResult]:
-    """Run every invariant with per-check substreams spawned from ``seed``."""
+    """Run every invariant with per-check substreams spawned from ``seed``, an integer >= 0.
+
+    The seed and the trial count are checked before anything is drawn, so a
+    fixed ``(seed, trials)`` always draws the same states.
+    """
     trials = stokes._count(trials, "trial counts")
+    if (seed := stokes._label(seed, "seeds")) < 0:
+        raise ValueError(f"seeds must be at least 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     results = []
     for (name, invariant), child in zip(_CHECKS, children):

@@ -37,6 +37,7 @@ from .stokes import (
     _identity_times_reduction,
     _label,
     _nonempty_subset,
+    _numbers,
     _qubits,
     _single,
     from_stokes,
@@ -121,8 +122,12 @@ def apply_mask(mask: SignMask, state):
 
     The signs broadcast against the values: one mask acts on every member of
     a state stack, a catalog (a stack of masks) gives every image of one
-    state in one transform, and equal-length stacks pair up member by member.
+    state in one transform, and equal-length stacks pair up member by member;
+    stacks of two lengths are refused before any transform.
     """
+    members = len(mask.signs) if mask.is_stack else None
+    if members and isinstance(state, _Checked) and state.is_stack and len(state._array) != members:
+        raise ValueError(f"a stack of {members} masks needs one state or a state stack of {members}, got {state!r}")
     if isinstance(state, StokesTensor):
         if mask.n != state.n:
             raise ValueError(f"mask acts on {mask.n} qubits, state has {state.n}")
@@ -164,10 +169,11 @@ class LocalOrthogonalMap:
         validated = []
         members = set()
         for b in blocks:
-            b = np.array(b, dtype=float)
+            b = np.asarray(b)
             if b.shape[-2:] != (4, 4) or b.ndim not in (2, 3):
                 raise ValueError(f"each block must be 4x4 or a stack of 4x4, got {b.shape}")
             axes = (-2, -1)
+            b = np.array(_numbers(b, True, axes), dtype=float)
             _Checked._require(np.isfinite(b).all(axis=axes), "block entries must be finite")
             # The first row and the first column must both be (1, 0, 0, 0).
             affine = np.maximum(np.abs(b[..., 0, :] - _AFFINE_AXIS), np.abs(b[..., :, 0] - _AFFINE_AXIS)).max(axis=-1)
@@ -190,7 +196,7 @@ class LocalOrthogonalMap:
         n, qubit = _qubits(n), _label(qubit)
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
-        r = np.asarray(rotation, dtype=float)
+        r = np.asarray(_numbers(rotation, True), dtype=float)
         blocks = [np.eye(4) for _ in range(n)]
         block = np.zeros((*r.shape[:-2], 4, 4))
         block[..., 0, 0] = 1.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .criteria import complement
-from .stokes import DensityState, _as_operator, _count, _is_real, _qubits, _squared_norms, qubit_count
+from .stokes import DensityState, _as_operator, _count, _is_real, _numbers, _qubits, _squared_norms, qubit_count
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -29,7 +29,7 @@ def ket(which) -> np.ndarray:
         for c in which[1:]:
             vec = np.kron(vec, KET_SYMBOLS[c])
         return vec
-    vec = np.asarray(which, dtype=complex).reshape(-1)
+    vec = np.asarray(_numbers(which), dtype=complex).reshape(-1)
     qubit_count(vec.size)
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= 1e-12:  # NaN fails this test too

@@ -69,6 +69,24 @@ def qubit_count(dim: int) -> int:
     return _qubits(n)
 
 
+def _numbers(data, real: bool = False, axes=None) -> np.ndarray:
+    """``data`` as an array of numbers: any dtype but integer, float or complex is refused with ``ValueError``.
+
+    numpy would read bools as 0 and 1 and parse strings or objects as
+    numbers.  With ``real``, a complex array must have a zero imaginary part
+    (checked per member when ``axes`` are the member's axes) and gives its
+    real part.
+    """
+    a = np.asarray(data)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"entries must be numbers, got an array of dtype {a.dtype}")
+    if real and a.dtype.kind == "c":
+        imaginary = np.abs(a.imag).max(axis=axes)
+        _Checked._require(imaginary == 0, "entries must be real, got an imaginary part {:.3e}", imaginary)
+        a = a.real
+    return a
+
+
 class _Checked:
     """Shared core of the validated array types: a checked read-only array and its qubit count.
 
@@ -92,8 +110,8 @@ class _Checked:
         Each member must be a square ``2**n`` matrix (``_ndim=2``) or a flat
         ``4**n`` array (``_ndim=1``); both have side ``isqrt(size)``, which
         :func:`qubit_count` turns into ``n``.  A stack must have a member.
-        Every entry must be finite, and a real type refuses a nonzero
-        imaginary part.
+        Every entry must be a finite number (:func:`_numbers`), and a real
+        type refuses a nonzero imaginary part.
         """
         a = np.asarray(data)
         member = a.shape[1:] if stack else a.shape
@@ -103,11 +121,7 @@ class _Checked:
             raise ValueError(f"expected {kind} array{' per member' if stack else ''}, got shape {a.shape}")
         self._n = qubit_count(side)
         axes = tuple(range(1, a.ndim)) if stack else None
-        if dtype is float and a.dtype.kind == "c":
-            imaginary = np.abs(a.imag).max(axis=axes)
-            self._require(imaginary == 0, "entries must be real, got an imaginary part {:.3e}", imaginary)
-            a = a.real
-        a = np.array(a, dtype=dtype)
+        a = np.array(_numbers(a, dtype is float, axes), dtype=dtype)
         self._require(np.isfinite(a).all(axis=axes), "entries must be finite")
         return a
 

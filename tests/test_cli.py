@@ -1,5 +1,6 @@
 """Command-line behaviour: output formats, determinism, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
@@ -464,11 +465,21 @@ class TestInProcess:
         assert accepted >= 400
 
     @pytest.mark.parametrize("name", list(cli._commands()))
-    def test_the_exact_grammar_has_no_list_of_its_own(self, name):
+    def test_every_command_parser_keeps_the_exact_readers_premise(self, name):
+        # _read_exact reads a command line as argparse does only for a parser of this form; one outside it fails here
         parser = cli._commands()[name]
-        _, _, options, positionals = cli._exact_grammar(name)
-        assert set(options) == set(parser._option_string_actions) - {"-h", "--help"}
-        assert positionals == parser._get_positional_actions()
+        assert not parser._mutually_exclusive_groups
+        assert parser.prefix_chars == "-" and parser.fromfile_prefix_chars is None
+        # the reader fills positionals from the parser's own positional group, which must hold them all in order
+        assert parser._positionals._group_actions == parser._get_positional_actions()
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.nargs in (None, 0), action.dest
+            assert action.choices is None, action.dest
+            assert not (action.required and action.option_strings), action.dest
+            # argparse converts a string default with the action's type; the reader starts from defaults as they are
+            assert not (isinstance(action.default, str) and action.type is not None), action.dest
 
     def test_near_tolerance_input_keeps_its_verdicts(self, capsys):
         # the anti-Hermitian defect (9e-11) passes the input check; a lift summed
@@ -636,6 +647,10 @@ class TestProp:
     def test_invalid_trials_rejected(self):
         proc = run_cli("prop", "--trials", "0")
         assert proc.returncode == 2
+
+    def test_a_negative_seed_names_the_seed_rule(self, capsys):
+        assert cli.main(["prop", "--seed", "-1", "--trials", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: seeds must be at least 0, got -1\n")
 
     def test_default_run_passes_within_runtime_budget(self):
         # measured about 6.5 s at build time; pinned with 3x slack

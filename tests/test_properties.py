@@ -22,6 +22,23 @@ def test_every_invariant_reports_requested_trials_and_non_negative_worst(seed):
         assert r.worst >= 0, r.name
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seeds must be integers, got True"),
+        (None, "seeds must be integers, got None"),
+        (1.5, "seeds must be integers, got 1.5"),
+        ("3", "seeds must be integers, got '3'"),
+        (-1, "seeds must be at least 0, got -1"),
+    ],
+)
+def test_a_seed_that_is_not_an_integer_at_least_0_is_refused_before_any_draw(seed, message, monkeypatch):
+    # a bool would run as seed 0 or 1, and None on fresh entropy: neither is reproducible from the call
+    monkeypatch.setattr(properties, "_run", lambda *args: pytest.fail("drew before checking the seed"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        properties.run_suite(seed, 2)
+
+
 def test_corrupted_run_leaves_the_cached_catalog_intact():
     clean = payload(properties.run_suite(7, 5))
     corrupted = properties.run_suite(7, 5, corrupt_mask=True)

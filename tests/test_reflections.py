@@ -584,6 +584,22 @@ class TestStacks:
         for k, mask in enumerate(masks):
             assert np.abs(images.matrix[k] - qr.apply_mask(mask, rho[k]).matrix).max() <= 1e-15
 
+    @pytest.mark.parametrize("masks, states", [(4, 3), (3, 4)])
+    def test_stacks_of_two_lengths_are_refused_before_any_transform(self, masks, states, rng, monkeypatch):
+        catalog = SignMask(np.ones((masks, 16)), stack=True)
+        rho = qr.random_density(2, "mixed_dirichlet", rng, size=states)
+        s = stokes_of(rho)
+        monkeypatch.setattr(qr.reflections, "to_stokes", lambda state: pytest.fail("transformed a refused pair"))
+        message = f"a stack of {masks} masks needs one state or a state stack of {masks}, got "
+        for state in (rho, s):
+            with pytest.raises(ValueError, match=message):
+                qr.apply_mask(catalog, state)
+        # a catalog on one state, one mask on a stack and equal stacks keep working
+        assert len(qr.apply_mask(catalog, s[0]).values) == masks
+        assert len(qr.apply_mask(catalog[0], s).values) == states
+        paired = s[np.arange(masks) % states]
+        assert np.array_equal(qr.apply_mask(catalog, paired).values, paired.values)
+
     def test_one_bad_mask_in_a_catalog_is_named(self):
         signs = np.ones((3, 16))
         signs[1, 0] = -1

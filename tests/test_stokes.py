@@ -674,6 +674,49 @@ class TestStacks:
                 assert abs(stacked[k] - one) <= 1e-15
 
 
+class TestNumberRule:
+    """Every array input must hold numbers: numpy would read bools as 0 and 1 and parse strings as numbers."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qr.HermitianOperator([[True, False], [False, False]]),
+            lambda: qr.DensityState([[True, False], [False, False]]),
+            lambda: qr.HermitianOperator(np.eye(2, dtype=object) / 2),
+            lambda: StokesTensor(["0.7071067811865476", "0", "0", "0"]),
+            lambda: StokesTensor(np.array([[2**-0.5, 0, 0, 0]], dtype=object), stack=True),
+            lambda: SignMask([True] * 4),
+            lambda: qr.RealDensityMatrix(np.eye(2, dtype=bool)),
+            lambda: qr.LocalOrthogonalMap([np.eye(4).astype(str)]),
+            lambda: qr.LocalOrthogonalMap.single_qubit(1, 1, np.eye(3, dtype=bool)),
+            lambda: qr.ket([True, False]),
+            lambda: qr.ppt_test(np.diag([True, False, False, False]), (1,)),
+            lambda: qr.feasibility([True, True]),
+            lambda: qr.feasibility(["0.1"] * 4),
+        ],
+        ids=[
+            "hermitian-bool",
+            "density-bool",
+            "hermitian-object",
+            "stokes-str",
+            "stokes-stack-object",
+            "mask-bool",
+            "real-density-bool",
+            "local-map-str",
+            "single-qubit-rotation-bool",
+            "ket-bool",
+            "ppt-test-bool",
+            "feasibility-bool",
+            "feasibility-str",
+        ],
+    )
+    def test_bool_string_and_object_arrays_are_refused(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="entries must be numbers, got an array of dtype"):
+                build()
+
+
 class TestRealInput:
     """A real checked type refuses a nonzero imaginary part instead of dropping it."""
 
@@ -691,6 +734,17 @@ class TestRealInput:
                 cls(stack, stack=True)
             # A zero imaginary part is a real number.
             assert np.array_equal(getattr(cls(valid(1).astype(complex)), accessor), valid(1))
+
+    def test_a_spectrum_and_a_local_map_block_are_real_inputs(self):
+        spectrum = np.array([0.1, 0.2, 0.3, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qr.feasibility(spectrum + 0j) == qr.feasibility(spectrum)
+            with pytest.raises(ValueError, match="must be real"):
+                qr.feasibility(spectrum + 0.1j)
+            assert np.array_equal(qr.LocalOrthogonalMap([np.eye(4) + 0j]).blocks[0], np.eye(4))
+            with pytest.raises(ValueError, match="must be real"):
+                qr.LocalOrthogonalMap([np.eye(4) + 0.1j])
 
     def test_stokes_literal_from_the_report(self):
         with pytest.raises(ValueError, match="must be real"):
