@@ -36,9 +36,8 @@ from .stokes import (
     HermitianOperator,
     PSD_TOL,
     StokesTensor,
-    _as_operator,
+    _as,
     _Checked,
-    _finite,
     _float_or_array,
     _identity_times_reduction,
     _is_real,
@@ -131,7 +130,7 @@ def _reports(rho, requests, tol) -> list[CriterionReport]:
     ``(2**|S| - 1) tr(rho)`` of its image.
     """
     tol = _verdict_tolerance(tol)
-    op = _single(_as_operator(rho))
+    op = _single(_as(HermitianOperator, rho))
     n = op.n
     checked = [(criterion, _RULES[criterion][0](subset, n)) for criterion, subset in requests]
     solved = {}
@@ -191,28 +190,18 @@ def ccn(rho, block=None):
     The realignment is :func:`stokes._realigned`; on square cuts it has the
     singular values of the reshuffling map :func:`choi_reshuffle`.
     """
-    op = _as_operator(rho)
+    op = _as(HermitianOperator, rho)
     return _ccn(op, _ccn_block(op.n, block))
 
 
 def _ccn(op: HermitianOperator, block: tuple[int, ...]):
-    """:func:`ccn` of a checked operator (or stack) across a checked block.
-
-    A norm past the float range is refused (:func:`stokes._finite`).
-    """
-    singular_values = np.linalg.svd(_realigned(op, block), compute_uv=False)
-    with np.errstate(over="ignore"):
-        return _float_or_array(_finite(singular_values.sum(axis=-1)))
+    """:func:`ccn` of a checked operator (or stack) across a checked block."""
+    return _float_or_array(np.linalg.svd(_realigned(op, block), compute_uv=False).sum(axis=-1))
 
 
 def ccn_via_stokes(s: StokesTensor):
-    """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack.
-
-    A norm past the float range is refused (:func:`stokes._finite`).
-    """
-    singular_values = np.linalg.svd(stokes_as_matrix(s), compute_uv=False)
-    with np.errstate(over="ignore"):
-        return _float_or_array(_finite(singular_values.sum(axis=-1) / 2.0))
+    """Two-qubit cross norm as half the trace norm of the Stokes matrix: a float, or one per member of a stack."""
+    return _float_or_array(np.linalg.svd(stokes_as_matrix(s), compute_uv=False).sum(axis=-1) / 2.0)
 
 
 def ccn_report(rho, block=None, tol: float = PSD_TOL) -> CriterionReport:
@@ -232,23 +221,18 @@ def concurrence(rho):
     so the square root sums them in descending order, which fixes the
     value's rounding bit for bit.
     """
-    op = _as_operator(rho)
+    op = _as(HermitianOperator, rho)
     _two_qubits(op.n, "concurrence")
     return _concurrence(op)
 
 
 def _concurrence(op: HermitianOperator):
-    """:func:`concurrence` of a checked two-qubit operator (or stack).
-
-    Eigenvalues and singular values past the float range are refused
-    (:func:`stokes._finite`): ``nan`` ones would read as a concurrence of 0.
-    """
+    """:func:`concurrence` of a checked two-qubit operator (or stack)."""
     values, vecs = np.linalg.eigh(op.matrix)
-    values, vecs = _finite(values[..., ::-1].copy(), (-1,)), vecs[..., ::-1].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-        nu = _finite(np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False), (-1,))
-        value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
+    values, vecs = values[..., ::-1].copy(), vecs[..., ::-1].copy()
+    root = (vecs * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    nu = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    value = nu[..., 0] - nu[..., 1] - nu[..., 2] - nu[..., 3]
     return _float_or_array(np.where(value > 0.0, value, 0.0))
 
 
@@ -257,14 +241,10 @@ def concurrence_report(rho, tol: float = PSD_TOL) -> CriterionReport:
 
 
 def lorentz_metric(s: StokesTensor):
-    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member.
-
-    Squares past the float range are refused (:func:`stokes._finite`); their difference would read ``nan``.
-    """
+    """Quadratic invariant ``tr(rho rho')`` evaluated on Stokes components: a float, or one per member."""
     v = stokes_as_matrix(s) / 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
-        return _float_or_array(_finite(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1))))
+    time_like = v[..., 0, 0] ** 2 - np.sum(v[..., 0, 1:] ** 2, axis=-1) - np.sum(v[..., 1:, 0] ** 2, axis=-1)
+    return _float_or_array(time_like + np.sum(v[..., 1:, 1:] ** 2, axis=(-2, -1)))
 
 
 def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
@@ -286,7 +266,7 @@ def reduction_criterion(rho, traced, tol: float = PSD_TOL) -> CriterionReport:
 def complement(rho) -> HermitianOperator:
     """Total reflection ``2**(1-n) identity - rho``; mixes with the input to
     the maximally mixed state."""
-    op = _as_operator(rho)
+    op = _as(HermitianOperator, rho)
     dim = 2**op.n
     return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix, op.is_stack)
 
@@ -303,16 +283,21 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
     The necessary bounds are ``tr(rho**2) <= 2**(1-n)`` and
     ``rank >= 2**(n-1)``; the rank counts eigenvalues above ``PSD_TOL``, the
     numerical zero of the load check, so the verdict tolerance ``tol`` does
-    not move it.  One spectrum gives a float and bools, a stack one array
-    per name.  A spectrum whose length is not ``2**n``, with an entry that
-    is not a finite real number (:func:`stokes._numbers`), or not in
-    ascending order is refused with ``ValueError``.
+    not move it.  One spectrum gives a float and bools, a stack (of at least
+    one member) one array per name.  A spectrum whose length is not
+    ``2**n``, with an entry that is not a finite real number within the
+    magnitude limit (:func:`stokes._numbers`), or not in ascending order is
+    refused with ``ValueError``, and a checked value with ``TypeError``.
     """
+    if isinstance(spectrum, _Checked):
+        raise TypeError(f"a spectrum is checked from an array, got a {type(spectrum).__name__}")
     spectrum = np.asarray(spectrum)
     tol = _verdict_tolerance(tol)
     if not spectrum.ndim:
         raise ValueError("a spectrum needs one axis of eigenvalues, got a scalar")
     qubit_count(spectrum.shape[-1])
+    if not spectrum.size:
+        raise ValueError(f"a stack of spectra needs a member, got shape {spectrum.shape}")
     spectrum = _numbers(spectrum, True, -1)
     _Checked._require(np.isfinite(spectrum).all(axis=-1), "entries must be finite")
     _Checked._require((spectrum[..., :-1] <= spectrum[..., 1:]).all(axis=-1), "the spectrum must be ascending")

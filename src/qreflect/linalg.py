@@ -3,30 +3,27 @@
 Everything here runs on matrices of dimension at most 64, so the dense
 LAPACK solver is used.  :func:`min_eig` reads one operator the way every
 criterion does: a raw array passes the one
-:class:`~qreflect.stokes.HermitianOperator` check (shape, finite entries,
-Hermiticity, trace 1), a stack is refused, and a state answers from the
-ascending spectrum it was validated with.  The criteria solve their kernel
-images, which are Hermitian bit for bit, with :func:`_lowest_eig`.  A finite
-matrix can still have eigenvalues past the float range; both solves refuse
-them with "entries must be finite", the overflow rule of
-:func:`~qreflect.stokes._finite`.
+:class:`~qreflect.stokes.HermitianOperator` check (shape, finite entries
+within the magnitude limit, Hermiticity, trace 1), a stack is refused, and a
+state answers from the ascending spectrum it was validated with.  The
+criteria solve their kernel images, which are Hermitian bit for bit, with
+:func:`_lowest_eig`.  The magnitude limit keeps every eigenvalue of a
+checked operator or of its images finite, so neither solve checks its result.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .stokes import DensityState, _as_operator, _finite, _single
+from .stokes import DensityState, HermitianOperator, _as, _single
 
 
 def _eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of one checked operator; a state's are the ones it was validated with."""
-    op = _single(_as_operator(h))
+    op = _single(_as(HermitianOperator, h))
     if isinstance(op, DensityState):
         return op.spectrum
-    return _finite(np.linalg.eigvalsh(op.matrix), -1)
+    return np.linalg.eigvalsh(op.matrix)
 
 
 def min_eig(h) -> float:
@@ -40,10 +37,6 @@ def _lowest_eig(image: np.ndarray) -> float:
     Hermitian matrix, and a lift adds them in conjugate pairs and scales by
     a power of two, so the image is Hermitian bit for bit and a second
     Hermiticity check would find nothing.  The reduction image's trace is
-    not 1, so :func:`min_eig` would refuse it.  Only the returned float is
-    checked, which costs far less than an array check on every solve.
+    not 1, so :func:`min_eig` would refuse it.
     """
-    lowest = float(np.linalg.eigvalsh(image)[0])
-    if not math.isfinite(lowest):
-        raise ValueError("entries must be finite")
-    return lowest
+    return float(np.linalg.eigvalsh(image)[0])

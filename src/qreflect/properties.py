@@ -142,7 +142,7 @@ def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
     ``spin_flip`` uses ``sigma' = 2 |0><0| - sigma``; the result must match
     the corresponding sign-mask action.
     """
-    op = stokes._as_operator(rho)
+    op = stokes._as(stokes.HermitianOperator, rho)
     if op.n != 1:
         raise ValueError(f"defined for one qubit, got n={op.n}")
     sigma = stokes.to_real_density(stokes.to_stokes(op)).entries
@@ -167,7 +167,7 @@ def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
     Sums conjugations by ``lambda_a (x) 1`` and ``1 (x) lambda_a`` over the
     three Pauli axes and subtracts half the identity.
     """
-    op = stokes._as_operator(rho)
+    op = stokes._as(stokes.HermitianOperator, rho)
     stokes._two_qubits(op.n, "the two-body flip operator sum")
     m = op.matrix
     acc = np.zeros_like(m)
@@ -178,7 +178,7 @@ def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
 
 def spin_flipped_partner(rho) -> stokes.HermitianOperator:
     """Two-qubit double spin flip via conjugation of the complex conjugate."""
-    op = stokes._as_operator(rho)
+    op = stokes._as(stokes.HermitianOperator, rho)
     stokes._two_qubits(op.n, "the spin-flipped partner")
     return stokes.HermitianOperator(criteria._YY @ op.matrix.conj() @ criteria._YY, op.is_stack)
 

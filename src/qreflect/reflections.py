@@ -31,7 +31,7 @@ from .stokes import (
     StokesTensor,
     _Checked,
     _apply_per_qubit,
-    _as_operator,
+    _as,
     _check_subset,
     _digits,
     _identity_times_reduction,
@@ -125,6 +125,7 @@ def apply_mask(mask: SignMask, state):
     state in one transform, and equal-length stacks pair up member by member;
     stacks of two lengths are refused before any transform.
     """
+    mask = _as(SignMask, mask)
     members = len(mask.signs) if mask.is_stack else None
     if members and isinstance(state, _Checked) and state.is_stack and len(state._array) != members:
         raise ValueError(f"a stack of {members} masks needs one state or a state stack of {members}, got {state!r}")
@@ -137,7 +138,7 @@ def apply_mask(mask: SignMask, state):
 
 def classify(mask: SignMask) -> MapClassification:
     """Sign-change count, orientation parity, and exact factorizability."""
-    mask = _single(mask)
+    mask = _single(_as(SignMask, mask))
     flips = int(np.count_nonzero(mask.signs == -1))
     orientation = "changing" if flips % 2 == 1 else "preserving"
     digits = _digits(mask.n)
@@ -164,6 +165,8 @@ class LocalOrthogonalMap:
     __slots__ = ("_blocks", "_members")
 
     def __init__(self, blocks):
+        if isinstance(blocks, _Checked):
+            raise TypeError(f"a LocalOrthogonalMap is checked from 4x4 blocks, got a {type(blocks).__name__}")
         blocks = tuple(blocks)
         _qubits(len(blocks))
         validated = []
@@ -224,6 +227,7 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
     One map acts on every member of a state stack; a map stack pairs with
     an equal-length state stack, member by member.
     """
+    lomap = _as(LocalOrthogonalMap, lomap)
     if isinstance(state, StokesTensor):
         if lomap.n != state.n:
             raise ValueError(f"map acts on {lomap.n} qubits, state has {state.n}")
@@ -242,7 +246,7 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     remixed state ``(1/2 + rho) / 3`` when n = 2.  The output is always
     positive semidefinite on states, but the map is not completely positive.
     """
-    op = _as_operator(rho)
+    op = _as(HermitianOperator, rho)
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")

@@ -7,7 +7,17 @@ import math
 import numpy as np
 
 from .criteria import complement
-from .stokes import DensityState, _as_operator, _count, _is_real, _numbers, _qubits, _squared_norms, qubit_count
+from .stokes import (
+    DensityState,
+    HermitianOperator,
+    _as,
+    _count,
+    _is_real,
+    _numbers,
+    _qubits,
+    _squared_norms,
+    qubit_count,
+)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -159,6 +169,6 @@ def remix(rho, w: float) -> DensityState:
     """Convex mixture ``(1 - w) * maximally mixed + w * rho``; a bool or a non-number weight is an error."""
     if not _is_real(w) or not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w}")
-    op = _as_operator(rho)
+    op = _as(HermitianOperator, rho)
     dim = 2**op.n
     return DensityState((1.0 - w) * np.eye(dim) / dim + w * op.matrix, op.is_stack)

@@ -25,6 +25,11 @@ the partial transpose and the realignment :func:`_realigned`, and
 :func:`_digits` tables the base-4 digits of each Stokes component for the
 sign masks.  A conversion interleaves each qubit's row and column bits into
 one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
+
+Values enter once: a public entry takes its checked type as is and checks an
+array into it (:func:`_as`), and every checked number passes :func:`_numbers`,
+which bounds a finite entry by :data:`MAGNITUDE_LIMIT`.  No kernel can
+overflow on bounded values, so none guards its own arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ QUBIT_LIMIT = 6
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+# Every checked entry is at most this in magnitude (:func:`_numbers`), so no kernel can overflow at n <= QUBIT_LIMIT.
+# The largest sum any kernel forms is purity's 4**6 squares, which stays below the float range (1.8e308) for
+# entries below sqrt(1.8e308 / 4**6), about 2e152; every other kernel sums fewer terms of smaller products.
+MAGNITUDE_LIMIT = 1e150
 
 PAULI = np.array(
     [
@@ -74,8 +83,9 @@ def _numbers(data, real: bool = False, axes=None) -> np.ndarray:
 
     numpy would read bools as 0 and 1 and parse strings or objects as
     numbers.  With ``real``, a complex array must have a zero imaginary part
-    (checked per member when ``axes`` are the member's axes) and gives its
-    real part.
+    and gives its real part.  A finite entry past :data:`MAGNITUDE_LIMIT` in
+    magnitude is refused; NaN and infinity pass, for the caller's finite
+    check.  Both checks run per member when ``axes`` are the member's axes.
     """
     a = np.asarray(data)
     if a.dtype.kind not in "iufc":
@@ -84,6 +94,12 @@ def _numbers(data, real: bool = False, axes=None) -> np.ndarray:
         imaginary = np.abs(a.imag).max(axis=axes)
         _Checked._require(imaginary == 0, "entries must be real, got an imaginary part {:.3e}", imaginary)
         a = a.real
+    magnitude = np.abs(a)
+    if not magnitude.max(initial=0.0) <= MAGNITUDE_LIMIT:
+        # A modulus of finite parts can read inf; a member with a NaN or an infinite entry is the finite check's.
+        magnitude = magnitude.max(axis=axes, initial=0.0)
+        limit = f"entries must be at most {MAGNITUDE_LIMIT:g} in magnitude, got {{:.3e}}"
+        _Checked._require((magnitude <= MAGNITUDE_LIMIT) | ~np.isfinite(a).all(axis=axes), limit, magnitude)
     return a
 
 
@@ -110,9 +126,12 @@ class _Checked:
         Each member must be a square ``2**n`` matrix (``_ndim=2``) or a flat
         ``4**n`` array (``_ndim=1``); both have side ``isqrt(size)``, which
         :func:`qubit_count` turns into ``n``.  A stack must have a member.
-        Every entry must be a finite number (:func:`_numbers`), and a real
-        type refuses a nonzero imaginary part.
+        Every entry must be a finite number within the magnitude limit
+        (:func:`_numbers`), and a real type refuses a nonzero imaginary part.
+        Another checked value is refused with ``TypeError``.
         """
+        if isinstance(data, _Checked):
+            raise TypeError(f"a {type(self).__name__} is checked from an array, got a {type(data).__name__}")
         a = np.asarray(data)
         member = a.shape[1:] if stack else a.shape
         side = math.isqrt(math.prod(member))
@@ -126,18 +145,14 @@ class _Checked:
         return a
 
     @staticmethod
-    def _require(ok, message: str, values=None, scale: float = 1.0) -> None:
-        """Raise ``message`` (formatted with the value) unless ``ok``; a stack names its first failing member.
-
-        The value is multiplied by ``scale`` as a Python number, which reads
-        ``inf`` where a numpy scalar would warn of an overflow.
-        """
+    def _require(ok, message: str, values=None) -> None:
+        """Raise ``message`` (formatted with the value) unless ``ok``; a stack names its first failing member."""
         if ok.ndim:
             if not ok.all():
                 k = int(ok.argmin())
-                raise ValueError(f"member {k}: " + message.format(None if values is None else values[k].item() * scale))
+                raise ValueError(f"member {k}: " + message.format(None if values is None else values[k].item()))
         elif not ok:
-            raise ValueError(message.format(None if values is None else values.item() * scale))
+            raise ValueError(message.format(None if values is None else values.item()))
 
     def _keep(self, array: np.ndarray) -> None:
         array.setflags(write=False)
@@ -188,15 +203,6 @@ class HermitianOperator(_Checked):
     trace are measured on the input; ``matrix`` is the input's Hermitian
     part ``(m + m^dagger) / 2``, so every consumer reads an exactly
     Hermitian matrix and none symmetrizes it again.
-
-    Both checks and the Hermitian part are computed from ``m / (2 d)`` and
-    compared with tolerances scaled the same way, so no finite input can
-    overflow them: a difference of two entries, its modulus, a sum of ``d``
-    diagonal entries and the Hermitian part all stay below the float range.
-    Scaling by a power of two is exact above the subnormal range, so the
-    verdicts, the kept matrix (up to the sign of a zero entry) and the
-    messages are those of the unscaled formulas; a defect or a trace beyond
-    the float range reads ``inf``.
     """
 
     __slots__ = ()
@@ -204,17 +210,12 @@ class HermitianOperator(_Checked):
 
     def __init__(self, matrix, stack: bool = False):
         m = self._shaped(matrix, complex, stack)
-        scale = 2.0 ** (self._n + 1)
-        scaled = m * (1.0 / scale)
-        adjoint = scaled.conj().swapaxes(-1, -2)
-        axes = (-2, -1) if stack else None
-        herm_defect = np.abs(scaled - adjoint).max(axis=axes)
-        self._require(
-            herm_defect <= HERMITICITY_TOL / scale, "matrix is not Hermitian (defect {:.3e})", herm_defect, scale
-        )
-        trace = scaled.trace(axis1=-2, axis2=-1)
-        self._require(abs(trace - 1.0 / scale) <= TRACE_TOL / scale, "trace must equal 1, got {:.12g}", trace, scale)
-        self._keep((scaled + adjoint) * (scale / 2))
+        adjoint = m.conj().swapaxes(-1, -2)
+        herm_defect = np.abs(m - adjoint).max(axis=(-2, -1) if stack else None)
+        self._require(herm_defect <= HERMITICITY_TOL, "matrix is not Hermitian (defect {:.3e})", herm_defect)
+        trace = m.trace(axis1=-2, axis2=-1)
+        self._require(abs(trace - 1.0) <= TRACE_TOL, "trace must equal 1, got {:.12g}", trace)
+        self._keep((m + adjoint) / 2)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -224,28 +225,24 @@ class HermitianOperator(_Checked):
 class DensityState(HermitianOperator):
     """A positive-semidefinite trace-one operator (a physical state), or a stack of them.
 
-    Shares the checked matrix of a :class:`HermitianOperator` argument (a
-    stack stays a stack) and keeps its positivity check's ascending
-    eigenvalues as ``spectrum``, one row per member of a stack.
+    Shares the checked matrix of a :class:`HermitianOperator` argument,
+    which must be a stack exactly when ``stack`` is set, and keeps its
+    positivity check's ascending eigenvalues as ``spectrum``, one row per
+    member of a stack.
     """
 
     __slots__ = ("_spectrum",)
 
     def __init__(self, matrix, stack: bool = False):
         if isinstance(matrix, HermitianOperator):
+            if matrix.is_stack != stack:
+                raise ValueError(f"stack={stack} needs {'a stack' if stack else 'one operator'}, got {matrix!r}")
             self._n, self._array = matrix.n, matrix.matrix
         else:
             super().__init__(matrix, stack)
         spectrum = np.linalg.eigvalsh(self._array)
-        finite = np.isfinite(spectrum).all(axis=-1)
         lowest = spectrum.T[0]
-        positive = lowest >= -PSD_TOL
-        # A finite matrix can have eigenvalues beyond the float range, which read nan.  Only the members up to
-        # the first one failing either check are read for finiteness, so a stack names its first failing member.
-        if finite.ndim:
-            finite = finite[: int((finite & positive).argmin()) + 1]
-        self._require(finite, "the spectrum is not finite (beyond the float range)")
-        self._require(positive, "matrix has a negative eigenvalue {:.3e}", lowest)
+        self._require(lowest >= -PSD_TOL, "matrix has a negative eigenvalue {:.3e}", lowest)
         spectrum.setflags(write=False)
         self._spectrum = spectrum
 
@@ -303,10 +300,9 @@ class RealDensityMatrix(_Checked):
         return self._array
 
 
-def _as_operator(op) -> HermitianOperator:
-    if isinstance(op, HermitianOperator):
-        return op
-    return HermitianOperator(op)
+def _as(cls, value):
+    """``value`` if it is a ``cls``, else ``value`` checked into one: the input rule of every public entry."""
+    return value if isinstance(value, cls) else cls(value)
 
 
 def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
@@ -317,22 +313,17 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
     same 2-D steps as one value, with wider matrices.  A kernel with a
     leading member axis (one 4x4 per member of the stack) acts on each
     member with its own matrix.
-
-    Finite values can sum past the float range; such entries read ``inf`` or
-    ``nan`` with no warning, and the finite check of the checked type each
-    caller builds from the image refuses them.
     """
     shape = values.shape
     values = values.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, k in enumerate(kernels):
-            if k.ndim == 2:
-                values = (k @ values.reshape(4, -1)).T
-            else:
-                # Axes (this digit, later digits, member, earlier outputs) with the member moved first.
-                per_member = values.reshape(4, 4 ** (len(kernels) - 1 - m), len(k), 4**m).transpose(2, 0, 1, 3)
-                image = k @ per_member.reshape(len(k), 4, -1)
-                values = image.reshape(per_member.shape).transpose(1, 2, 0, 3).reshape(4, -1).T
+    for m, k in enumerate(kernels):
+        if k.ndim == 2:
+            values = (k @ values.reshape(4, -1)).T
+        else:
+            # Axes (this digit, later digits, member, earlier outputs) with the member moved first.
+            per_member = values.reshape(4, 4 ** (len(kernels) - 1 - m), len(k), 4**m).transpose(2, 0, 1, 3)
+            image = k @ per_member.reshape(len(k), 4, -1)
+            values = image.reshape(per_member.shape).transpose(1, 2, 0, 3).reshape(4, -1).T
     return values.reshape(shape)
 
 
@@ -371,45 +362,38 @@ def _deinterleaved(v: np.ndarray, n: int) -> np.ndarray:
 
 def to_stokes(op) -> StokesTensor:
     """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator (per member of a stack)."""
-    op = _as_operator(op)
+    op = _as(HermitianOperator, op)
     values = _apply_per_qubit([_K_TO] * op.n, _interleaved(op.matrix, op.n))
     return StokesTensor(values.real, op.is_stack)
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
     """Inverse of :func:`to_stokes`."""
+    s = _as(StokesTensor, s)
     matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
     return HermitianOperator(_deinterleaved(matrix, s.n), s.is_stack)
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
-    """Real unfolding of a Stokes tensor, multiplicative over tensor factors.
-
-    Finite values can scale past the float range; such entries read ``inf``
-    with no warning, and the finite check refuses them.
-    """
+    """Real unfolding of a Stokes tensor, multiplicative over tensor factors."""
+    s = _as(StokesTensor, s)
     # Each digit splits as 2 * col + row, so it de-interleaves to the transpose.
-    with np.errstate(over="ignore"):
-        entries = _deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2)
+    entries = _deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2)
     return RealDensityMatrix(entries, s.is_stack)
 
 
 def real_density_to_stokes(sigma) -> StokesTensor:
     """Recover Stokes values by column-stacking, one sqrt(2) per factor."""
-    if not isinstance(sigma, RealDensityMatrix):
-        sigma = RealDensityMatrix(sigma)
+    sigma = _as(RealDensityMatrix, sigma)
     values = _interleaved(sigma.entries.swapaxes(-1, -2), sigma.n) / 2.0 ** (sigma.n / 2)
     return StokesTensor(values, sigma.is_stack)
 
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:
-    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack).
-
-    Values past half the float range are refused (:func:`_finite`).
-    """
+    """Two-qubit Stokes values as the 4x4 array ``2 * values[j, k]`` (per member of a stack)."""
+    s = _as(StokesTensor, s)
     _two_qubits(s.n, "the square Stokes matrix")
-    with np.errstate(over="ignore"):
-        return _finite(2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4), (-2, -1))
+    return 2.0 * s.values.reshape(*s.values.shape[:-1], 4, 4)
 
 
 def choi_reshuffle(m) -> np.ndarray:
@@ -485,7 +469,7 @@ def partial_transpose(op, subset) -> np.ndarray:
     which stays its definition and test oracle.  The image is a plain array
     (one matrix per member of a stack) with the input's Hermiticity defect.
     """
-    op = _as_operator(op)
+    op = _as(HermitianOperator, op)
     return _partial_transpose(op, _check_subset(subset, op.n))
 
 
@@ -521,42 +505,26 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     ``2**len(subset)``, hence a plain array (one matrix per member of a
     stack).
     """
-    op = _as_operator(op)
+    op = _as(HermitianOperator, op)
     return _identity_times_reduction(op, _nonempty_subset(subset, op.n))
 
 
 def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...], scale: float | None = None) -> np.ndarray:
     """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset.
 
-    With ``scale``, the image ``scale * lift - matrix`` instead.  Sums past the float range read ``inf`` or
-    ``nan`` with no warning, and a non-finite lift or image is refused ("entries must be finite").
+    With ``scale``, the image ``scale * lift - matrix`` instead.
     """
     n = op.n
     lift = op.matrix.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q in subset:
-            # The leading -1 is the row block above qubit q; a stack's member axis folds into it.
-            blocks = lift.reshape(-1, 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
-            total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
-            blocks[:, 0, :, :, 0] = total
-            blocks[:, 1, :, :, 1] = total
-            blocks[:, 0, :, :, 1] = 0
-            blocks[:, 1, :, :, 0] = 0
-        if scale is not None:
-            lift = scale * lift - op.matrix
-    return _finite(lift, (-2, -1))
-
-
-def _finite(value: np.ndarray, axes=()) -> np.ndarray:
-    """``value`` unless an entry is not finite; then "entries must be finite", naming a stack's first such member.
-
-    This is the overflow rule of every result computed from checked values:
-    the computation runs with overflow warnings off, so entries past the
-    float range read ``inf`` or ``nan``, and this refuses them.  ``axes``
-    are the axes of one member's entries.
-    """
-    _Checked._require(np.isfinite(value).all(axis=axes), "entries must be finite")
-    return value
+    for q in subset:
+        # The leading -1 is the row block above qubit q; a stack's member axis folds into it.
+        blocks = lift.reshape(-1, 2, 2 ** (n - q), 2 ** (q - 1), 2, 2 ** (n - q))
+        total = blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]
+        blocks[:, 0, :, :, 0] = total
+        blocks[:, 1, :, :, 1] = total
+        blocks[:, 0, :, :, 1] = 0
+        blocks[:, 1, :, :, 0] = 0
+    return lift if scale is None else scale * lift - op.matrix
 
 
 def _float_or_array(value: np.ndarray):
@@ -573,9 +541,5 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
 
 
 def purity(s: StokesTensor):
-    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values: a float, or one per member of a stack.
-
-    A norm past the float range is refused (:func:`_finite`).
-    """
-    with np.errstate(over="ignore"):
-        return _float_or_array(_finite(_squared_norms(s.values)))
+    """``tr(rho**2)`` as the squared Euclidean norm of the Stokes values: a float, or one per member of a stack."""
+    return _float_or_array(_squared_norms(_as(StokesTensor, s).values))
