@@ -47,7 +47,6 @@ from . import __version__
 from .criteria import _reports, _verdict_tolerance, complement, feasibility, total_reflection_feasible
 from .io import StateFormatError, parse_density
 from .linalg import min_eig
-from .properties import run_suite
 from .reflections import classify, mask_partial_transpose, mask_spin_flip, mask_total_reflection
 from .states import upb_kets, upb_separable
 from .stokes import PSD_TOL, DensityState, _digits
@@ -192,6 +191,8 @@ def cmd_upb_demo(args):
 
 
 def cmd_prop(args):
+    # The invariant suite is imported here, so the other commands do not load it.
+    from .properties import run_suite
     try:
         results = run_suite(seed=args.seed, trials=args.trials, corrupt_mask=args.inject_mask_corruption)
     except ValueError as exc:

@@ -79,12 +79,13 @@ def state_from_dict(doc: dict):
 
 
 def parse_density(raw: bytes, source) -> DensityState:
-    """Parse the bytes of a state file and validate them as a density operator."""
+    """Parse the bytes of a state file and validate them as a density operator; every refusal names ``source``."""
     try:
-        doc = json.loads(raw)
+        state = state_from_dict(json.loads(raw))
+    except StateFormatError as exc:
+        raise StateFormatError(f"{exc} (in {source})") from exc
     except (RecursionError, ValueError) as exc:
         raise StateFormatError(f"cannot parse state file {source}: {exc}") from exc
-    state = state_from_dict(doc)
     try:
         return DensityState(from_stokes(state) if isinstance(state, StokesTensor) else state)
     except ValueError as exc:

@@ -5,7 +5,10 @@ Sign masks are diagonal involutions of the Stokes coordinates: each of the
 always fixed.  Partial transposes, spin flips, and total and partial
 reflections are all of this form.  Continuous local actions are covered by
 :class:`LocalOrthogonalMap`, one affine block ``diag(1, R)`` with
-``R in O(3)`` per qubit.
+``R in O(3)`` per qubit; ``det R = -1`` makes a one-qubit reflection, an
+antiunitary symmetry.  Masks and maps are checked values of the one core
+``stokes._Checked``: a read-only array checked once where it enters, and a
+stack of them indexed member by member.
 
 A mask is orientation changing exactly when its number of sign flips is odd,
 and it factors into per-qubit operations exactly when the sign array is an
@@ -154,44 +157,41 @@ def classify(mask: SignMask) -> MapClassification:
 _AFFINE_AXIS = np.eye(4)[0]
 
 
-class LocalOrthogonalMap:
-    """One affine rotation block ``diag(1, R)`` per qubit, ``R in O(3)``.
+class LocalOrthogonalMap(_Checked):
+    """One affine rotation block ``diag(1, R)`` per qubit, ``R in O(3)``, or a stack of such maps.
 
-    A block may carry one leading member axis, one 4x4 per member of a map
-    stack; the blocks that do must agree on the member count.  Every check
-    runs per member, and a failing stack names its first failing member.
+    The blocks are held as one read-only ``(n, 4, 4)`` array, ``(B, n, 4, 4)``
+    for a map stack.  A block may carry one leading member axis, one 4x4 per
+    member of the stack; the blocks that do must agree on the member count,
+    and a block without one acts on every member.  Every check runs per
+    member, and a failing stack names its first failing member.
     """
 
-    __slots__ = ("_blocks", "_members")
+    __slots__ = ()
+    _ndim = 3
 
     def __init__(self, blocks):
         if isinstance(blocks, _Checked):
             raise TypeError(f"a LocalOrthogonalMap is checked from 4x4 blocks, got a {type(blocks).__name__}")
         blocks = tuple(blocks)
-        _qubits(len(blocks))
-        validated = []
-        members = set()
-        for b in blocks:
-            b = np.asarray(b)
-            if b.shape[-2:] != (4, 4) or b.ndim not in (2, 3):
-                raise ValueError(f"each block must be 4x4 or a stack of 4x4, got {b.shape}")
-            axes = (-2, -1)
-            b = np.array(_numbers(b, True, axes), dtype=float)
-            _Checked._require(np.isfinite(b).all(axis=axes), "block entries must be finite")
-            # The first row and the first column must both be (1, 0, 0, 0).
-            affine = np.maximum(np.abs(b[..., 0, :] - _AFFINE_AXIS), np.abs(b[..., :, 0] - _AFFINE_AXIS)).max(axis=-1)
-            _Checked._require(affine <= 1e-10, "block must have the affine form diag(1, R)")
-            r = b[..., 1:, 1:]
-            defect = np.abs(r @ r.swapaxes(-1, -2) - np.eye(3)).max(axis=axes)
-            _Checked._require(defect <= 1e-10, "rotation part is not orthogonal within 1e-10")
-            b.setflags(write=False)
-            validated.append(b)
-            if b.ndim == 3:
-                members.add(len(b))
-        if len(members) > 1:
+        self._n = _qubits(len(blocks))
+        blocks = [np.asarray(b) for b in blocks]
+        if bad := [b.shape for b in blocks if b.shape[-2:] != (4, 4) or b.ndim not in (2, 3) or not b.size]:
+            raise ValueError(f"each block must be 4x4 or a stack of 4x4, got {bad[0]}")
+        # Each block passes the number rule on its own dtype: stacking would read a bool block as floats.
+        blocks = [_numbers(b, True, (-2, -1)) for b in blocks]
+        if len(members := {len(b) for b in blocks if b.ndim == 3}) > 1:
             raise ValueError(f"block stacks must share one member count, got {sorted(members)}")
-        self._blocks = tuple(validated)
-        self._members = members.pop() if members else None
+        a = np.stack(np.broadcast_arrays(*blocks), axis=-3, dtype=float)
+        axes = (-3, -2, -1)
+        self._require(np.isfinite(a).all(axis=axes), "block entries must be finite")
+        # The first row and the first column of every block must both be (1, 0, 0, 0).
+        affine = np.maximum(np.abs(a[..., 0, :] - _AFFINE_AXIS), np.abs(a[..., :, 0] - _AFFINE_AXIS)).max(axis=(-2, -1))
+        self._require(affine <= 1e-10, "block must have the affine form diag(1, R)")
+        r = a[..., 1:, 1:]
+        defect = np.abs(r @ r.swapaxes(-1, -2) - np.eye(3)).max(axis=axes)
+        self._require(defect <= 1e-10, "rotation part is not orthogonal within 1e-10")
+        self._keep(a)
 
     @classmethod
     def single_qubit(cls, n: int, qubit: int, rotation) -> "LocalOrthogonalMap":
@@ -200,25 +200,21 @@ class LocalOrthogonalMap:
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
         r = np.asarray(_numbers(rotation, True), dtype=float)
-        blocks = [np.eye(4) for _ in range(n)]
-        block = np.zeros((*r.shape[:-2], 4, 4))
-        block[..., 0, 0] = 1.0
+        if r.shape[-2:] != (3, 3) or r.ndim not in (2, 3):
+            raise ValueError(f"the rotation must be 3x3 or a stack of 3x3, got {r.shape}")
+        block = np.broadcast_to(np.eye(4), (*r.shape[:-2], 4, 4)).copy()
         block[..., 1:, 1:] = r
-        blocks[qubit - 1] = block
-        return cls(blocks)
-
-    @property
-    def n(self) -> int:
-        return len(self._blocks)
+        return cls([block if q == qubit else np.eye(4) for q in range(1, n + 1)])
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        return self._blocks
+        """One read-only 4x4 block per qubit, ``(B, 4, 4)`` for a map stack."""
+        return tuple(np.moveaxis(self._array, -3, 0))
 
     @property
     def members(self) -> int | None:
         """The member count of a map stack, or None for one map."""
-        return self._members
+        return len(self._array) if self.is_stack else None
 
 
 def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):

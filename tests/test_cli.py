@@ -271,6 +271,32 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"n": 1, "format": "hermitian", "re": [[float("nan"), 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+                "entries must be finite",
+            ),
+            ({"n": 1, "format": "stokes", "values": [2**-0.5, 0.0, 1e151, 0.0]}, "entries must be at most 1e+150"),
+            ({"n": 1, "format": "stokes", "values": [0.5, 0.0, 0.0, 0.0]}, "affine component"),
+            ({"n": 1, "format": "hermitian", "re": [[0.5, 0.0], [0.0, 0.5]]}, "missing field 'im'"),
+            ({"n": 7, "format": "stokes", "values": [1.0]}, "supported qubit counts are 1..6"),
+            ([1, 2], "state document must be a JSON object"),
+            ({"n": 1, "format": "hermitian", "re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative"),
+        ],
+        ids=["nan", "past-the-limit", "affine", "missing-field", "qubit-count", "not-an-object", "not-a-density"],
+    )
+    def test_every_load_refusal_names_the_file(self, tmp_path, doc, message):
+        # a refusal by the document rule used to print its message alone, with no path
+        path = tmp_path / "named_state.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", str(path), "--feasible")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert str(path) in proc.stderr
+
 
 class TestSolveOnce:
     @staticmethod
@@ -643,6 +669,11 @@ class TestProp:
     def test_a_negative_seed_names_the_seed_rule(self, capsys):
         assert cli.main(["prop", "--seed", "-1", "--trials", "2"]) == 2
         assert capsys.readouterr() == ("", "error: seeds must be at least 0, got -1\n")
+
+    def test_the_invariant_suite_is_imported_only_for_prop(self):
+        code = 'import sys, qreflect.cli; assert "qreflect.properties" not in sys.modules'
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_default_run_passes_within_runtime_budget(self):
         # measured about 6.5 s at build time; pinned with 3x slack

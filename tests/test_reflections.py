@@ -1,5 +1,7 @@
 """Sign masks, local orthogonal actions, operator sums, relaxed reflection."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect as qr
-from qreflect import properties
+from qreflect import properties, stokes
 from qreflect.reflections import SignMask
 from qreflect.stokes import _digits, identity_times_reduction, partial_transpose
 
@@ -434,6 +436,44 @@ class TestLocalOrthogonal:
             blocks[2, 1, 2] = np.nan
         with pytest.raises(ValueError, match=match):
             qr.LocalOrthogonalMap([np.eye(4), blocks])
+
+    def test_a_bool_block_beside_float_blocks_is_refused(self):
+        # stacking the blocks would read the bools as floats: each block passes the number rule on its own dtype
+        with pytest.raises(ValueError, match="entries must be numbers, got an array of dtype bool"):
+            qr.LocalOrthogonalMap([np.eye(4, dtype=bool), np.eye(4)])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 3, 3), (3,), (3, 4)], ids=["2x2", "4-d", "1-d", "3x4"])
+    def test_single_qubit_refuses_a_rotation_of_another_shape(self, shape):
+        # a 2x2 rotation raised numpy's broadcast error, a 4-d one was reported as a block of shape (2, 3, 4, 4)
+        message = re.escape(f"the rotation must be 3x3 or a stack of 3x3, got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            qr.LocalOrthogonalMap.single_qubit(2, 1, np.zeros(shape))
+
+    def test_an_empty_block_stack_is_refused(self):
+        # a map stack holds at least one member, like every other checked stack
+        with pytest.raises(ValueError, match=r"^each block must be 4x4 or a stack of 4x4, got \(0, 4, 4\)$"):
+            qr.LocalOrthogonalMap([np.eye(4), np.zeros((0, 4, 4))])
+
+    def test_a_map_stack_indexes_like_the_other_checked_values(self, rng):
+        rotations = qr.random_reflection(rng, size=3)
+        lomap = qr.LocalOrthogonalMap.single_qubit(2, 2, rotations)
+        assert isinstance(lomap, stokes._Checked) and lomap.is_stack and lomap.members == 3
+        assert repr(lomap) == "LocalOrthogonalMap(n=2, stack=3)"
+        for k in range(3):
+            one = lomap[k]
+            assert one.n == 2 and not one.is_stack and one.members is None
+            assert np.array_equal(one.blocks[1][1:, 1:], rotations[k])
+            assert np.array_equal(one.blocks[0], np.eye(4))
+        picked = lomap[np.array([2, 0])]
+        assert picked.members == 2 and np.array_equal(picked.blocks[1][0, 1:, 1:], rotations[2])
+        for block in (*lomap.blocks, *lomap[0].blocks):
+            assert not block.flags.writeable
+        rho = qr.random_density(2, "mixed_dirichlet", rng, size=3)
+        images = qr.apply_local_orthogonal(lomap, rho)
+        for k in range(3):
+            assert np.abs(images.matrix[k] - qr.apply_local_orthogonal(lomap[k], rho[k]).matrix).max() <= 1e-15
+        with pytest.raises(TypeError, match="a single LocalOrthogonalMap has no members"):
+            lomap[0][0]
 
 
 class TestOneQubitReflectionIsAConjugatedTranspose:
