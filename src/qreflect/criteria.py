@@ -298,8 +298,7 @@ def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
     qubit_count(spectrum.shape[-1])
     if not spectrum.size:
         raise ValueError(f"a stack of spectra needs a member, got shape {spectrum.shape}")
-    spectrum = _numbers(spectrum, True, -1)
-    _Checked._require(np.isfinite(spectrum).all(axis=-1), "entries must be finite")
+    spectrum = _numbers(spectrum, True, -1, "entries must be finite")
     _Checked._require((spectrum[..., :-1] <= spectrum[..., 1:]).all(axis=-1), "the spectrum must be ascending")
     return _feasibility(spectrum, tol)
 

@@ -54,6 +54,13 @@ def _numbers(entries, ndim: int = 1) -> np.ndarray:
     return np.asarray(entries, dtype=float)
 
 
+def _square(entries, dim: int) -> bool:
+    """Whether ``entries`` is a JSON ``dim x dim`` array: a list of ``dim`` lists of ``dim`` entries each."""
+    if not isinstance(entries, list) or len(entries) != dim:
+        return False
+    return all(isinstance(row, list) and len(row) == dim for row in entries)
+
+
 def state_from_dict(doc: dict):
     """Rebuild a state; hermitian documents load as operators, stokes as tensors."""
     if not isinstance(doc, dict):
@@ -68,9 +75,11 @@ def state_from_dict(doc: dict):
             if tensor.n != n:
                 raise StateFormatError(f"'values' length implies n={tensor.n}, document says {n}")
             return tensor
-        re, im = _numbers(doc["re"], 2), _numbers(doc["im"], 2)
-        if re.shape != (2**n, 2**n) or im.shape != re.shape:
-            raise StateFormatError(f"'re'/'im' must be {2**n}x{2**n} arrays")
+        dim, matrices = 2**n, (doc["re"], doc["im"])
+        # Before any entry is read: numpy cannot shape ragged rows, and a number or null is no row to read.
+        if not all(_square(m, dim) for m in matrices):
+            raise StateFormatError(f"'re'/'im' must be {dim}x{dim} arrays")
+        re, im = (_numbers(m, 2) for m in matrices)
         return HermitianOperator(re + 1j * im)
     except KeyError as exc:
         raise StateFormatError(f"missing field {exc.args[0]!r}") from exc

@@ -475,12 +475,12 @@ def hermitian_kernels(rng, trials):
     for n, at in _qubit_groups(rng, trials):
         rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
         bits = rng.integers(1, 2**n, size=at.size)
-        subsets = {b: tuple(q for q in range(1, n + 1) if b >> (q - 1) & 1) for b in np.unique(bits).tolist()}
-        # Each member's own subset masks, one transform for the whole stack.
-        pt_masks = [reflections.mask_partial_transpose(n, subsets[b]).signs for b in bits]
-        reflection_masks = [reflections.mask_total_reflection(n, subsets[b]).signs for b in bits]
-        transposed = reflections.apply_mask(reflections.SignMask(pt_masks, stack=True), rho).matrix
-        reflected = reflections.apply_mask(reflections.SignMask(reflection_masks, stack=True), rho).matrix
+        distinct, which = np.unique(bits, return_inverse=True)
+        subsets = {b: tuple(q for q in range(1, n + 1) if b >> (q - 1) & 1) for b in distinct.tolist()}
+        # One checked mask per distinct subset, indexed by each member's subset: one transform for the whole stack.
+        named = (reflections.mask_partial_transpose, reflections.mask_total_reflection)
+        masks = [reflections.SignMask([build(n, s).signs for s in subsets.values()], stack=True) for build in named]
+        transposed, reflected = (reflections.apply_mask(m[which], rho).matrix for m in masks)
         for b, subset in subsets.items():
             where = np.flatnonzero(bits == b)
             sub = rho[where]

@@ -110,6 +110,7 @@ def mask_total_reflection(n: int, subset=None) -> SignMask:
     return _digit_rule_mask("total_reflection", n, subset, (1, 2, 3), False)
 
 
+@functools.cache
 def mask_two_body_flip() -> SignMask:
     """Two-qubit mask negating exactly the components with both digits nonzero.
 
@@ -126,7 +127,9 @@ def apply_mask(mask: SignMask, state):
     The signs broadcast against the values: one mask acts on every member of
     a state stack, a catalog (a stack of masks) gives every image of one
     state in one transform, and equal-length stacks pair up member by member;
-    stacks of two lengths are refused before any transform.
+    stacks of two lengths are refused before any transform.  A Stokes image
+    is the checked values times the checked signs, whose trace sign is +1,
+    so it passes every tensor check bit for bit and is not checked again.
     """
     mask = _as(SignMask, mask)
     members = len(mask.signs) if mask.is_stack else None
@@ -135,7 +138,7 @@ def apply_mask(mask: SignMask, state):
     if isinstance(state, StokesTensor):
         if mask.n != state.n:
             raise ValueError(f"mask acts on {mask.n} qubits, state has {state.n}")
-        return StokesTensor(state.values * mask.signs, state.is_stack or mask.is_stack)
+        return state._image(lambda values: values * mask.signs)
     return from_stokes(apply_mask(mask, to_stokes(state)))
 
 
@@ -184,7 +187,8 @@ class LocalOrthogonalMap(_Checked):
             raise ValueError(f"block stacks must share one member count, got {sorted(members)}")
         a = np.stack(np.broadcast_arrays(*blocks), axis=-3, dtype=float)
         axes = (-3, -2, -1)
-        self._require(np.isfinite(a).all(axis=axes), "block entries must be finite")
+        # The finite check names a member of the map stack, so it reads the stacked blocks (past the bound only).
+        a = _numbers(a, False, axes, "block entries must be finite")
         # The first row and the first column of every block must both be (1, 0, 0, 0).
         affine = np.maximum(np.abs(a[..., 0, :] - _AFFINE_AXIS), np.abs(a[..., :, 0] - _AFFINE_AXIS)).max(axis=(-2, -1))
         self._require(affine <= 1e-10, "block must have the affine form diag(1, R)")

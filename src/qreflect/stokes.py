@@ -28,8 +28,9 @@ one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
 
 Values enter once: a public entry takes its checked type as is and checks an
 array into it (:func:`_as`), and every checked number passes :func:`_numbers`,
-which bounds a finite entry by :data:`MAGNITUDE_LIMIT`.  No kernel can
-overflow on bounded values, so none guards its own arithmetic.
+which bounds a finite entry by :data:`MAGNITUDE_LIMIT` and reads finiteness
+off that bound.  No kernel can overflow on bounded values, so none guards its
+own arithmetic, and an exact image of checked values is not checked again.
 """
 
 from __future__ import annotations
@@ -78,14 +79,17 @@ def qubit_count(dim: int) -> int:
     return _qubits(n)
 
 
-def _numbers(data, real: bool = False, axes=None) -> np.ndarray:
+def _numbers(data, real: bool = False, axes=None, finite: str | None = None) -> np.ndarray:
     """``data`` as an array of numbers: any dtype but integer, float or complex is refused with ``ValueError``.
 
     numpy would read bools as 0 and 1 and parse strings or objects as
     numbers.  With ``real``, a complex array must have a zero imaginary part
     and gives its real part.  A finite entry past :data:`MAGNITUDE_LIMIT` in
-    magnitude is refused; NaN and infinity pass, for the caller's finite
-    check.  Both checks run per member when ``axes`` are the member's axes.
+    magnitude is refused; then, with a ``finite`` message, so is a NaN or an
+    infinite entry.  Both checks run per member when ``axes`` are the
+    member's axes, and only past the bound: the largest magnitude is NaN
+    when an entry is, and infinite when an entry is, so an array within the
+    bound is finite.
     """
     a = np.asarray(data)
     if a.dtype.kind not in "iufc":
@@ -99,7 +103,10 @@ def _numbers(data, real: bool = False, axes=None) -> np.ndarray:
         # A modulus of finite parts can read inf; a member with a NaN or an infinite entry is the finite check's.
         magnitude = magnitude.max(axis=axes, initial=0.0)
         limit = f"entries must be at most {MAGNITUDE_LIMIT:g} in magnitude, got {{:.3e}}"
-        _Checked._require((magnitude <= MAGNITUDE_LIMIT) | ~np.isfinite(a).all(axis=axes), limit, magnitude)
+        is_finite = np.isfinite(a).all(axis=axes)
+        _Checked._require((magnitude <= MAGNITUDE_LIMIT) | ~is_finite, limit, magnitude)
+        if finite is not None:
+            _Checked._require(is_finite, finite)
     return a
 
 
@@ -115,6 +122,11 @@ class _Checked:
     ``value[index_array]`` (a nonempty 1-D integer array) the stack of those
     members; either shares or copies the checked read-only values and is
     not checked again.  A bool is no index: numpy would read it as a new axis.
+
+    Each value is checked once: an entry's finiteness is read off the
+    magnitude bound of :func:`_numbers`, and its finite pass runs only past
+    the bound.  An exact image of checked values, such as a sign flip of a
+    checked tensor, is built by :meth:`_image` and not checked again.
     """
 
     __slots__ = ("_n", "_array")
@@ -140,9 +152,7 @@ class _Checked:
             raise ValueError(f"expected {kind} array{' per member' if stack else ''}, got shape {a.shape}")
         self._n = qubit_count(side)
         axes = tuple(range(1, a.ndim)) if stack else None
-        a = np.array(_numbers(a, dtype is float, axes), dtype=dtype)
-        self._require(np.isfinite(a).all(axis=axes), "entries must be finite")
-        return a
+        return np.array(_numbers(a, dtype is float, axes, "entries must be finite"), dtype=dtype)
 
     @staticmethod
     def _require(ok, message: str, values=None) -> None:
@@ -173,15 +183,24 @@ class _Checked:
             k = np.asarray(k)
             if k.ndim != 1 or not k.size or k.dtype.kind not in "iu":
                 raise IndexError("index a stack with an integer or a nonempty 1-D integer index array")
-        picked = object.__new__(type(self))
+        return self._image(lambda array: array[k])
+
+    def _image(self, exact) -> "_Checked":
+        """This value with each array replaced by ``exact(array)``, made read-only and checked by no ``__init__``.
+
+        For maps whose image passes every check of the type bit for bit:
+        picking members of a checked stack, or multiplying a checked
+        tensor's values by checked signs (:func:`reflections.apply_mask`).
+        """
+        image = object.__new__(type(self))
         for cls in type(self).__mro__:
             for slot in getattr(cls, "__slots__", ()):
                 value = getattr(self, slot)
                 if isinstance(value, np.ndarray):
-                    value = value[k]
+                    value = exact(value)
                     value.setflags(write=False)
-                setattr(picked, slot, value)
-        return picked
+                setattr(image, slot, value)
+        return image
 
     def __repr__(self) -> str:
         stack = f", stack={len(self._array)}" if self.is_stack else ""

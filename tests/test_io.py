@@ -106,6 +106,18 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             parse_density(json.dumps(doc).encode(), "doc")
 
+    @pytest.mark.parametrize(
+        "field, matrix",
+        [("re", [1, 0]), ("re", [[0.5, 0.0], [0.5]]), ("im", None), ("im", [[0, 0], 0])],
+        ids=["flat", "ragged", "null", "number-row"],
+    )
+    def test_malformed_hermitian_arrays_get_the_schema_message(self, field, matrix):
+        doc = {"n": 1, "format": "hermitian", "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]], field: matrix}
+        with pytest.raises(StateFormatError, match=r"^'re'/'im' must be 2x2 arrays$"):
+            state_from_dict(doc)
+        with pytest.raises(StateFormatError, match=r"^'re'/'im' must be 2x2 arrays \(in doc\)$"):
+            parse_density(json.dumps(doc).encode(), "doc")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, tmp_path, bad):
         hermitian = {"n": 1, "format": "hermitian", "re": [[bad, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}

@@ -111,6 +111,7 @@ class TestNamedMaskCache:
         assert qr.mask_spin_flip(2, {2, 1}) is qr.mask_spin_flip(2, (1, 2))
         assert qr.mask_total_reflection(3) is qr.mask_total_reflection(3, (3, 2, 1))
         assert qr.mask_total_reflection(3, (1,)) is not qr.mask_total_reflection(3)
+        assert qr.mask_two_body_flip() is qr.mask_two_body_flip()
 
     def test_name_is_read_only(self):
         mask = qr.mask_partial_transpose(2, (1,))
@@ -639,6 +640,22 @@ class TestStacks:
         assert len(qr.apply_mask(catalog[0], s).values) == states
         paired = s[np.arange(masks) % states]
         assert np.array_equal(qr.apply_mask(catalog, paired).values, paired.values)
+
+    def test_a_sign_flip_image_is_the_product_and_is_not_checked_again(self, rng, monkeypatch):
+        one = stokes_of(qr.random_density(2, "mixed_dirichlet", rng))
+        three = stokes_of(qr.random_density(2, "mixed_dirichlet", rng, size=3))
+        mask = qr.mask_partial_transpose(2, (1,))
+        others = (qr.mask_spin_flip(2, (2,)), qr.mask_two_body_flip())
+        catalog = SignMask(np.stack([m.signs for m in (mask, *others)]), stack=True)
+        monkeypatch.setattr(qr.StokesTensor, "__init__", lambda *args, **kwargs: pytest.fail("checked an image again"))
+        pairings = [(mask, one, False), (catalog, one, True), (mask, three, True), (catalog, three, True)]
+        for signs, state, is_stack in pairings:
+            image = qr.apply_mask(signs, state)
+            product = state.values * signs.signs
+            assert type(image) is qr.StokesTensor and image.n == 2 and image.is_stack is is_stack
+            assert image.values.dtype == product.dtype and image.values.shape == product.shape
+            assert image.values.tobytes() == product.tobytes()
+            assert not image.values.flags.writeable
 
     def test_one_bad_mask_in_a_catalog_is_named(self):
         signs = np.ones((3, 16))

@@ -952,3 +952,17 @@ class TestMagnitudeLimit:
             StokesTensor(values)
         with pytest.raises(ValueError, match="^member 1: entries must be finite$"):
             StokesTensor(np.stack([[2**-0.5, 0.0, 0.0, 0.0], values]), stack=True)
+        # Every other caller of the finite pass, on a stack whose bad member follows a bounded one.
+        square = np.array([[1.0, 1e200], [bad, 0.0]])
+        block = np.eye(4)
+        block[1, 2], block[2, 1] = 1e200, bad
+        stacks = [
+            (lambda m: qr.HermitianOperator(m, stack=True), [np.eye(2) / 2, square], ""),
+            (lambda m: qr.RealDensityMatrix(m, stack=True), [np.diag([1.0, 0.0]), square], ""),
+            (lambda s: SignMask(s, stack=True), [[1, -1, 1, -1], values], ""),
+            (lambda b: qr.LocalOrthogonalMap([b]), [np.eye(4), block], "block "),
+            (qr.feasibility, [[0.0, 0.0, 0.5, 0.5], values], ""),
+        ]
+        for call, members, kind in stacks:
+            with pytest.raises(ValueError, match=f"^member 1: {kind}entries must be finite$"):
+                call(np.stack(members))
