@@ -157,7 +157,7 @@ def _reports(rho, requests, tol) -> list[CriterionReport]:
         else:
             scale = 1.0 if criterion == "reduction" else 2.0 ** (1 - len(subset))
             if (subset, scale) not in solved:
-                solved[subset, scale] = _lowest_eig(_identity_times_reduction(op, subset, scale))
+                solved[subset, scale] = _lowest_eig(scale * _identity_times_reduction(op, subset) - op.matrix)
             witness = solved[subset, scale]
         if criterion == "reduction":
             extra = {"trace": (2 ** len(subset) - 1) * float(np.trace(op.matrix).real)}

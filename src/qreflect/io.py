@@ -1,10 +1,11 @@
 """JSON state files.
 
 State files carry ``n``, a ``format`` of either ``hermitian`` (row-major
-``re``/``im`` arrays) or ``stokes`` (a flat ``values`` array in base-4
-row-major multi-index order), plus free-form annotation fields such as
-``seed`` or ``label``; an annotation may not reuse a schema field's name.
-Floats are written at full double precision.
+``2**n x 2**n`` ``re``/``im`` arrays) or ``stokes`` (a flat ``values`` array
+of ``4**n`` entries in base-4 row-major multi-index order), plus free-form
+annotation fields such as ``seed`` or ``label``; an annotation may not reuse
+a schema field's name.  Every array is read shape first, then each entry
+once (:func:`_array`).  Floats are written at full double precision.
 """
 
 from __future__ import annotations
@@ -46,19 +47,21 @@ def state_to_dict(state, **annotations) -> dict:
     return doc
 
 
-def _numbers(entries, ndim: int = 1) -> np.ndarray:
-    """Float array of an ``ndim``-deep JSON list whose leaves are numbers, never bools or strings."""
-    leaves = itertools.chain.from_iterable(entries) if ndim == 2 else entries
-    if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, leaves))):
+def _array(entries, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Float array of the JSON array ``entries`` of ``shape``, measured before any entry is read.
+
+    A number or null is no array and numpy cannot shape ragged rows; each entry must be a JSON number, not a bool.
+    """
+    # A flat array is one row.
+    rows, height = (entries, shape[0]) if len(shape) == 2 else ([entries], 1)
+    width = shape[-1]
+    if not isinstance(rows, list) or len(rows) != height or not all(isinstance(r, list) and len(r) == width for r in rows):
+        shaped = f"{height}x{width} arrays" if len(shape) == 2 else f"a flat array of {width} entries"
+        raise StateFormatError(f"{name} must be {shaped}")
+    leaves = set(map(type, itertools.chain.from_iterable(rows)))
+    if not all(issubclass(kind, (int, float)) and kind is not bool for kind in leaves):
         raise StateFormatError("array entries must be JSON numbers")
     return np.asarray(entries, dtype=float)
-
-
-def _square(entries, dim: int) -> bool:
-    """Whether ``entries`` is a JSON ``dim x dim`` array: a list of ``dim`` lists of ``dim`` entries each."""
-    if not isinstance(entries, list) or len(entries) != dim:
-        return False
-    return all(isinstance(row, list) and len(row) == dim for row in entries)
 
 
 def state_from_dict(doc: dict):
@@ -71,19 +74,12 @@ def state_from_dict(doc: dict):
     try:
         n = _qubits(doc.get("n"))
         if fmt == "stokes":
-            tensor = StokesTensor(_numbers(doc["values"]))
-            if tensor.n != n:
-                raise StateFormatError(f"'values' length implies n={tensor.n}, document says {n}")
-            return tensor
-        dim, matrices = 2**n, (doc["re"], doc["im"])
-        # Before any entry is read: numpy cannot shape ragged rows, and a number or null is no row to read.
-        if not all(_square(m, dim) for m in matrices):
-            raise StateFormatError(f"'re'/'im' must be {dim}x{dim} arrays")
-        re, im = (_numbers(m, 2) for m in matrices)
+            return StokesTensor(_array(doc["values"], (4**n,), "'values'"))
+        re, im = (_array(doc[field], (2**n, 2**n), "'re'/'im'") for field in ("re", "im"))
         return HermitianOperator(re + 1j * im)
     except KeyError as exc:
         raise StateFormatError(f"missing field {exc.args[0]!r}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise StateFormatError(str(exc)) from exc
 
 

@@ -181,14 +181,13 @@ class LocalOrthogonalMap(_Checked):
         blocks = [np.asarray(b) for b in blocks]
         if bad := [b.shape for b in blocks if b.shape[-2:] != (4, 4) or b.ndim not in (2, 3) or not b.size]:
             raise ValueError(f"each block must be 4x4 or a stack of 4x4, got {bad[0]}")
-        # Each block passes the number rule on its own dtype: stacking would read a bool block as floats.
-        blocks = [_numbers(b, True, (-2, -1)) for b in blocks]
         if len(members := {len(b) for b in blocks if b.ndim == 3}) > 1:
             raise ValueError(f"block stacks must share one member count, got {sorted(members)}")
+        # Each block passes the number rule once, on its own dtype (stacking would read a bool block as floats);
+        # a block stack's member axis is the map stack's, so a failing member is named by its index.
+        blocks = [_numbers(b, True, (-2, -1), "block entries must be finite") for b in blocks]
         a = np.stack(np.broadcast_arrays(*blocks), axis=-3, dtype=float)
         axes = (-3, -2, -1)
-        # The finite check names a member of the map stack, so it reads the stacked blocks (past the bound only).
-        a = _numbers(a, False, axes, "block entries must be finite")
         # The first row and the first column of every block must both be (1, 0, 0, 0).
         affine = np.maximum(np.abs(a[..., 0, :] - _AFFINE_AXIS), np.abs(a[..., :, 0] - _AFFINE_AXIS)).max(axis=(-2, -1))
         self._require(affine <= 1e-10, "block must have the affine form diag(1, R)")
@@ -203,9 +202,10 @@ class LocalOrthogonalMap(_Checked):
         n, qubit = _qubits(n), _label(qubit)
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} is outside 1..{n}")
-        r = np.asarray(_numbers(rotation, True), dtype=float)
+        r = np.asarray(rotation)
         if r.shape[-2:] != (3, 3) or r.ndim not in (2, 3):
             raise ValueError(f"the rotation must be 3x3 or a stack of 3x3, got {r.shape}")
+        r = _numbers(r, True)
         block = np.broadcast_to(np.eye(4), (*r.shape[:-2], 4, 4)).copy()
         block[..., 1:, 1:] = r
         return cls([block if q == qubit else np.eye(4) for q in range(1, n + 1)])
@@ -250,4 +250,4 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    return HermitianOperator(_identity_times_reduction(op, pair, 1.0) / 3, op.is_stack)
+    return HermitianOperator((_identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)

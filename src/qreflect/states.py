@@ -30,7 +30,10 @@ KET_SYMBOLS = {
 
 
 def ket(which) -> np.ndarray:
-    """Amplitude vector from a symbol string over {0,1,+,-} or explicit amplitudes."""
+    """Amplitude vector from a symbol string over {0,1,+,-} or explicit amplitudes.
+
+    Amplitudes must be a unit-norm 1-D array of ``2**n`` numbers; the shape is checked before any entry is read.
+    """
     if isinstance(which, str):
         if not which or any(c not in KET_SYMBOLS for c in which):
             raise ValueError(f"ket symbols must come from 0, 1, +, -; got {which!r}")
@@ -39,8 +42,11 @@ def ket(which) -> np.ndarray:
         for c in which[1:]:
             vec = np.kron(vec, KET_SYMBOLS[c])
         return vec
-    vec = np.asarray(_numbers(which), dtype=complex).reshape(-1)
+    vec = np.asarray(which)
+    if vec.ndim != 1:
+        raise ValueError(f"amplitudes must be a 1-D array, got shape {vec.shape}")
     qubit_count(vec.size)
+    vec = np.asarray(_numbers(vec), dtype=complex)
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= 1e-12:  # NaN fails this test too
         raise ValueError(f"amplitudes must be normalised, got norm {norm:.12g}")

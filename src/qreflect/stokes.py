@@ -528,11 +528,8 @@ def identity_times_reduction(op, subset) -> np.ndarray:
     return _identity_times_reduction(op, _nonempty_subset(subset, op.n))
 
 
-def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...], scale: float | None = None) -> np.ndarray:
-    """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset.
-
-    With ``scale``, the image ``scale * lift - matrix`` instead.
-    """
+def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...]) -> np.ndarray:
+    """:func:`identity_times_reduction` of a checked operator (or stack) on a checked nonempty subset."""
     n = op.n
     lift = op.matrix.copy()
     for q in subset:
@@ -543,7 +540,7 @@ def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...], sc
         blocks[:, 1, :, :, 1] = total
         blocks[:, 0, :, :, 1] = 0
         blocks[:, 1, :, :, 0] = 0
-    return lift if scale is None else scale * lift - op.matrix
+    return lift
 
 
 def _float_or_array(value: np.ndarray):

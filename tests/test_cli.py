@@ -284,8 +284,9 @@ class TestAnalyze:
             ({"n": 7, "format": "stokes", "values": [1.0]}, "supported qubit counts are 1..6"),
             ([1, 2], "state document must be a JSON object"),
             ({"n": 1, "format": "hermitian", "re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative"),
+            ({"n": 1, "format": "stokes", "values": 5}, "'values' must be a flat array of 4 entries"),
         ],
-        ids=["nan", "past-the-limit", "affine", "missing-field", "qubit-count", "not-an-object", "not-a-density"],
+        ids=["nan", "past-the-limit", "affine", "missing-field", "qubit-count", "not-an-object", "not-a-density", "values-5"],
     )
     def test_every_load_refusal_names_the_file(self, tmp_path, doc, message):
         # a refusal by the document rule used to print its message alone, with no path

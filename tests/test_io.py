@@ -118,6 +118,17 @@ class TestStateFiles:
         with pytest.raises(StateFormatError, match=r"^'re'/'im' must be 2x2 arrays \(in doc\)$"):
             parse_density(json.dumps(doc).encode(), "doc")
 
+    @pytest.mark.parametrize(
+        "values", [5, None, {}, "", [0.5] + [0.0] * 3], ids=["number", "null", "object", "string", "short"]
+    )
+    def test_malformed_stokes_values_get_the_schema_message(self, values):
+        # a number or null once raised Python's "object is not iterable", an object or a string float()'s message
+        doc = {"n": 2, "format": "stokes", "values": values}
+        with pytest.raises(StateFormatError, match=r"^'values' must be a flat array of 16 entries$"):
+            state_from_dict(doc)
+        with pytest.raises(StateFormatError, match=r"^'values' must be a flat array of 16 entries \(in doc\)$"):
+            parse_density(json.dumps(doc).encode(), "doc")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, tmp_path, bad):
         hermitian = {"n": 1, "format": "hermitian", "re": [[bad, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qreflect as qr
-from qreflect import properties, stokes
+from qreflect import properties, reflections, stokes
 from qreflect.reflections import SignMask
 from qreflect.stokes import _digits, identity_times_reduction, partial_transpose
 
@@ -442,6 +442,22 @@ class TestLocalOrthogonal:
         # stacking the blocks would read the bools as floats: each block passes the number rule on its own dtype
         with pytest.raises(ValueError, match="entries must be numbers, got an array of dtype bool"):
             qr.LocalOrthogonalMap([np.eye(4, dtype=bool), np.eye(4)])
+
+    def test_each_block_passes_the_number_rule_once(self, monkeypatch, rng):
+        # the stacked blocks used to pass it a second time, for the finite check
+        calls = []
+        numbers = stokes._numbers
+
+        def counting(data, *args, **kwargs):
+            calls.append(np.shape(data))
+            return numbers(data, *args, **kwargs)
+
+        monkeypatch.setattr(reflections, "_numbers", counting)
+        stacked = qr.LocalOrthogonalMap.single_qubit(2, 1, qr.random_reflection(rng, size=3)).blocks[0]
+        calls.clear()
+        lomap = qr.LocalOrthogonalMap([stacked, np.eye(4)])
+        assert calls == [(3, 4, 4), (4, 4)]
+        assert lomap.members == 3
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 3, 3), (3,), (3, 4)], ids=["2x2", "4-d", "1-d", "3x4"])
     def test_single_qubit_refuses_a_rotation_of_another_shape(self, shape):

@@ -38,6 +38,14 @@ class TestPureStates:
         with pytest.raises(ValueError, match="normalised"):
             qr.pure_state([bad, 0.0])
 
+    def test_amplitudes_of_another_shape_rejected(self):
+        # a 2x2 array was flattened: the identity over sqrt(2) gave the Bell ket
+        for amplitudes in (np.eye(2) / np.sqrt(2), [[2**-0.5, 0.0], [0.0, 2**-0.5]]):
+            with pytest.raises(ValueError, match=re.escape("amplitudes must be a 1-D array, got shape (2, 2)")):
+                qr.ket(amplitudes)
+            with pytest.raises(ValueError, match=re.escape("amplitudes must be a 1-D array, got shape (2, 2)")):
+                qr.pure_state(amplitudes)
+
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             qr.ket("0x")
