@@ -39,13 +39,12 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .criteria import _reports, _verdict_tolerance, complement, feasibility, total_reflection_feasible
-from .io import StateFormatError, parse_density
+from .io import StateFormatError, parse_density, read_state_file
 from .linalg import min_eig
 from .reflections import classify, mask_partial_transpose, mask_spin_flip, mask_total_reflection
 from .states import upb_kets, upb_separable
@@ -122,9 +121,9 @@ def cmd_table1(args):
 def cmd_analyze(args):
     tol = _tolerance()
     try:
-        raw = Path(args.state).read_bytes()
+        raw = read_state_file(args.state)
         rho = parse_density(raw, args.state)
-    except (OSError, StateFormatError) as exc:
+    except StateFormatError as exc:
         raise SystemExit(_error(EXIT_BAD_INPUT, str(exc)))
     digest = hashlib.sha256(raw).hexdigest()
     n = rho.n
@@ -167,7 +166,7 @@ def cmd_upb_demo(args):
     ppt_reports = cuts[:3]
     kets = upb_kets()
     components = DensityState(np.stack([np.outer(vec, vec.conj()) for vec in kets]), stack=True)
-    component_minima = feasibility(components.spectrum, tol)[0].tolist()
+    component_minima = feasibility(components, tol)[0].tolist()
     overlaps = [float((vec.conj() @ bound_entangled.matrix @ vec).real) for vec in kets]
     result = {
         "separable_feasible": reflected.extra,

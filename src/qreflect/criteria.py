@@ -3,11 +3,12 @@
 Every test reports its raw spectral witness next to the verdict, so callers
 can re-evaluate the decision under a different tolerance.  The numeric
 witnesses (:func:`ccn`, :func:`ccn_via_stokes`, :func:`concurrence`,
-:func:`lorentz_metric` and the spectrum kernel :func:`feasibility`) answer
-with a float for one state and an array of one value per member for a stack,
-which costs one batched solve.  A report is about one state, so each report refuses
-a stack itself, before any kernel runs; :func:`complement` maps a stack
-member by member.
+:func:`lorentz_metric` and :func:`feasibility`, the witness and flags of the
+total reflection) answer with a number for one state and an array of one
+value per member for a stack, which costs one batched solve.  Each takes its
+checked type, or an array checked into it, like every public entry.  A
+report is about one state, so each report refuses a stack itself, before any
+kernel runs; :func:`complement` maps a stack member by member.
 
 The verdict tolerance has one rule, :func:`_verdict_tolerance`: a finite float
 or int >= 0, not a bool.  Every report and :func:`feasibility` apply it on
@@ -37,17 +38,14 @@ from .stokes import (
     PSD_TOL,
     StokesTensor,
     _as,
-    _Checked,
     _float_or_array,
     _identity_times_reduction,
     _is_real,
     _nonempty_subset,
-    _numbers,
     _partial_transpose,
     _realigned,
     _single,
     _two_qubits,
-    qubit_count,
     stokes_as_matrix,
 )
 
@@ -271,61 +269,44 @@ def complement(rho) -> HermitianOperator:
     return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix, op.is_stack)
 
 
-def feasibility(spectrum, tol: float = PSD_TOL) -> tuple:
-    """Total-reflection witness and flags of ascending spectra: ``(witness, flags)``.
+def feasibility(rho, tol: float = PSD_TOL) -> tuple:
+    """Total-reflection witness and flags of an operator, or of each member of a stack: ``(witness, flags)``.
 
-    ``spectrum`` holds the ascending eigenvalues ``lambda`` of one operator
-    on ``n`` qubits (``2**n`` of them), or one such row per member of a
-    stack, such as ``DensityState.spectrum``.  The reflected spectrum is
-    ``2**(1-n) - lambda``, so the witness is ``2**(1-n) - max(lambda)`` and
+    ``rho`` is a :class:`HermitianOperator` (a :class:`DensityState` answers
+    from the spectrum it was validated with) or an array checked into one.
+    The reflected spectrum is ``2**(1-n) - lambda`` for the ascending
+    eigenvalues ``lambda``, so the witness is ``2**(1-n) - max(lambda)`` and
     the largest-eigenvalue test is exact: ``sufficient_max_eig`` and
     ``exact_psd`` agree by construction (both names stay in the schema).
     The necessary bounds are ``tr(rho**2) <= 2**(1-n)`` and
     ``rank >= 2**(n-1)``; the rank counts eigenvalues above ``PSD_TOL``, the
     numerical zero of the load check, so the verdict tolerance ``tol`` does
-    not move it.  One spectrum gives a float and bools, a stack (of at least
-    one member) one array per name.  A spectrum whose length is not
-    ``2**n``, with an entry that is not a finite real number within the
-    magnitude limit (:func:`stokes._numbers`), or not in ascending order is
-    refused with ``ValueError``, and a checked value with ``TypeError``.
+    not move it.  One operator gives a float and bools, a stack one array
+    per name.
     """
-    if isinstance(spectrum, _Checked):
-        raise TypeError(f"a spectrum is checked from an array, got a {type(spectrum).__name__}")
-    spectrum = np.asarray(spectrum)
     tol = _verdict_tolerance(tol)
-    if not spectrum.ndim:
-        raise ValueError("a spectrum needs one axis of eigenvalues, got a scalar")
-    qubit_count(spectrum.shape[-1])
-    if not spectrum.size:
-        raise ValueError(f"a stack of spectra needs a member, got shape {spectrum.shape}")
-    spectrum = _numbers(spectrum, True, -1, "entries must be finite")
-    _Checked._require((spectrum[..., :-1] <= spectrum[..., 1:]).all(axis=-1), "the spectrum must be ascending")
-    return _feasibility(spectrum, tol)
+    return _feasibility(_eigenvalues(rho), tol)
 
 
 def _feasibility(spectrum: np.ndarray, tol: float) -> tuple:
-    """:func:`feasibility` of ascending spectra at a checked tolerance."""
+    """:func:`feasibility` of ascending spectra (one row per member of a stack) at a checked tolerance."""
     dim = spectrum.shape[-1]
     bound = 2.0 / dim
     # .T puts the eigenvalue axis first, so .T[k] is entry k of one spectrum or of every member.
     witness = bound - spectrum.T[-1]
-    reflectable = witness >= -tol
+    reflectable = _float_or_array(witness >= -tol)
     # A plain reduction and an in-place sort keep one spectrum as cheap as the scalar code was.
     purity_bound = np.add.reduce(spectrum * spectrum, -1) <= bound + 1e-12
     # At least dim/2 magnitudes exceed PSD_TOL exactly when the (dim/2)-th largest does.
     magnitudes = np.abs(spectrum)
     magnitudes.sort()
-    rank_bound = magnitudes.T[dim // 2] > PSD_TOL
-    if not witness.ndim:
-        witness, reflectable = float(witness), bool(reflectable)
-        purity_bound, rank_bound = bool(purity_bound), bool(rank_bound)
     flags = {
         "sufficient_max_eig": reflectable,
         "exact_psd": reflectable,
-        "purity_bound": purity_bound,
-        "rank_bound": rank_bound,
+        "purity_bound": _float_or_array(purity_bound),
+        "rank_bound": _float_or_array(magnitudes.T[dim // 2] > PSD_TOL),
     }
-    return witness, flags
+    return _float_or_array(witness), flags
 
 
 def total_reflection_feasible(rho, tol: float = PSD_TOL) -> CriterionReport:

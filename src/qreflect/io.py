@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .stokes import DensityState, HermitianOperator, StokesTensor, _Checked, _qubits, _single, from_stokes
+from .stokes import (
+    MAGNITUDE_LIMIT,
+    DensityState,
+    HermitianOperator,
+    StokesTensor,
+    _Checked,
+    _qubits,
+    _single,
+    from_stokes,
+)
 
 
 _SCHEMA_FIELDS = frozenset({"n", "format", "re", "im", "values"})
@@ -61,7 +70,12 @@ def _array(entries, shape: tuple[int, ...], name: str) -> np.ndarray:
     leaves = set(map(type, itertools.chain.from_iterable(rows)))
     if not all(issubclass(kind, (int, float)) and kind is not bool for kind in leaves):
         raise StateFormatError("array entries must be JSON numbers")
-    return np.asarray(entries, dtype=float)
+    try:
+        return np.asarray(entries, dtype=float)
+    except OverflowError:
+        # Only an integer can be past the float range, and so past the magnitude limit of every checked entry.
+        limit = f"entries must be at most {MAGNITUDE_LIMIT:g} in magnitude"
+        raise StateFormatError(f"{limit}, got an integer past the float range") from None
 
 
 def state_from_dict(doc: dict):
@@ -79,7 +93,7 @@ def state_from_dict(doc: dict):
         return HermitianOperator(re + 1j * im)
     except KeyError as exc:
         raise StateFormatError(f"missing field {exc.args[0]!r}") from exc
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise StateFormatError(str(exc)) from exc
 
 
@@ -97,13 +111,17 @@ def parse_density(raw: bytes, source) -> DensityState:
         raise StateFormatError(f"state in {source} is not a density operator: {exc}") from exc
 
 
-def load_density(path) -> DensityState:
-    """Load a state file and validate it as a density operator."""
+def read_state_file(path) -> bytes:
+    """The bytes of a state file, read once; a path that cannot be read (missing, a directory) names itself."""
     try:
-        raw = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise StateFormatError(f"cannot read state file {path}: {exc}") from exc
-    return parse_density(raw, path)
+
+
+def load_density(path) -> DensityState:
+    """Load a state file and validate it as a density operator."""
+    return parse_density(read_state_file(path), path)
 
 
 def write_state(path, state, **annotations) -> None:

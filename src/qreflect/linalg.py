@@ -1,14 +1,16 @@
-"""The lowest eigenvalue of one checked operator.
+"""Ascending spectra of checked operators.
 
 Everything here runs on matrices of dimension at most 64, so the dense
-LAPACK solver is used.  :func:`min_eig` reads one operator the way every
+LAPACK solver is used.  :func:`_eigenvalues` reads an operator the way every
 criterion does: a raw array passes the one
 :class:`~qreflect.stokes.HermitianOperator` check (shape, finite entries
-within the magnitude limit, Hermiticity, trace 1), a stack is refused, and a
-state answers from the ascending spectrum it was validated with.  The
-criteria solve their kernel images, which are Hermitian bit for bit, with
-:func:`_lowest_eig`.  The magnitude limit keeps every eigenvalue of a
-checked operator or of its images finite, so neither solve checks its result.
+within the magnitude limit, Hermiticity, trace 1), a state answers from the
+ascending spectrum it was validated with, and a stack gets one row per
+member from one batched solve.  :func:`min_eig` is about one operator and
+refuses a stack.  The criteria solve their kernel images, which are
+Hermitian bit for bit, with :func:`_lowest_eig`.  The magnitude limit keeps
+every eigenvalue of a checked operator or of its images finite, so neither
+solve checks its result.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ from .stokes import DensityState, HermitianOperator, _as, _single
 
 
 def _eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues of one checked operator; a state's are the ones it was validated with."""
-    op = _single(_as(HermitianOperator, h))
-    if isinstance(op, DensityState):
-        return op.spectrum
-    return np.linalg.eigvalsh(op.matrix)
+    """Ascending eigenvalues of a checked operator, one row per member of a stack; a state's are its validated ones."""
+    op = _as(HermitianOperator, h)
+    return op.spectrum if isinstance(op, DensityState) else np.linalg.eigvalsh(op.matrix)
 
 
 def min_eig(h) -> float:
-    return float(_eigenvalues(h)[0])
+    return float(_eigenvalues(_single(_as(HermitianOperator, h)))[0])
 
 
 def _lowest_eig(image: np.ndarray) -> float:

@@ -381,7 +381,7 @@ def feasibility_bounds(rng, trials):
     checks = []
     for n, at in _qubit_groups(rng, trials, 2):
         rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
-        _, flags = criteria.feasibility(rho.spectrum)
+        _, flags = criteria.feasibility(rho)
         ok = (
             (~flags["sufficient_max_eig"] | flags["exact_psd"])
             & (~flags["exact_psd"] | flags["purity_bound"])

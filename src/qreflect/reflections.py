@@ -205,8 +205,9 @@ class LocalOrthogonalMap(_Checked):
         r = np.asarray(rotation)
         if r.shape[-2:] != (3, 3) or r.ndim not in (2, 3):
             raise ValueError(f"the rotation must be 3x3 or a stack of 3x3, got {r.shape}")
-        r = _numbers(r, True)
-        block = np.broadcast_to(np.eye(4), (*r.shape[:-2], 4, 4)).copy()
+        # The block, its one included, is of the rotation's dtype: __init__'s one number-rule pass refuses a bad one.
+        block = np.zeros((*r.shape[:-2], 4, 4), dtype=r.dtype)
+        block[..., 0, 0] = np.ones((), r.dtype)
         block[..., 1:, 1:] = r
         return cls([block if q == qubit else np.eye(4) for q in range(1, n + 1)])
 

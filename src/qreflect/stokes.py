@@ -544,8 +544,8 @@ def _identity_times_reduction(op: HermitianOperator, subset: tuple[int, ...]) ->
 
 
 def _float_or_array(value: np.ndarray):
-    """A float for one value, the array of one value per member for a stack."""
-    return value if value.ndim else float(value)
+    """A Python float (or bool, for a flag) for one value, the array of one value per member for a stack."""
+    return value if value.ndim else value.item()
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:

@@ -182,6 +182,15 @@ class TestAnalyze:
         proc = run_cli("analyze", "/nonexistent/state.json", "--ppt", "A")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_path_that_cannot_be_read_gets_the_load_message(self, tmp_path, kind):
+        # the command once printed the bare OSError, unlike load_density
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        proc = run_cli("analyze", str(path), "--ppt", "A")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read state file {path}: ")
+
     def test_dimension_mismatch_exits_3(self):
         proc = run_cli("analyze", str(UPB), "--concurrence")
         assert proc.returncode == 3
@@ -285,8 +294,19 @@ class TestAnalyze:
             ([1, 2], "state document must be a JSON object"),
             ({"n": 1, "format": "hermitian", "re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative"),
             ({"n": 1, "format": "stokes", "values": 5}, "'values' must be a flat array of 4 entries"),
+            ({"n": 1, "format": "stokes", "values": [10**400, 0, 0, 0]}, "entries must be at most 1e+150 in magnitude"),
         ],
-        ids=["nan", "past-the-limit", "affine", "missing-field", "qubit-count", "not-an-object", "not-a-density", "values-5"],
+        ids=[
+            "nan",
+            "past-the-limit",
+            "affine",
+            "missing-field",
+            "qubit-count",
+            "not-an-object",
+            "not-a-density",
+            "values-5",
+            "big-int",
+        ],
     )
     def test_every_load_refusal_names_the_file(self, tmp_path, doc, message):
         # a refusal by the document rule used to print its message alone, with no path

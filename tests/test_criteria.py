@@ -365,7 +365,7 @@ class TestTotalReflectionFeasibility:
             ),
             stack=True,
         )
-        witness, flags = criteria.feasibility(rho.spectrum)
+        witness, flags = criteria.feasibility(rho)
         assert witness.shape == (10,) and all(flag.shape == (10,) for flag in flags.values())
         verdicts = set()
         for k in range(10):
@@ -374,6 +374,37 @@ class TestTotalReflectionFeasibility:
             assert witness[k] == report.witness
             assert {name: bool(flag[k]) for name, flag in flags.items()} == report.extra
         assert verdicts == ({"feasible"} if n == 1 else {"feasible", "infeasible"})
+
+    def test_a_stack_of_operators_is_the_report_per_member(self, rng):
+        # a complement is an operator, which need not be positive, not a state with a kept spectrum
+        images = qr.complement(qr.random_density(3, "mixed_dirichlet", rng, size=6))
+        assert type(images) is qr.HermitianOperator and images.is_stack
+        witness, flags = criteria.feasibility(images)
+        for k in range(6):
+            report = qr.total_reflection_feasible(images[k])
+            assert witness[k] == report.witness
+            assert {name: bool(flag[k]) for name, flag in flags.items()} == report.extra
+
+    @pytest.mark.parametrize("mode", ["haar_pure", "mixed_dirichlet", "bounded_spectrum"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_a_state_stack_reads_its_kept_spectrum(self, n, mode, rng):
+        c = 2.0 ** (1 - n) if mode == "bounded_spectrum" else None
+        states = qr.random_density(n, mode, rng, c=c, size=3)
+        expected_witness, expected_flags = criteria._feasibility(states.spectrum, 1e-9)
+        # a state answers from its kept spectrum, a bare operator stack from one batched solve of the same matrices
+        for rho in (states, qr.HermitianOperator(states.matrix, stack=True)):
+            witness, flags = criteria.feasibility(rho, 1e-9)
+            assert witness.tobytes() == expected_witness.tobytes()
+            assert flags.keys() == expected_flags.keys()
+            assert all(np.array_equal(flags[name], expected_flags[name]) for name in flags)
+
+    def test_an_array_is_checked_into_an_operator(self):
+        witness, flags = criteria.feasibility(np.diag([0.75, 0.25]))
+        assert type(witness) is float and witness == 0.25
+        assert all(type(flag) is bool and flag for flag in flags.values())
+        # a flat array of four numbers is no spectrum here: the operator shape rule refuses it
+        with pytest.raises(ValueError, match=r"^expected a square array, got shape \(4,\)$"):
+            criteria.feasibility([0.1, 0.2, 0.3, 0.4])
 
     def test_rank_bound_ignores_the_verdict_tolerance(self):
         # the rank counts eigenvalues above the load check's zero: a loose verdict
@@ -400,24 +431,6 @@ class TestTotalReflectionFeasibility:
             assert report.extra["purity_bound"] == (np.trace(m @ m).real <= bound + 1e-12)
             assert report.extra["rank_bound"] == (rank >= 2 ** (n - 1))
             assert np.count_nonzero(np.abs(rho.spectrum) > 1e-10) == rank
-
-    @pytest.mark.parametrize(
-        "spectrum, match",
-        [
-            # descending: its last entry is not the largest eigenvalue
-            ([0.7, 0.1, 0.1, 0.1], "^the spectrum must be ascending$"),
-            ([[0.1, 0.1, 0.1, 0.7], [0.7, 0.1, 0.1, 0.1]], "^member 1: the spectrum must be ascending$"),
-            ([math.nan] * 4, "^entries must be finite$"),
-            ([0.1, 0.2, 0.3], "^dimension 3 is not a power of two$"),
-            ([], "^dimension 0 is not a power of two >= 2$"),
-            (np.zeros((0, 4)), r"^a stack of spectra needs a member, got shape \(0, 4\)$"),
-            (0.5, "^a spectrum needs one axis of eigenvalues, got a scalar$"),
-        ],
-        ids=["descending", "descending_member", "nan", "three_entries", "empty", "empty_stack", "scalar"],
-    )
-    def test_the_public_kernel_refuses_what_is_not_an_ascending_spectrum(self, spectrum, match):
-        with pytest.raises(ValueError, match=match):
-            criteria.feasibility(spectrum)
 
     def test_pinned_counterexample_purity_without_feasibility(self):
         doc = json.loads((FIXTURES / "purity_bound_counterexample.json").read_text())
@@ -452,9 +465,8 @@ class TestComplement:
 
 
 class TestVerdictTolerance:
-    """One tolerance rule, applied on entry by every report and by the spectrum kernel."""
+    """One tolerance rule, applied on entry by every report and by the feasibility kernel."""
 
-    BELL_SPECTRUM = qr.bell_state().spectrum
     ENTRIES = {
         "ppt": lambda m, tol: qr.ppt_test(m, (1,), tol),
         "ccn": lambda m, tol: qr.ccn_report(m, tol=tol),
@@ -462,7 +474,7 @@ class TestVerdictTolerance:
         "reduction": lambda m, tol: qr.reduction_criterion(m, (1,), tol),
         "reflection": lambda m, tol: qr.reflection_report(m, (1, 2), tol),
         "total-reflection": lambda m, tol: qr.total_reflection_feasible(m, tol),
-        "feasibility": lambda m, tol: criteria.feasibility(TestVerdictTolerance.BELL_SPECTRUM, tol),
+        "feasibility": lambda m, tol: criteria.feasibility(m, tol),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRIES))

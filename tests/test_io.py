@@ -1,6 +1,7 @@
 """State and report serialisation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qreflect.io import (
     StateFormatError,
     load_density,
     parse_density,
+    read_state_file,
     state_from_dict,
     state_to_dict,
     write_state,
@@ -151,6 +153,30 @@ class TestStateFiles:
         path.write_text("{nope")
         with pytest.raises(StateFormatError):
             load_density(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_path_that_cannot_be_read_is_named(self, tmp_path, kind):
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        with pytest.raises(StateFormatError, match=f"^cannot read state file {re.escape(str(path))}: "):
+            load_density(path)
+        with pytest.raises(StateFormatError, match="^cannot read state file "):
+            read_state_file(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "format": "stokes", "values": [10**400, 0, 0, 0]},
+            {"n": 1, "format": "hermitian", "re": [[1, 0], [0, -(10**400)]], "im": [[0, 0], [0, 0]]},
+        ],
+        ids=["stokes", "hermitian"],
+    )
+    def test_an_integer_past_the_float_range_is_past_the_magnitude_limit(self, doc):
+        # numpy's conversion once gave Python's own "int too large to convert to float"
+        message = r"^entries must be at most 1e\+150 in magnitude, got an integer past the float range"
+        with pytest.raises(StateFormatError, match=message + "$"):
+            state_from_dict(doc)
+        with pytest.raises(StateFormatError, match=message + r" \(in doc\)$"):
+            parse_density(json.dumps(doc).encode(), "doc")
 
     @settings(max_examples=300, deadline=None)
     @given(doc=STATE_DOCUMENTS)

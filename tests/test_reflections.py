@@ -459,6 +459,37 @@ class TestLocalOrthogonal:
         assert calls == [(3, 4, 4), (4, 4)]
         assert lomap.members == 3
 
+    def test_single_qubit_reads_the_rotation_once(self, monkeypatch, rng):
+        # the rotation used to pass the number rule on its own before its block passed it again
+        calls = []
+        numbers = stokes._numbers
+
+        def counting(data, *args, **kwargs):
+            calls.append(np.shape(data))
+            return numbers(data, *args, **kwargs)
+
+        monkeypatch.setattr(reflections, "_numbers", counting)
+        qr.LocalOrthogonalMap.single_qubit(3, 2, qr.random_reflection(rng))
+        assert calls == [(4, 4)] * 3
+        calls.clear()
+        qr.LocalOrthogonalMap.single_qubit(3, 2, qr.random_reflection(rng, size=2))
+        assert calls == [(4, 4), (2, 4, 4), (4, 4)]
+
+    @pytest.mark.parametrize(
+        "rotation, message",
+        [
+            (np.eye(3).astype(str), "^entries must be numbers, got an array of dtype <U32$"),
+            (np.eye(3).astype("V8"), "^entries must be numbers, got an array of dtype \\|V8$"),
+            (np.eye(3) + 0.5j, "^entries must be real, got an imaginary part 5.000e-01$"),
+            (np.stack([np.eye(3), np.eye(3) + 0.5j]), "^member 1: entries must be real, got an imaginary part 5.000e-01$"),
+            (np.diag([1.0, np.nan, 1.0]), "^block entries must be finite$"),
+        ],
+        ids=["str", "void", "complex", "complex-member", "nan"],
+    )
+    def test_single_qubit_refuses_a_rotation_in_its_block(self, rotation, message):
+        with pytest.raises(ValueError, match=message):
+            qr.LocalOrthogonalMap.single_qubit(2, 1, rotation)
+
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 3, 3), (3,), (3, 4)], ids=["2x2", "4-d", "1-d", "3x4"])
     def test_single_qubit_refuses_a_rotation_of_another_shape(self, shape):
         # a 2x2 rotation raised numpy's broadcast error, a 4-d one was reported as a block of shape (2, 3, 4, 4)

@@ -564,8 +564,6 @@ class TestNumberRule:
             lambda: qr.LocalOrthogonalMap.single_qubit(1, 1, np.eye(3, dtype=bool)),
             lambda: qr.ket([True, False]),
             lambda: qr.ppt_test(np.diag([True, False, False, False]), (1,)),
-            lambda: qr.feasibility([True, True]),
-            lambda: qr.feasibility(["0.1"] * 4),
         ],
         ids=[
             "hermitian-bool",
@@ -579,8 +577,6 @@ class TestNumberRule:
             "single-qubit-rotation-bool",
             "ket-bool",
             "ppt-test-bool",
-            "feasibility-bool",
-            "feasibility-str",
         ],
     )
     def test_bool_string_and_object_arrays_are_refused(self, build):
@@ -608,13 +604,9 @@ class TestRealInput:
             # A zero imaginary part is a real number.
             assert np.array_equal(getattr(cls(valid(1).astype(complex)), accessor), valid(1))
 
-    def test_a_spectrum_and_a_local_map_block_are_real_inputs(self):
-        spectrum = np.array([0.1, 0.2, 0.3, 0.4])
+    def test_a_local_map_block_is_a_real_input(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert qr.feasibility(spectrum + 0j) == qr.feasibility(spectrum)
-            with pytest.raises(ValueError, match="must be real"):
-                qr.feasibility(spectrum + 0.1j)
             assert np.array_equal(qr.LocalOrthogonalMap([np.eye(4) + 0j]).blocks[0], np.eye(4))
             with pytest.raises(ValueError, match="must be real"):
                 qr.LocalOrthogonalMap([np.eye(4) + 0.1j])
@@ -668,10 +660,9 @@ class TestInputRule:
             (lambda: qr.to_stokes(qr.to_stokes(qr.bell_state())), "a HermitianOperator"),
             (lambda: qr.from_stokes(qr.bell_state()), "a StokesTensor"),
             (lambda: qr.DensityState(qr.to_stokes(qr.bell_state())), "a DensityState"),
-            (lambda: qr.feasibility(qr.bell_state()), "a spectrum"),
             (lambda: qr.apply_local_orthogonal(qr.to_stokes(qr.bell_state()), qr.bell_state()), "a LocalOrthogonalMap"),
         ],
-        ids=["HermitianOperator", "to_stokes", "from_stokes", "DensityState", "feasibility", "apply_local_orthogonal"],
+        ids=["HermitianOperator", "to_stokes", "from_stokes", "DensityState", "apply_local_orthogonal"],
     )
     def test_another_checked_value_is_a_type_error(self, call, wanted):
         with pytest.raises(TypeError, match=rf"^{wanted} is checked from .+, got a (DensityState|StokesTensor)$"):
@@ -818,6 +809,7 @@ PAST_THE_LIMIT = {
             ("ppt", lambda m: qr.ppt_test(m, (1,))),
             ("reduction", lambda m: qr.reduction_criterion(m, (1,))),
             ("total_reflection", qr.total_reflection_feasible),
+            ("feasibility", qr.feasibility),
             ("reflection_ab", lambda m: qr.reflection_report(m, (1, 2))),
             ("min_eig", qr.min_eig),
         ]
@@ -836,8 +828,6 @@ PAST_THE_LIMIT = {
         lambda v: qr.from_stokes(StokesTensor(v, stack=True)), 2, stokes_rows(2, [1, 2, 3], A)[[0, 0, 1, 0]]
     ),
     "cli-load": (lambda doc: parse_density(json.dumps(doc).encode(), "state.json"), None, HUGE_SPECTRUM_DOC),
-    "feasibility": (qr.feasibility, None, [1e200] * 4),
-    "feasibility-stack": (qr.feasibility, 1, [[0.1, 0.2, 0.3, 0.4], [1e200] * 4]),
     "local-orthogonal-block": (lambda block: qr.LocalOrthogonalMap([block, np.eye(4)]), None, WIDE_BLOCK),
     "local-orthogonal-stack": (qr.LocalOrthogonalMap, 2, stack_of_blocks()),
     "single-qubit-rotation": (lambda r: qr.LocalOrthogonalMap.single_qubit(2, 1, r), None, np.diag([1e200, 1, 1])),
@@ -884,7 +874,7 @@ def kernels_at_the_limit(n):
         "complement": lambda: qr.complement(op),
         "min_eig": lambda: qr.min_eig(op),
         "purity": lambda: qr.purity(s),
-        "feasibility": lambda: qr.feasibility(np.linspace(-limit, limit, dim)),
+        "feasibility": lambda: qr.feasibility(stack),
         "total_reflection_feasible": lambda: qr.total_reflection_feasible(op),
         "reflection_report-one": lambda: qr.reflection_report(op, (1,)),
         "reflection_report-all": lambda: qr.reflection_report(op, everything),
@@ -961,7 +951,6 @@ class TestMagnitudeLimit:
             (lambda m: qr.RealDensityMatrix(m, stack=True), [np.diag([1.0, 0.0]), square], ""),
             (lambda s: SignMask(s, stack=True), [[1, -1, 1, -1], values], ""),
             (lambda b: qr.LocalOrthogonalMap([b]), [np.eye(4), block], "block "),
-            (qr.feasibility, [[0.0, 0.0, 0.5, 0.5], values], ""),
         ]
         for call, members, kind in stacks:
             with pytest.raises(ValueError, match=f"^member 1: {kind}entries must be finite$"):
