@@ -3,16 +3,18 @@
 Each invariant is one function of ``(rng, trials)`` that runs all its
 trials as stacks: it draws every trial's inputs from ``rng`` at once (one
 stack per qubit count, when the count is drawn per trial), and returns its
-checks, each built by ``_within`` from one gap per trial and the bound that
-gap must stay under.  One driver, ``_run``, reads the checks.  A result
-reports ``trials`` as the requested count and ``worst`` as the largest
-non-negative gap of the checks that count toward it; the lowest trial with
-a gap over its bound (and, within that trial, its first such check in code
-order) fails the invariant, reports that gap as ``worst`` and serialises
-that trial's state.  The library calls take each stack whole: the
-witnesses give one value per member, and a stack of random reflections
-pairs with the states member by member.  Only :func:`reflections.classify`,
-which reads one mask, is called once per member.
+checks, each built by ``_within`` from a ``(rows, trials)`` gap array (one
+row per catalog mask, kernel pair or other checked quantity) and the bound
+every gap must stay under.  One driver, ``_run``, reads the checks.  A
+result reports ``trials`` as the requested count and ``worst`` as the
+largest non-negative gap of the checks that count toward it; the lowest
+trial with a gap over its bound (and, within that trial, its first such
+check in code order and that check's first such row) fails the invariant,
+reports that gap as ``worst`` and serialises that trial's state.  The
+library calls take each stack whole: the witnesses give one value per
+member, a stack of random reflections pairs with the states member by
+member, and :func:`reflections.classify` answers a mask stack in one call.
+A drawn stack that several masks transform is taken to Stokes values once.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,48 +52,66 @@ class InvariantResult:
 
 @dataclass(frozen=True)
 class _Check:
-    """One check over the trials ``at``: a gap per trial, its bound, and what a failure reports.
+    """One check over the trials ``at``: a ``(rows, trials)`` gap array, its bound, and what a failure reports.
 
-    ``states`` (indexed like ``gaps``) gives the counterexample, or is None;
-    ``detail`` is one message or one per trial.  Only a check that
+    A row is one checked quantity (a catalog mask, a kernel pair) and holds
+    one gap per trial of ``at``.  ``states`` (indexed like ``at``) gives the
+    counterexample, or is None.  ``detail`` is one message for every row and
+    trial, or a function ``detail(row, j)`` that formats the message of the
+    gap at ``row`` and position ``j``: a message that names the row or the
+    trial is formatted for the reported failure only.  Only a check that
     ``counts`` enters ``worst``.
     """
 
     gaps: np.ndarray
     bound: float
     states: object
-    detail: str | list[str]
+    detail: str | Callable[[int, int], str]
     at: np.ndarray
     counts: bool
 
 
 def _within(gaps, bound: float, states, detail, at=None, counts: bool = True) -> _Check:
-    """Check ``gaps`` (one per trial in ``at``, default every trial) against ``bound``; NaN fails."""
-    gaps = np.asarray(gaps, dtype=float)
-    at = np.arange(gaps.size) if at is None else np.asarray(at)
+    """Check ``gaps`` against ``bound``; NaN fails.
+
+    ``gaps`` has one column per trial in ``at`` (default every trial) and one
+    row per checked quantity; a flat array is one row.
+    """
+    gaps = np.atleast_2d(np.asarray(gaps, dtype=float))
+    at = np.arange(gaps.shape[1]) if at is None else np.asarray(at)
     return _Check(gaps, bound, states, detail, at, counts)
 
 
 def _holds(ok, states, detail, at=None) -> _Check:
-    """A pass/fail check per trial: deviation 0 where ``ok``, else 1 over a bound of 0."""
+    """A pass/fail check per row and trial: deviation 0 where ``ok``, else 1 over a bound of 0."""
     return _within(np.where(ok, 0.0, 1.0), 0.0, states, detail, at)
 
 
+def _row_message(messages, row: int, j: int) -> str:
+    """The ``detail`` of a check whose rows carry the messages ``messages``, whatever the trial."""
+    return messages[row]
+
+
 def _run(name: str, invariant, rng, trials: int) -> InvariantResult:
-    """Run ``invariant(rng, trials)``; the lowest trial with a gap over its bound fails the invariant."""
+    """Run ``invariant(rng, trials)``; the lowest trial with a gap over its bound fails the invariant.
+
+    Within that trial the first check in code order, and within that check
+    its first row with a gap over the bound, gives the report.
+    """
     checks = invariant(rng, trials)
-    failed = None  # (trial, check, position in the check) of the earliest gap over its bound
+    failed = None  # (trial, check, row, position in the check) of the earliest gap over its bound
     for check in checks:
-        over = np.flatnonzero(~(check.gaps <= check.bound))
-        if over.size:
-            j = over[np.argmin(check.at[over])]
+        over = ~(check.gaps <= check.bound)
+        columns = np.flatnonzero(over.any(axis=0))
+        if columns.size:
+            j = columns[np.argmin(check.at[columns])]
             if failed is None or check.at[j] < failed[0]:
-                failed = check.at[j], check, j
+                failed = check.at[j], check, int(over[:, j].argmax()), j
     if failed is not None:
-        _, check, j = failed
-        detail = check.detail if isinstance(check.detail, str) else check.detail[j]
+        _, check, row, j = failed
+        detail = check.detail if isinstance(check.detail, str) else check.detail(row, j)
         counterexample = None if check.states is None else io.state_to_dict(check.states[j])
-        return InvariantResult(name, trials, False, float(check.gaps[j]), detail, counterexample)
+        return InvariantResult(name, trials, False, float(check.gaps[row, j]), detail, counterexample)
     worst = max((float(c.gaps.max()) for c in checks if c.counts and c.gaps.size), default=0.0)
     return InvariantResult(name, trials, True, max(0.0, worst))
 
@@ -259,8 +280,8 @@ def mask_involution(rng, trials, corrupt_mask=False):
             seconds, suffix = reflections.SignMask(tampered, stack=True), "~corrupt"
         back = reflections.apply_mask(seconds, reflections.apply_mask(masks, pairs))
         same = (back.values == pairs.values).all(axis=1).reshape(-1, at.size)
-        for mask, ok in zip(_mask_catalog(n), same):
-            checks.append(_holds(ok, rho, f"{mask.name}{suffix} failed to invert {mask.name}", at))
+        messages = [f"{mask.name}{suffix} failed to invert {mask.name}" for mask in _mask_catalog(n)]
+        checks.append(_holds(same, rho, functools.partial(_row_message, messages), at))
     return checks
 
 
@@ -281,18 +302,20 @@ def mask_isometries(rng, trials):
             ],
             axis=0,
         )
-        for mask, gap in zip(catalog, gaps.reshape(len(catalog), at.size)):
-            checks.append(_within(gap, 1e-12, a, f"{mask.name} broke a preserved quantity", at))
+        detail = functools.partial(_row_message, [f"{mask.name} broke a preserved quantity" for mask in catalog])
+        checks.append(_within(gaps.reshape(len(catalog), at.size), 1e-12, a, detail, at))
     return checks
 
 
 def one_qubit_reflection_spectra(rng, trials):
     rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
+    s = stokes.to_stokes(rho)
     masks = (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,)))
-    return [
-        _within(_deviation(np.linalg.eigvalsh(reflections.apply_mask(m, rho).matrix), rho.spectrum), 1e-10, rho, m.name)
-        for m in masks
-    ]
+    images = [stokes.from_stokes(reflections.apply_mask(m, s)).matrix for m in masks]
+    # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
+    spectra = np.linalg.eigvalsh(np.concatenate(images)).reshape(len(masks), trials, -1)
+    gaps = [_deviation(spectrum, rho.spectrum) for spectrum in spectra]
+    return [_within(gaps, 1e-10, rho, functools.partial(_row_message, [m.name for m in masks]))]
 
 
 def pure_reflection_spectrum(rng, trials):
@@ -324,47 +347,43 @@ def classification(rng, trials):
         outer = factors[:, 0].astype(np.int64)
         for q in range(1, n):
             outer = (outer[:, :, None] * factors[:, q, None, :]).reshape(at.size, -1)
-        products = reflections.SignMask(outer, name="random_product", stack=True)
-        total = reflections.classify(reflections.mask_total_reflection(n))
-        ok, details = [], []
-        for k in range(at.size):
-            info = reflections.classify(products[k])
-            flags = (
-                info.local_factorizable,
-                info.orientation == "preserving",
-                not total.local_factorizable,
-                total.orientation == ("changing" if (4**n - 1) % 2 == 1 else "preserving"),
-                total.sign_change_count == 4**n - 1,
-            )
-            ok.append(all(flags))
-            details.append(f"n={n} checks={flags}")
-        checks.append(_holds(ok, None, details, at))
+        # One classification per group: the total reflection leads the stack of random products.
+        total = reflections.mask_total_reflection(n).signs
+        info = reflections.classify(reflections.SignMask(np.concatenate([total[None], outer]), stack=True))
+        fixed = (
+            not info.local_factorizable[0],
+            info.orientation[0] == ("changing" if (4**n - 1) % 2 == 1 else "preserving"),
+            info.sign_change_count[0] == 4**n - 1,
+        )
+        per_member = (info.local_factorizable[1:], info.orientation[1:] == "preserving")
+        ok = per_member[0] & per_member[1] & all(fixed)
+        checks.append(_holds(ok, None, functools.partial(_classification_message, n, per_member, fixed), at))
     return checks
+
+
+def _classification_message(n: int, per_member, fixed, row: int, j: int) -> str:
+    return f"n={n} checks={(*(bool(flag[j]) for flag in per_member), *map(bool, fixed))}"
 
 
 def operator_sums(rng, trials):
     one = states.random_density(1, "mixed_dirichlet", rng, size=trials)
     two = states.random_density(2, "mixed_dirichlet", rng, size=trials)
-    pairs = [
-        (
-            one_qubit_operator_sum("transpose", one),
-            reflections.apply_mask(reflections.mask_partial_transpose(1, (1,)), one),
-        ),
-        (
-            one_qubit_operator_sum("spin_flip", one),
-            reflections.apply_mask(reflections.mask_spin_flip(1, (1,)), one),
-        ),
-        (
-            two_body_flip_operator_sum(two),
-            reflections.apply_mask(reflections.mask_two_body_flip(), two),
-        ),
-        (
-            spin_flipped_partner(two),
-            reflections.apply_mask(reflections.mask_spin_flip(2, (1, 2)), two),
-        ),
+    s_one, s_two = stokes.to_stokes(one), stokes.to_stokes(two)
+
+    def image(mask, s):
+        return stokes.from_stokes(reflections.apply_mask(mask, s)).matrix
+
+    ones = [
+        (one_qubit_operator_sum("transpose", one), image(reflections.mask_partial_transpose(1, (1,)), s_one)),
+        (one_qubit_operator_sum("spin_flip", one), image(reflections.mask_spin_flip(1, (1,)), s_one)),
+    ]
+    twos = [
+        (two_body_flip_operator_sum(two), image(reflections.mask_two_body_flip(), s_two)),
+        (spin_flipped_partner(two), image(reflections.mask_spin_flip(2, (1, 2)), s_two)),
     ]
     return [
-        _within(_deviation(lhs.matrix, rhs.matrix), 1e-12, two, "operator sum and mask disagreed") for lhs, rhs in pairs
+        _within([_deviation(lhs.matrix, rhs) for lhs, rhs in pairs], 1e-12, rho, "operator sum and mask disagreed")
+        for rho, pairs in ((one, ones), (two, twos))
     ]
 
 
@@ -387,12 +406,12 @@ def feasibility_bounds(rng, trials):
             & (~flags["exact_psd"] | flags["purity_bound"])
             & (~flags["exact_psd"] | flags["rank_bound"])
         )
-        # Only a failing trial's message is ever read.
-        details = [""] * at.size
-        for k in np.flatnonzero(~ok):
-            details[k] = f"implication chain broke: { {name: bool(flag[k]) for name, flag in flags.items()} }"
-        checks.append(_holds(ok, rho, details, at))
+        checks.append(_holds(ok, rho, functools.partial(_chain_message, flags), at))
     return checks
+
+
+def _chain_message(flags: dict, row: int, j: int) -> str:
+    return f"implication chain broke: { {name: bool(flag[j]) for name, flag in flags.items()} }"
 
 
 def ccn_dual_path(rng, trials):
@@ -418,9 +437,12 @@ def ccn_dual_path(rng, trials):
 def reflection_vs_ppt(rng, trials):
     rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng, size=trials))
-    generic = reflections.apply_local_orthogonal(lomap, rho).matrix
-    transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), rho).matrix
-    gap = _deviation(np.linalg.eigvalsh(generic), np.linalg.eigvalsh(transposed))
+    s = stokes.to_stokes(rho)
+    generic = stokes.from_stokes(reflections.apply_local_orthogonal(lomap, s)).matrix
+    transposed = stokes.from_stokes(reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), s)).matrix
+    # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
+    generic_spectra, transposed_spectra = np.split(np.linalg.eigvalsh(np.concatenate([generic, transposed])), 2)
+    gap = _deviation(generic_spectra, transposed_spectra)
     return [_within(gap, 1e-9, rho, "generic reflection spectrum diverged")]
 
 
@@ -479,8 +501,9 @@ def hermitian_kernels(rng, trials):
         subsets = {b: tuple(q for q in range(1, n + 1) if b >> (q - 1) & 1) for b in distinct.tolist()}
         # One checked mask per distinct subset, indexed by each member's subset: one transform for the whole stack.
         named = (reflections.mask_partial_transpose, reflections.mask_total_reflection)
-        masks = [reflections.SignMask([build(n, s).signs for s in subsets.values()], stack=True) for build in named]
-        transposed, reflected = (reflections.apply_mask(m[which], rho).matrix for m in masks)
+        masks = [reflections.SignMask([build(n, q).signs for q in subsets.values()], stack=True) for build in named]
+        s = stokes.to_stokes(rho)
+        transposed, reflected = (stokes.from_stokes(reflections.apply_mask(m[which], s)).matrix for m in masks)
         for b, subset in subsets.items():
             where = np.flatnonzero(bits == b)
             sub = rho[where]
@@ -488,8 +511,8 @@ def hermitian_kernels(rng, trials):
                 (stokes.partial_transpose(sub, subset), transposed[where]),
                 (2.0 ** (1 - len(subset)) * stokes.identity_times_reduction(sub, subset) - sub.matrix, reflected[where]),
             )
-            detail = f"matrix kernel and mask disagreed on {subset}"
-            checks += [_within(_deviation(kernel, image), 1e-12, sub, detail, at[where]) for kernel, image in pairs]
+            gaps = [_deviation(kernel, image) for kernel, image in pairs]
+            checks.append(_within(gaps, 1e-12, sub, f"matrix kernel and mask disagreed on {subset}", at[where]))
     return checks
 
 

@@ -42,7 +42,6 @@ from .stokes import (
     _nonempty_subset,
     _numbers,
     _qubits,
-    _single,
     from_stokes,
     to_stokes,
 )
@@ -74,9 +73,11 @@ class SignMask(_Checked):
 
 @dataclass(frozen=True)
 class MapClassification:
-    orientation: str  # "preserving" or "changing"
-    local_factorizable: bool
-    sign_change_count: int
+    """The classification of one mask, or of a mask stack with one array entry per member in each field."""
+
+    orientation: str | np.ndarray  # "preserving" or "changing"
+    local_factorizable: bool | np.ndarray
+    sign_change_count: int | np.ndarray
 
 
 @functools.cache
@@ -142,19 +143,34 @@ def apply_mask(mask: SignMask, state):
     return from_stokes(apply_mask(mask, to_stokes(state)))
 
 
+@functools.cache
+def _factor_positions(n: int) -> np.ndarray:
+    """Read-only ``(4**n, n)`` table: entry ``[k, q]`` is the component that carries qubit q+1's factor of component k.
+
+    That component has component k's digit on qubit q+1 and 0 on every other qubit.
+    """
+    table = _digits(n) * 4 ** np.arange(n - 1, -1, -1)
+    table.setflags(write=False)
+    return table
+
+
 def classify(mask: SignMask) -> MapClassification:
-    """Sign-change count, orientation parity, and exact factorizability."""
-    mask = _single(_as(SignMask, mask))
-    flips = int(np.count_nonzero(mask.signs == -1))
-    orientation = "changing" if flips % 2 == 1 else "preserving"
-    digits = _digits(mask.n)
-    nonzero = np.count_nonzero(digits, axis=1)
-    rebuilt = np.ones(len(digits), dtype=np.int64)
-    for digit in digits.T:
-        # This qubit's factor sits on the four components where no other qubit's digit is nonzero.
-        rebuilt *= mask.signs[nonzero == (digit != 0)][digit]
-    factorizable = bool(np.array_equal(rebuilt, mask.signs))
-    return MapClassification(orientation, factorizable, flips)
+    """Sign-change count, orientation parity, and exact factorizability.
+
+    A mask factors exactly when each sign is the product of its qubits'
+    factors, each read off the component where only that qubit's digit is
+    nonzero.  One mask gets a ``str``, a ``bool`` and an ``int``; a mask
+    stack gets one array per field, entry k classifying member k, from one
+    pass over the stack.
+    """
+    mask = _as(SignMask, mask)
+    signs = mask.signs
+    flips = (signs < 0).sum(axis=-1)
+    orientation = np.where(flips % 2 == 1, "changing", "preserving")
+    factorizable = (signs[..., _factor_positions(mask.n)].prod(axis=-1) == signs).all(axis=-1)
+    if mask.is_stack:
+        return MapClassification(orientation, factorizable, flips)
+    return MapClassification(str(orientation), bool(factorizable), int(flips))
 
 
 _AFFINE_AXIS = np.eye(4)[0]

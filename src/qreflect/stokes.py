@@ -193,18 +193,23 @@ class _Checked:
         tensor's values by checked signs (:func:`reflections.apply_mask`).
         """
         image = object.__new__(type(self))
-        for cls in type(self).__mro__:
-            for slot in getattr(cls, "__slots__", ()):
-                value = getattr(self, slot)
-                if isinstance(value, np.ndarray):
-                    value = exact(value)
-                    value.setflags(write=False)
-                setattr(image, slot, value)
+        for slot in _slot_names(type(self)):
+            value = getattr(self, slot)
+            if isinstance(value, np.ndarray):
+                value = exact(value)
+                value.setflags(write=False)
+            setattr(image, slot, value)
         return image
 
     def __repr__(self) -> str:
         stack = f", stack={len(self._array)}" if self.is_stack else ""
         return f"{type(self).__name__}(n={self._n}{stack})"
+
+
+@functools.cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every slot a ``cls`` value holds, read from its class and its bases once per class."""
+    return tuple(slot for c in cls.__mro__ for slot in getattr(c, "__slots__", ()))
 
 
 def _single(value: _Checked) -> _Checked:

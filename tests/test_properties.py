@@ -1,5 +1,6 @@
 """The invariant driver: result fields, failure reports and the cached mask catalog."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -66,32 +67,87 @@ def test_run_stops_at_the_first_violation():
     assert result.counterexample == io.state_to_dict(rho)
 
 
-def test_the_earliest_trial_wins_across_qubit_count_groups():
+# Each case: the checks of an n=3 and an n=1 group under a bound, and the detail of the failure at bound 0.25. The n=3
+# group comes first in code order and holds the largest gap, at a later trial.
+EARLIEST_TRIAL_CASES = {
+    "one-row": (
+        lambda three, one, bound: [
+            properties._within([0.1, 0.9], bound, three, "n=3 over bound", np.array([1, 4])),
+            properties._within([0.1, 0.5, 0.1], bound, one, "n=1 over bound", np.array([0, 2, 3])),
+        ],
+        "n=1 over bound",
+    ),
+    # One row per quantity: trial 2 fails on its second row only, trial 3 on both. A guard that does not count holds
+    # a gap larger than any.
+    "rows": (
+        lambda three, one, bound: [
+            properties._within([[0.0, 0.9], [0.0, 0.0]], bound, three, "n=3 over bound", np.array([1, 4])),
+            properties._within(
+                [[0.1, 0.0, 0.7], [0.1, 0.5, 0.6]],
+                bound,
+                one,
+                functools.partial(properties._row_message, ["n=1 row 0", "n=1 row 1"]),
+                np.array([0, 2, 3]),
+            ),
+            properties._within([np.full(5, 2.0)], 3.0, None, "guard", counts=False),
+        ],
+        "n=1 row 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EARLIEST_TRIAL_CASES))
+def test_the_earliest_trial_wins_across_qubit_count_groups(case):
     three = states.random_density(3, "mixed_dirichlet", 0, size=2)
     one = states.random_density(1, "mixed_dirichlet", 0, size=3)
-
-    def invariant(rng, trials):
-        # The n=3 group comes first in code order and holds the larger gap, at a later trial.
-        return [
-            properties._within([0.1, 0.9], 0.25, three, "n=3 over bound", np.array([1, 4])),
-            properties._within([0.1, 0.5, 0.1], 0.25, one, "n=1 over bound", np.array([0, 2, 3])),
-        ]
-
-    result = properties._run("demo", invariant, None, 5)
-    assert (result.passed, result.worst, result.detail) == (False, 0.5, "n=1 over bound")
+    build, detail = EARLIEST_TRIAL_CASES[case]
+    result = properties._run("demo", lambda rng, trials: build(three, one, 0.25), None, 5)
+    assert (result.passed, result.worst, result.detail) == (False, 0.5, detail)
     assert result.counterexample == io.state_to_dict(one[1])
+    # With every gap under its bound, worst is the largest gap of the checks that count.
+    result = properties._run("demo", lambda rng, trials: build(three, one, 0.95), None, 5)
+    assert (result.passed, result.worst, result.counterexample) == (True, 0.9, None)
 
 
-def test_within_a_trial_the_first_check_in_code_order_wins():
+# Each case: two checks that first fail at one trial, given three one-qubit states, and the (worst, detail, member
+# whose state is the counterexample) reported for the checks in code order and reversed.
+FIRST_CHECK_CASES = {
     # Both checks first fail at trial 1; the second lists its trials in another order.
-    checks = [
-        properties._within([0.0, 0.3], 0.25, None, "first"),
-        properties._within([0.9, 0.0], 0.25, None, "second", np.array([1, 0])),
-    ]
-    result = properties._run("demo", lambda rng, trials: checks, None, 2)
-    assert (result.worst, result.detail) == (0.3, "first")
-    result = properties._run("demo", lambda rng, trials: checks[::-1], None, 2)
-    assert (result.worst, result.detail) == (0.9, "second")
+    "one-row": (
+        lambda members: [
+            properties._within([0.0, 0.3], 0.25, None, "first"),
+            properties._within([0.9, 0.0], 0.25, None, "second", np.array([1, 0])),
+        ],
+        ((0.3, "first", None), (0.9, "second", None)),
+    ),
+    # Both checks first fail at trial 0. The first lists trials 2, 1, 0 and fails at trial 0 on rows 1 and 2, the
+    # larger gap on row 2; its row 0 holds the largest gap, at trial 1.
+    "rows": (
+        lambda members: [
+            properties._within(
+                [[0.0, 0.9, 0.0], [0.6, 0.0, 0.3], [0.0, 0.0, 0.8]],
+                0.25,
+                members,
+                lambda row, j: f"row {row} at position {j}",
+                np.array([2, 1, 0]),
+            ),
+            properties._within([[0.0, 0.7, 0.0], [0.4, 0.0, 0.0]], 0.25, None, "second"),
+        ],
+        ((0.3, "row 1 at position 2", 2), (0.4, "second", None)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_CHECK_CASES))
+def test_within_a_trial_the_first_check_in_code_order_wins(case):
+    members = states.random_density(1, "mixed_dirichlet", 0, size=3)
+    build, reports = FIRST_CHECK_CASES[case]
+    checks = build(members)
+    for order, (worst, detail, member) in zip((checks, checks[::-1]), reports):
+        result = properties._run("demo", lambda rng, trials: order, None, 3)
+        counterexample = None if member is None else io.state_to_dict(members[member])
+        assert not result.passed
+        assert (result.worst, result.detail, result.counterexample) == (worst, detail, counterexample)
 
 
 def test_run_reports_the_largest_deviation_when_all_pass():
@@ -108,6 +164,24 @@ def test_run_reports_the_largest_deviation_when_all_pass():
 def test_nan_gap_fails():
     result = properties._run("demo", lambda rng, trials: [properties._within([0.0, np.nan], 1.0, None, "nan")], None, 2)
     assert not result.passed and result.detail == "nan" and result.counterexample is None
+
+
+def test_classification_reports_the_flags_of_its_earliest_failing_trial(monkeypatch):
+    # With a factorizable "total reflection" the three flags read off it fail in every trial.
+    identity = lambda n, subset=None: reflections.SignMask(np.ones(4**n))  # noqa: E731
+    monkeypatch.setattr(reflections, "mask_total_reflection", identity)
+    result = properties._run("classification", properties.classification, np.random.default_rng(3), 6)
+    assert (result.passed, result.worst) == (False, 1.0)
+    assert result.detail == "n=3 checks=(True, True, False, False, False)"
+    assert result.counterexample is None
+
+
+def test_a_one_qubit_operator_sum_failure_reports_a_one_qubit_state(monkeypatch):
+    # The identity map is no one-qubit transpose: the first trial fails, and its state is the one-qubit draw.
+    monkeypatch.setattr(properties, "one_qubit_operator_sum", lambda kind, rho: rho)
+    result = properties._run("operator_sums", properties.operator_sums, np.random.default_rng(0), 4)
+    assert (result.passed, result.detail) == (False, "operator sum and mask disagreed")
+    assert result.counterexample["n"] == 1
 
 
 def test_partial_reflection_norm_guards_against_a_map_that_moves_nothing(monkeypatch):

@@ -1,5 +1,6 @@
 """Sign masks, local orthogonal actions, operator sums, relaxed reflection."""
 
+import itertools
 import re
 
 import numpy as np
@@ -244,6 +245,18 @@ class TestClassification:
             info = qr.classify(builder())
             assert info.orientation == "preserving"
             assert info.local_factorizable
+
+    def test_the_census_of_every_two_qubit_mask_is_one_call(self):
+        free = np.array(list(itertools.product([1, -1], repeat=15)), dtype=np.int8)
+        signs = np.concatenate([np.ones((len(free), 1), dtype=np.int8), free], axis=1)
+        info = qr.classify(SignMask(signs, stack=True))
+        assert info.local_factorizable.sum() == 64
+        assert (info.orientation == "changing").sum() == 16384
+        assert np.array_equal(info.sign_change_count, (signs == -1).sum(axis=1))
+        # The factorizable masks are exactly the products of two one-qubit factors (1, +-1, +-1, +-1).
+        factors = [(1, *rest) for rest in itertools.product([1, -1], repeat=3)]
+        products = {tuple(np.multiply.outer(a, b).reshape(-1).tolist()) for a in factors for b in factors}
+        assert {tuple(row) for row in signs[info.local_factorizable].tolist()} == products
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -402,7 +403,6 @@ SCALAR_ONLY = {
     "min_eig_of_an_operator": lambda rho, s: qr.min_eig(qr.complement(rho)),
     "state_to_dict": lambda rho, s: state_to_dict(rho),
     "state_to_dict_stokes": lambda rho, s: state_to_dict(s),
-    "classify": lambda rho, s: qr.classify(SignMask(np.ones((2, 16)), stack=True)),
 }
 
 # Witnesses that give one value per member, each with the qubit count of its stack and
@@ -545,6 +545,26 @@ class TestStacks:
                 one = witness(rho[k], s[k])
                 assert type(one) is float
                 assert abs(stacked[k] - one) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_classify_answers_a_mask_stack_per_member(self, n, rng):
+        # Six random masks, at n >= 2 almost never factorizable, and six products of random per-qubit factors.
+        signs = rng.choice([-1, 1], size=(6, 4**n))
+        factors = rng.choice([-1, 1], size=(6, n, 4))
+        factors[:, :, 0] = 1
+        products = factors[:, 0]
+        for q in range(1, n):
+            products = (products[:, :, None] * factors[:, q, None, :]).reshape(6, -1)
+        signs[:, 0] = 1
+        signs = np.concatenate([signs, products])
+        stacked = qr.classify(SignMask(signs, stack=True))
+        assert stacked.local_factorizable[6:].all()
+        for field, kind in (("orientation", str), ("local_factorizable", bool), ("sign_change_count", int)):
+            column = getattr(stacked, field)
+            assert isinstance(column, np.ndarray) and column.shape == (12,), field
+            for k in range(12):
+                one = getattr(qr.classify(SignMask(signs[k])), field)
+                assert type(one) is kind and column[k] == one, (field, k)
 
 
 class TestNumberRule:
@@ -909,6 +929,9 @@ def kernels_at_the_limit(n):
     return calls
 
 
+LIMIT_MESSAGE = f"entries must be at most {MAGNITUDE_LIMIT:g}"
+
+
 class TestMagnitudeLimit:
     """A finite entry past the limit is refused where it enters, so no kernel can overflow on what it accepts."""
 
@@ -924,15 +947,26 @@ class TestMagnitudeLimit:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_kernel_and_witness_stays_finite_at_the_limit(self, n):
-        answered = []
-        for name, call in kernels_at_the_limit(n).items():
-            try:
-                result = call()
-            except ValueError:
-                continue
-            assert np.isfinite(finite_numbers(result)).all(), name
-            answered.append(name)
-        assert len(answered) >= 10, answered
+        # These eight calls refuse at every n, each with its message: an image of entries at the limit passes the
+        # limit (from_stokes at n = 1 first cancels its trace), and the matrix at the limit is no state. Every
+        # other call answers finite numbers.
+        refused = {
+            "to_stokes": LIMIT_MESSAGE,
+            "to_stokes-stack": LIMIT_MESSAGE,
+            "from_stokes": "trace must equal 1" if n == 1 else LIMIT_MESSAGE,
+            "to_real_density": LIMIT_MESSAGE,
+            "density_state": "negative eigenvalue",
+            "apply_mask-operator": LIMIT_MESSAGE,
+            "apply_local_orthogonal-stokes": LIMIT_MESSAGE,
+            "apply_local_orthogonal-operator": LIMIT_MESSAGE,
+        }
+        calls = kernels_at_the_limit(n)
+        for name, message in refused.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                calls.pop(name)()
+        for name, call in calls.items():
+            assert np.isfinite(finite_numbers(call())).all(), name
+        assert len(calls) == {1: 12, 2: 22}.get(n, 19)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
