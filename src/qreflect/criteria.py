@@ -266,7 +266,7 @@ def complement(rho) -> HermitianOperator:
     the maximally mixed state."""
     op = _as(HermitianOperator, rho)
     dim = 2**op.n
-    return HermitianOperator((2.0 / dim) * np.eye(dim) - op.matrix, op.is_stack)
+    return HermitianOperator._built((2.0 / dim) * np.eye(dim) - op.matrix, op.n)
 
 
 def feasibility(rho, tol: float = PSD_TOL) -> tuple:

@@ -251,7 +251,7 @@ def apply_local_orthogonal(lomap: LocalOrthogonalMap, state):
         paired = len(state.values) if state.is_stack else None
         if lomap.members not in (None, paired):
             raise ValueError(f"a stack of {lomap.members} maps needs a state stack of {lomap.members}, got {state!r}")
-        return StokesTensor(_apply_per_qubit(lomap.blocks, state.values), state.is_stack)
+        return StokesTensor._built(_apply_per_qubit(lomap.blocks, state.values), state.n)
     return from_stokes(apply_local_orthogonal(lomap, to_stokes(state)))
 
 
@@ -267,4 +267,4 @@ def relaxed_reflection(rho, pair=(1, 2)) -> HermitianOperator:
     pair = _check_subset(pair, op.n)
     if len(pair) != 2:
         raise ValueError(f"the relaxed reflection acts on a qubit pair, got {pair}")
-    return HermitianOperator((_identity_times_reduction(op, pair) - op.matrix) / 3, op.is_stack)
+    return HermitianOperator._built((_identity_times_reduction(op, pair) - op.matrix) / 3, op.n)

@@ -158,7 +158,7 @@ def random_density(
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         # Squared norm as two real dot products, the sum np.linalg.norm forms for one vector.
         z /= np.sqrt(_squared_norms(z.real) + _squared_norms(z.imag))[..., None]
-        return DensityState(z[..., :, None] * z.conj()[..., None, :], stack)
+        return DensityState._built(z[..., :, None] * z.conj()[..., None, :], n)
     if mode not in ("mixed_dirichlet", "bounded_spectrum"):
         raise ValueError(f"unknown mode {mode!r}")
     spectrum = rng.dirichlet(np.ones(dim), size=size)
@@ -168,7 +168,7 @@ def random_density(
         t = (c - mix) / (top - mix)
         spectrum = np.where(top > c, mix + t * (spectrum - mix), spectrum)
     u = random_unitary(dim, rng, size)
-    return DensityState((u * spectrum[..., None, :]) @ u.conj().swapaxes(-1, -2), stack)
+    return DensityState._built((u * spectrum[..., None, :]) @ u.conj().swapaxes(-1, -2), n)
 
 
 def remix(rho, w: float) -> DensityState:
@@ -177,4 +177,4 @@ def remix(rho, w: float) -> DensityState:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w}")
     op = _as(HermitianOperator, rho)
     dim = 2**op.n
-    return DensityState((1.0 - w) * np.eye(dim) / dim + w * op.matrix, op.is_stack)
+    return DensityState._built((1.0 - w) * np.eye(dim) / dim + w * op.matrix, op.n)

@@ -30,7 +30,11 @@ Values enter once: a public entry takes its checked type as is and checks an
 array into it (:func:`_as`), and every checked number passes :func:`_numbers`,
 which bounds a finite entry by :data:`MAGNITUDE_LIMIT` and reads finiteness
 off that bound.  No kernel can overflow on bounded values, so none guards its
-own arithmetic, and an exact image of checked values is not checked again.
+own arithmetic.  An image of checked values is not checked as an input again:
+an exact one (a pick, a sign flip) keeps every check by construction and is
+made by :meth:`_Checked._image`, and a computed one (a conversion, a random
+state, a reflected image) is made by :meth:`_Checked._built`, which runs only
+the magnitude pass and its type's scalar rule.
 """
 
 from __future__ import annotations
@@ -125,8 +129,12 @@ class _Checked:
 
     Each value is checked once: an entry's finiteness is read off the
     magnitude bound of :func:`_numbers`, and its finite pass runs only past
-    the bound.  An exact image of checked values, such as a sign flip of a
-    checked tensor, is built by :meth:`_image` and not checked again.
+    the bound.  Two kinds of image skip the input checks.  An exact image of
+    checked values, such as a sign flip of a checked tensor, is made by
+    :meth:`_image` and checked by nothing.  A value the library computes
+    from checked values is made by :meth:`_built`, which keeps the magnitude
+    pass and the type's scalar rule.  Every constructor ends in its type's
+    :meth:`_keep`, the tail :meth:`_built` calls, so each rule is written once.
     """
 
     __slots__ = ("_n", "_array")
@@ -151,8 +159,7 @@ class _Checked:
             kind = "a square" if self._ndim == 2 else "a flat 4**n"
             raise ValueError(f"expected {kind} array{' per member' if stack else ''}, got shape {a.shape}")
         self._n = qubit_count(side)
-        axes = tuple(range(1, a.ndim)) if stack else None
-        return np.array(_numbers(a, dtype is float, axes, "entries must be finite"), dtype=dtype)
+        return np.array(_numbers(a, dtype is float, _member_axes(a, stack), _FINITE), dtype=dtype)
 
     @staticmethod
     def _require(ok, message: str, values=None) -> None:
@@ -165,6 +172,7 @@ class _Checked:
             raise ValueError(message.format(None if values is None else values.item()))
 
     def _keep(self, array: np.ndarray) -> None:
+        """Store ``array`` read-only; a type with a scalar rule checks it first, then calls this."""
         array.setflags(write=False)
         self._array = array
 
@@ -201,9 +209,45 @@ class _Checked:
             setattr(image, slot, value)
         return image
 
+    @classmethod
+    def _built(cls, array: np.ndarray, n: int) -> "_Checked":
+        """A ``cls`` value on ``n`` qubits of ``array``, which the library computed from checked values.
+
+        For the Pauli transforms, the unfoldings, random states, mixtures
+        and reflected images.  The caller gives an array of the type's dtype
+        and member shape, with a leading member axis for a stack, which it
+        made itself and does not keep.  Two checks stay:
+
+        * the magnitude pass of :func:`_numbers`, with the finite message,
+          because a Pauli sum of bounded entries can round past
+          :data:`MAGNITUDE_LIMIT`;
+        * the type's scalar rule in :meth:`_keep`: the trace of an operator
+          (a trace of bounded entries can cancel, as for the tensor
+          ``[2**-0.5, 1e150, 1e150, 1e150]``), the affine component of a
+          tensor and the corner of a real unfolding; a :class:`DensityState`
+          also solves its spectrum and checks positivity.
+
+        The input-only work is skipped: the dtype and shape pass, the copy,
+        and the Hermiticity defect, since a Hermitian map of checked
+        operators is Hermitian up to rounding and an operator keeps
+        ``(m + m^dagger) / 2`` of what it is given either way.
+        """
+        value = object.__new__(cls)
+        value._n = n
+        value._keep(_numbers(array, axes=_member_axes(array, array.ndim > cls._ndim), finite=_FINITE))
+        return value
+
     def __repr__(self) -> str:
         stack = f", stack={len(self._array)}" if self.is_stack else ""
         return f"{type(self).__name__}(n={self._n}{stack})"
+
+
+_FINITE = "entries must be finite"
+
+
+def _member_axes(a: np.ndarray, stack: bool) -> tuple[int, ...] | None:
+    """The axes of one member of the stack ``a`` (None for one value): every check reduces over them."""
+    return tuple(range(1, a.ndim)) if stack else None
 
 
 @functools.cache
@@ -223,10 +267,10 @@ class HermitianOperator(_Checked):
     """A trace-one Hermitian operator on ``n`` qubits, or a stack of them.
 
     Positivity is not required, so images of density operators under
-    nonpositive maps remain representable.  The Hermiticity defect and the
-    trace are measured on the input; ``matrix`` is the input's Hermitian
-    part ``(m + m^dagger) / 2``, so every consumer reads an exactly
-    Hermitian matrix and none symmetrizes it again.
+    nonpositive maps remain representable.  The Hermiticity defect is
+    measured on the input; ``matrix`` is the input's Hermitian part
+    ``(m + m^dagger) / 2``, whose real trace must be 1, so every consumer
+    reads an exactly Hermitian matrix and none symmetrizes it again.
     """
 
     __slots__ = ()
@@ -237,9 +281,18 @@ class HermitianOperator(_Checked):
         adjoint = m.conj().swapaxes(-1, -2)
         herm_defect = np.abs(m - adjoint).max(axis=(-2, -1) if stack else None)
         self._require(herm_defect <= HERMITICITY_TOL, "matrix is not Hermitian (defect {:.3e})", herm_defect)
-        trace = m.trace(axis1=-2, axis2=-1)
+        self._keep(m, adjoint)
+
+    def _keep(self, m: np.ndarray, adjoint: np.ndarray | None = None) -> None:
+        """Keep the Hermitian part of ``m`` if its trace is 1; ``adjoint`` is ``m^dagger`` when already formed.
+
+        The kept diagonal is the real part of ``m``'s, so its trace is real
+        and sums exactly what the real part of ``m``'s trace sums.
+        """
+        matrix = (m + (m.conj().swapaxes(-1, -2) if adjoint is None else adjoint)) / 2
+        trace = matrix.trace(axis1=-2, axis2=-1).real
         self._require(abs(trace - 1.0) <= TRACE_TOL, "trace must equal 1, got {:.12g}", trace)
-        self._keep((m + adjoint) / 2)
+        super()._keep(matrix)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -262,8 +315,16 @@ class DensityState(HermitianOperator):
             if matrix.is_stack != stack:
                 raise ValueError(f"stack={stack} needs {'a stack' if stack else 'one operator'}, got {matrix!r}")
             self._n, self._array = matrix.n, matrix.matrix
+            self._keep_spectrum()
         else:
             super().__init__(matrix, stack)
+
+    def _keep(self, m: np.ndarray, adjoint: np.ndarray | None = None) -> None:
+        super()._keep(m, adjoint)
+        self._keep_spectrum()
+
+    def _keep_spectrum(self) -> None:
+        """Solve the kept matrix once, refuse a negative eigenvalue and keep the ascending eigenvalues."""
         spectrum = np.linalg.eigvalsh(self._array)
         lowest = spectrum.T[0]
         self._require(lowest >= -PSD_TOL, "matrix has a negative eigenvalue {:.3e}", lowest)
@@ -289,7 +350,9 @@ class StokesTensor(_Checked):
     __slots__ = ()
 
     def __init__(self, values, stack: bool = False):
-        v = self._shaped(values, float, stack)
+        self._keep(self._shaped(values, float, stack))
+
+    def _keep(self, v: np.ndarray) -> None:
         affine = v.T[0]
         unit = 2.0 ** (-self._n / 2)
         self._require(
@@ -297,7 +360,7 @@ class StokesTensor(_Checked):
             f"affine component must equal 2**(-{self._n}/2), got {{:.12g}}",
             affine,
         )
-        self._keep(v)
+        super()._keep(v)
 
     @property
     def values(self) -> np.ndarray:
@@ -314,10 +377,12 @@ class RealDensityMatrix(_Checked):
     _ndim = 2
 
     def __init__(self, entries, stack: bool = False):
-        e = self._shaped(entries, float, stack)
+        self._keep(self._shaped(entries, float, stack))
+
+    def _keep(self, e: np.ndarray) -> None:
         corner = e.T[0, 0]
         self._require(abs(corner - 1.0) <= TRACE_TOL, "top-left entry must equal 1, got {:.12g}", corner)
-        self._keep(e)
+        super()._keep(e)
 
     @property
     def entries(self) -> np.ndarray:
@@ -388,14 +453,15 @@ def to_stokes(op) -> StokesTensor:
     """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator (per member of a stack)."""
     op = _as(HermitianOperator, op)
     values = _apply_per_qubit([_K_TO] * op.n, _interleaved(op.matrix, op.n))
-    return StokesTensor(values.real, op.is_stack)
+    # A copy of the real part, so the tensor does not hold the transform's imaginary half.
+    return StokesTensor._built(np.array(values.real), op.n)
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
     """Inverse of :func:`to_stokes`."""
     s = _as(StokesTensor, s)
     matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
-    return HermitianOperator(_deinterleaved(matrix, s.n), s.is_stack)
+    return HermitianOperator._built(_deinterleaved(matrix, s.n), s.n)
 
 
 def to_real_density(s: StokesTensor) -> RealDensityMatrix:
@@ -403,14 +469,14 @@ def to_real_density(s: StokesTensor) -> RealDensityMatrix:
     s = _as(StokesTensor, s)
     # Each digit splits as 2 * col + row, so it de-interleaves to the transpose.
     entries = _deinterleaved(s.values, s.n).swapaxes(-1, -2) * 2.0 ** (s.n / 2)
-    return RealDensityMatrix(entries, s.is_stack)
+    return RealDensityMatrix._built(entries, s.n)
 
 
 def real_density_to_stokes(sigma) -> StokesTensor:
     """Recover Stokes values by column-stacking, one sqrt(2) per factor."""
     sigma = _as(RealDensityMatrix, sigma)
     values = _interleaved(sigma.entries.swapaxes(-1, -2), sigma.n) / 2.0 ** (sigma.n / 2)
-    return StokesTensor(values, sigma.is_stack)
+    return StokesTensor._built(values, sigma.n)
 
 
 def stokes_as_matrix(s: StokesTensor) -> np.ndarray:

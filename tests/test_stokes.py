@@ -165,6 +165,20 @@ class TestStokesConversion:
         m = m - np.eye(2**n) * (np.trace(m) - 1) / 2**n
         assert np.array_equal(qr.HermitianOperator(m).matrix, (m + m.conj().T) / 2)
 
+    def test_the_trace_is_read_off_the_kept_matrix(self):
+        # An imaginary diagonal within the Hermiticity bound is no part of the kept matrix, so it moves no trace.
+        m = np.eye(64) / 64 + 1e-11j * np.eye(64)
+        op = qr.HermitianOperator(m)
+        assert np.array_equal(op.matrix, np.eye(64) / 64)
+        assert op.matrix.trace() == 1
+        stack = qr.HermitianOperator(np.stack([np.eye(64) / 64, m]), stack=True)
+        assert np.array_equal(stack.matrix[1], op.matrix)
+        # The trace is real, so a refusal names a real number.
+        with pytest.raises(ValueError, match=r"^trace must equal 1, got 0$"):
+            qr.from_stokes(StokesTensor([2**-0.5, MAGNITUDE_LIMIT, MAGNITUDE_LIMIT, MAGNITUDE_LIMIT]))
+        with pytest.raises(ValueError, match=r"^trace must equal 1, got 2$"):
+            qr.HermitianOperator(np.eye(2) + 1e-11j * np.eye(2))
+
     def test_qubit_limit_enforced(self):
         with pytest.raises(ValueError):
             qr.HermitianOperator(np.eye(2**7) / 2**7)
@@ -499,7 +513,7 @@ class TestStacks:
 
     @pytest.mark.parametrize(
         "kind",
-        ["non-hermitian", "trace", "nan", "negative-eigenvalue", "affine", "cancelled-trace"],
+        ["non-hermitian", "trace", "nan", "negative-eigenvalue", "affine", "cancelled-trace", "remix", "complement"],
     )
     def test_one_bad_member_is_named(self, kind):
         ops = np.stack([np.eye(4, dtype=complex) / 4] * 4)
@@ -520,10 +534,23 @@ class TestStacks:
         elif kind == "affine":
             values[2, 0] = 0.0
             build, match = lambda: StokesTensor(values, stack=True), "member 2: affine component"
-        else:
+        elif kind == "cancelled-trace":
             # Right affine component, values within the magnitude limit, but the trace cancels to 0 in floating point.
             values[2, [1, 2, 3]] = MAGNITUDE_LIMIT
             build, match = lambda: qr.from_stokes(StokesTensor(values, stack=True)), "member 2: trace must equal 1"
+        elif kind == "remix":
+            ops[2] = np.diag([0.5, 0.5, 0.25, -0.25])
+            build, match = (
+                lambda: qr.remix(qr.HermitianOperator(ops, stack=True), 0.9),
+                "member 2: matrix has a negative eigenvalue",
+            )
+        else:
+            # Member 2 has trace 1; its total reflection diag(-1e150, 1e150, 0, 0) cancels its trace to 0.
+            ops[2] = np.diag([MAGNITUDE_LIMIT, -MAGNITUDE_LIMIT, 0.5, 0.5])
+            build, match = (
+                lambda: qr.complement(qr.HermitianOperator(ops, stack=True)),
+                "member 2: trace must equal 1, got 0$",
+            )
         with pytest.raises(ValueError, match=match):
             build()
 
@@ -565,6 +592,47 @@ class TestStacks:
             for k in range(12):
                 one = getattr(qr.classify(SignMask(signs[k])), field)
                 assert type(one) is kind and column[k] == one, (field, k)
+
+
+def built_images(n, rng, size):
+    """Each image the library computes from checked values, by site, of random states (stacks of ``size`` if set)."""
+    rho = qr.random_density(n, "mixed_dirichlet", rng, size=size)
+    s = qr.to_stokes(rho)
+    blocks = np.stack([np.eye(4)] * n)
+    blocks[:, 1:, 1:] = qr.random_reflection(rng, n)
+    images = {
+        "haar_pure": qr.random_density(n, "haar_pure", rng, size=size),
+        "mixed_dirichlet": rho,
+        "bounded_spectrum": qr.random_density(n, "bounded_spectrum", rng, c=(1 + 2.0**-n) / 2, size=size),
+        "remix": qr.remix(rho, 0.3),
+        "to_stokes": s,
+        "from_stokes": qr.from_stokes(s),
+        "from_stokes-reflected": qr.apply_mask(qr.mask_total_reflection(n), rho),
+        "to_real_density": qr.to_real_density(s),
+        "real_density_to_stokes": qr.real_density_to_stokes(qr.to_real_density(s)),
+        "complement": qr.complement(rho),
+        "apply_local_orthogonal": qr.apply_local_orthogonal(qr.LocalOrthogonalMap(blocks), s),
+    }
+    if n >= 2:
+        images["relaxed_reflection"] = qr.relaxed_reflection(rho)
+    return images
+
+
+class TestBuiltImages:
+    """A computed image skips the input checks; each would have passed them, bit for bit."""
+
+    @pytest.mark.parametrize("size", [None, 3], ids=["single", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_built_image_passes_its_types_full_check(self, n, size, rng):
+        images = built_images(n, rng, size)
+        assert len(images) == (11 if n == 1 else 12)
+        for site, image in images.items():
+            assert image.n == n and image.is_stack == (size is not None), site
+            checked = type(image)(image._array, stack=image.is_stack)
+            assert np.array_equal(checked._array, image._array), site
+            assert checked._array.dtype == image._array.dtype and not image._array.flags.writeable, site
+            if isinstance(image, qr.DensityState):
+                assert np.array_equal(checked.spectrum, image.spectrum), site
 
 
 class TestNumberRule:
