@@ -14,7 +14,8 @@ reports that gap as ``worst`` and serialises that trial's state.  The
 library calls take each stack whole: the witnesses give one value per
 member, a stack of random reflections pairs with the states member by
 member, and :func:`reflections.classify` answers a mask stack in one call.
-A drawn stack that several masks transform is taken to Stokes values once.
+A drawn stack that several masks transform is taken to Stokes values once
+and tiled after: the conversions give a member the same bits in any stack.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
@@ -156,6 +157,10 @@ def choi_related_mask_pair() -> tuple[np.ndarray, np.ndarray]:
     return center_block, antidiagonal
 
 
+# The orthonormal basis lambda_j = sigma_j / sqrt(2) of the Stokes values, for the Hermitian-side oracles only.
+_LAMBDA = stokes.PAULI / math.sqrt(2.0)
+
+
 def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
     """Transpose or spin flip of one qubit evaluated on the real unfolding.
 
@@ -170,7 +175,7 @@ def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
     if kind == "transpose":
         p0 = np.diag([1.0, 0.0])
         p1 = np.diag([0.0, 1.0])
-        flipped = sigma @ p0 - math.sqrt(2.0) * stokes.LAMBDA[3].real @ sigma @ p1
+        flipped = sigma @ p0 - math.sqrt(2.0) * _LAMBDA[3].real @ sigma @ p1
     elif kind == "spin_flip":
         flipped = 2.0 * np.diag([1.0, 0.0]) - sigma
     else:
@@ -179,7 +184,7 @@ def one_qubit_operator_sum(kind: str, rho) -> stokes.HermitianOperator:
 
 
 # Conjugators of the two-qubit operator sum: (lambda_a (x) 1, 1 (x) lambda_a) per Pauli axis a.
-_ONE_BODY_PAIRS = [(np.kron(stokes.LAMBDA[a], np.eye(2)), np.kron(np.eye(2), stokes.LAMBDA[a])) for a in (1, 2, 3)]
+_ONE_BODY_PAIRS = [(np.kron(_LAMBDA[a], np.eye(2)), np.kron(np.eye(2), _LAMBDA[a])) for a in (1, 2, 3)]
 
 
 def two_body_flip_operator_sum(rho) -> stokes.HermitianOperator:
@@ -291,8 +296,8 @@ def mask_isometries(rng, trials):
         a = _random_hermitian(n, rng, at.size)
         b = _random_hermitian(n, rng, at.size)
         inner = (a.matrix.conj() * b.matrix).sum(axis=(1, 2)).real
-        ia = reflections.apply_mask(*_every_pair(_catalog_stack(n), a, at.size)).matrix
-        ib = reflections.apply_mask(*_every_pair(_catalog_stack(n), b, at.size)).matrix
+        images = [reflections.apply_mask(*_every_pair(_catalog_stack(n), stokes.to_stokes(x), at.size)) for x in (a, b)]
+        ia, ib = (stokes.from_stokes(image).matrix for image in images)
         catalog = _mask_catalog(n)
         gaps = np.max(
             [

@@ -25,6 +25,10 @@ the partial transpose and the realignment :func:`_realigned`, and
 :func:`_digits` tables the base-4 digits of each Stokes component for the
 sign masks.  A conversion interleaves each qubit's row and column bits into
 one digit ``2 * row + col`` and applies a 4x4 matrix to each digit axis in turn.
+Those matrices hold the Pauli entries 0, +-1 and +-i, so every product is
+exact and each output is one rounded sum of two terms; the conversion scales
+by ``2**(n/2)`` once.  A member's values therefore do not depend on the stack
+it is converted in: alone, in a wider stack or tiled, it gets the same bits.
 
 Values enter once: a public entry takes its checked type as is and checks an
 array into it (:func:`_as`), and every checked number passes :func:`_numbers`,
@@ -65,12 +69,10 @@ PAULI = np.array(
     dtype=complex,
 )
 
-LAMBDA = PAULI / math.sqrt(2.0)
-
-# On the digit 2r+c, _K_TO[j, 2r+c] = lambda_j[c, r] gives tr(rho lambda_j)
-# and _K_FROM[2r+c, j] = lambda_j[r, c] sums the basis back.
-_K_TO = LAMBDA.transpose(0, 2, 1).reshape(4, 4)
-_K_FROM = LAMBDA.reshape(4, 4).T
+# On the digit 2r+c, _K_TO[j, 2r+c] = sigma_j[c, r] gives tr(rho sigma_j) and _K_FROM[2r+c, j] = sigma_j[r, c]
+# sums the Pauli basis back; the conversions divide by 2**(n/2) once for lambda_j = sigma_j / sqrt(2).
+_K_TO = PAULI.transpose(0, 2, 1).reshape(4, 4)
+_K_FROM = PAULI.reshape(4, 4).T
 
 
 def qubit_count(dim: int) -> int:
@@ -402,6 +404,10 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
     same 2-D steps as one value, with wider matrices.  A kernel with a
     leading member axis (one 4x4 per member of the stack) acts on each
     member with its own matrix.
+
+    The Pauli kernels of the conversions multiply exactly, so a member's
+    bits do not depend on the stack's width; the general blocks of
+    :func:`reflections.apply_local_orthogonal` round, and theirs may.
     """
     shape = values.shape
     values = values.T
@@ -453,14 +459,13 @@ def to_stokes(op) -> StokesTensor:
     """Expansion coefficients ``tr(rho Lambda_idx)`` of a trace-one operator (per member of a stack)."""
     op = _as(HermitianOperator, op)
     values = _apply_per_qubit([_K_TO] * op.n, _interleaved(op.matrix, op.n))
-    # A copy of the real part, so the tensor does not hold the transform's imaginary half.
-    return StokesTensor._built(np.array(values.real), op.n)
+    return StokesTensor._built(values.real / 2.0 ** (op.n / 2), op.n)
 
 
 def from_stokes(s: StokesTensor) -> HermitianOperator:
     """Inverse of :func:`to_stokes`."""
     s = _as(StokesTensor, s)
-    matrix = _apply_per_qubit([_K_FROM] * s.n, s.values)
+    matrix = _apply_per_qubit([_K_FROM] * s.n, s.values / 2.0 ** (s.n / 2))
     return HermitianOperator._built(_deinterleaved(matrix, s.n), s.n)
 
 
@@ -493,9 +498,9 @@ def choi_reshuffle(m) -> np.ndarray:
     the rank-one matrix ``col(B) col(A^T)^T``.
     """
     m = np.asarray(m)
-    dim = m.shape[-1]
-    if m.ndim < 2 or m.shape[-2] != dim:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    dim = m.shape[-1]
     d = math.isqrt(dim)
     if d * d != dim:
         raise ValueError(f"dimension {dim} does not split into d x d blocks")

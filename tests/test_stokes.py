@@ -19,7 +19,7 @@ from conftest import (
 )
 
 import qreflect as qr
-from qreflect import stokes
+from qreflect import properties, stokes
 from qreflect.io import parse_density, state_from_dict, state_to_dict
 from qreflect.reflections import SignMask
 from qreflect.stokes import MAGNITUDE_LIMIT, TRACE_TOL, StokesTensor, identity_times_reduction, partial_transpose
@@ -307,6 +307,9 @@ class TestChoiReshuffle:
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             qr.choi_reshuffle(np.eye(6))
+        # A scalar has no last axis to read a dimension from.
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(\)$"):
+            qr.choi_reshuffle(5)
 
 
 class TestProductsAndReductions:
@@ -592,6 +595,70 @@ class TestStacks:
             for k in range(12):
                 one = getattr(qr.classify(SignMask(signs[k])), field)
                 assert type(one) is kind and column[k] == one, (field, k)
+
+
+class TestMemberBits:
+    """A member's transform is the same bits whatever stack it is in: the Pauli kernels multiply exactly.
+
+    ``array_equal`` rather than raw bytes, so -0.0 == 0.0.
+    """
+
+    # Fewer stacks where a member costs more: a transform of one member grows as 4**n.  One qubit is the cheapest and
+    # gets the most: there a stack is the narrowest product, 4 x size, whose width most often picks another BLAS path.
+    CASES = {1: 200, 2: 40, 3: 40, 4: 20, 5: 8, 6: 4}
+
+    def draws(self, seed, smallest=1):
+        """Fixed-seed stacks of ``smallest`` to 12 trace-one Hermitian operators at n = 1..6, each with its generator."""
+        rng = np.random.default_rng(seed)
+        for n, cases in self.CASES.items():
+            for _ in range(cases):
+                yield properties._random_hermitian(n, rng, int(rng.integers(smallest, 13))), rng
+
+    def test_a_member_alone_gets_its_bits_in_the_stack(self):
+        for x, _ in self.draws(2026):
+            s = qr.to_stokes(x)
+            back = qr.from_stokes(s)
+            for k in range(len(x.matrix)):
+                assert np.array_equal(s.values[k], qr.to_stokes(x[k]).values), (x.n, k)
+                assert np.array_equal(back.matrix[k], qr.from_stokes(s[k]).matrix), (x.n, k)
+
+    def test_a_split_stack_concatenates_to_the_whole(self):
+        for x, rng in self.draws(2027, smallest=2):
+            size = len(x.matrix)
+            cut = int(rng.integers(1, size))
+            parts = np.arange(cut), np.arange(cut, size)
+            s = qr.to_stokes(x)
+            assert np.array_equal(np.concatenate([qr.to_stokes(x[p]).values for p in parts]), s.values), x.n
+            back = np.concatenate([qr.from_stokes(s[p]).matrix for p in parts])
+            assert np.array_equal(back, qr.from_stokes(s).matrix), x.n
+
+    def test_tiling_before_the_transform_is_tiling_after(self):
+        for x, rng in self.draws(2028):
+            # 7 to 13 copies, as many as a mask catalog holds.
+            tiled = np.tile(np.arange(len(x.matrix)), int(rng.integers(7, 14)))
+            s = qr.to_stokes(x)
+            assert np.array_equal(qr.to_stokes(x[tiled]).values, s.values[tiled]), x.n
+            assert np.array_equal(qr.from_stokes(s[tiled]).matrix, qr.from_stokes(s).matrix[tiled]), x.n
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            qr.bell_state(),
+            qr.maximally_mixed(2),
+            qr.maximally_mixed(4),
+            qr.maximally_mixed(6),
+            qr.pure_state("0101"),
+            qr.pure_state("0+"),
+        ],
+        ids=["bell", "mixed-2", "mixed-4", "mixed-6", "0101", "0+"],
+    )
+    def test_the_round_trip_is_exact_at_even_n(self, state):
+        # At even n the scale 2**(n/2) is a power of two, and these states' sums of two terms are exact.
+        assert np.array_equal(qr.from_stokes(qr.to_stokes(state)).matrix, state.matrix)
+
+    def test_the_partial_transpose_mask_is_the_matrix_transpose_exactly(self):
+        image = qr.apply_mask(qr.mask_partial_transpose(2, (1,)), qr.bell_state()).matrix
+        assert np.array_equal(image, partial_transpose(qr.bell_state(), (1,)))
 
 
 def built_images(n, rng, size):
