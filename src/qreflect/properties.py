@@ -14,8 +14,13 @@ reports that gap as ``worst`` and serialises that trial's state.  The
 library calls take each stack whole: the witnesses give one value per
 member, a stack of random reflections pairs with the states member by
 member, and :func:`reflections.classify` answers a mask stack in one call.
-A drawn stack that several masks transform is taken to Stokes values once
-and tiled after: the conversions give a member the same bits in any stack.
+The images one invariant compares cross the Pauli transform together: a
+drawn stack that several masks transform is taken to Stokes values once and
+tiled after, the images of two stacks drawn for one check are joined into
+one stack, and the joined images take one ``apply_mask`` and one
+``from_stokes`` before they are split.  The conversions give a member the
+same bits in any stack, so joining moves no bit.  Every mask stack an
+invariant applies is built once per qubit count.
 
 Each invariant draws its own deterministic substream from the master seed,
 so results are reproducible for a fixed ``(seed, trials)`` pair.
@@ -226,15 +231,41 @@ def _mask_catalog(n: int) -> tuple[reflections.SignMask, ...]:
 
 
 @functools.cache
-def _catalog_stack(n: int) -> reflections.SignMask:
-    """The catalog as one stack of masks."""
-    return reflections.SignMask(np.stack([m.signs for m in _mask_catalog(n)]), stack=True)
+def _stacked(masks: tuple[reflections.SignMask, ...]) -> reflections.SignMask:
+    """Shared masks as one stack of masks, built once per tuple (a named mask is one shared value per subset)."""
+    return reflections.SignMask(np.stack([m.signs for m in masks]), stack=True)
+
+
+def _bit_subset(bits: int, n: int) -> tuple[int, ...]:
+    """The qubits of ``bits``: qubit q is in the subset when bit q-1 is set."""
+    return tuple(q for q in range(1, n + 1) if bits >> (q - 1) & 1)
+
+
+@functools.cache
+def _subset_masks(n: int) -> reflections.SignMask:
+    """The partial transpose, then the total reflection, on every nonempty subset in bitmask order, as one stack.
+
+    The subset of bits ``b`` has the transpose at row ``b - 1`` and the reflection at row ``b - 2 + 2**n``.
+    """
+    subsets = [_bit_subset(b, n) for b in range(1, 2**n)]
+    named = (reflections.mask_partial_transpose, reflections.mask_total_reflection)
+    return _stacked(tuple(build(n, subset) for build in named for subset in subsets))
 
 
 def _every_pair(masks: reflections.SignMask, values, size: int):
-    """Every (mask, member) pair of ``size`` members as two equal stacks, mask-major, for one ``apply_mask``."""
+    """Every (mask, member) pair of ``size`` members as two equal stacks, mask-major, for one ``apply_mask``.
+
+    One ``from_stokes`` of the images then gives every mask's images of every member, mask by mask.
+    """
     m = len(masks.signs)
     return masks[np.repeat(np.arange(m), size)], values[np.tile(np.arange(size), m)]
+
+
+def _images(masks: tuple[reflections.SignMask, ...], s: stokes.StokesTensor) -> np.ndarray:
+    """The matrices of the stack ``s`` under each of ``masks`` from one transform, indexed ``[mask, member]``."""
+    size = len(s.values)
+    matrices = stokes.from_stokes(reflections.apply_mask(*_every_pair(_stacked(masks), s, size))).matrix
+    return matrices.reshape(len(masks), size, *matrices.shape[1:])
 
 
 def stokes_round_trip(rng, trials):
@@ -277,7 +308,7 @@ def mask_involution(rng, trials, corrupt_mask=False):
     checks = []
     for n, at in _qubit_groups(rng, trials):
         rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
-        masks, pairs = _every_pair(_catalog_stack(n), stokes.to_stokes(rho), at.size)
+        masks, pairs = _every_pair(_stacked(_mask_catalog(n)), stokes.to_stokes(rho), at.size)
         seconds, suffix = masks, ""
         if corrupt_mask:
             tampered = masks.signs.copy()
@@ -296,9 +327,10 @@ def mask_isometries(rng, trials):
         a = _random_hermitian(n, rng, at.size)
         b = _random_hermitian(n, rng, at.size)
         inner = (a.matrix.conj() * b.matrix).sum(axis=(1, 2)).real
-        images = [reflections.apply_mask(*_every_pair(_catalog_stack(n), stokes.to_stokes(x), at.size)) for x in (a, b)]
-        ia, ib = (stokes.from_stokes(image).matrix for image in images)
         catalog = _mask_catalog(n)
+        joined = stokes.HermitianOperator._built(np.concatenate([a.matrix, b.matrix]), n)
+        # Each mask's images of a, then of b; each half is mask-major, as the catalog rows of the check are.
+        ia, ib = (x.reshape(-1, 2**n, 2**n) for x in np.split(_images(catalog, stokes.to_stokes(joined)), 2, axis=1))
         gaps = np.max(
             [
                 np.abs(np.trace(ia, axis1=1, axis2=2).real - 1.0),
@@ -314,11 +346,9 @@ def mask_isometries(rng, trials):
 
 def one_qubit_reflection_spectra(rng, trials):
     rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
-    s = stokes.to_stokes(rho)
     masks = (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,)))
-    images = [stokes.from_stokes(reflections.apply_mask(m, s)).matrix for m in masks]
     # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
-    spectra = np.linalg.eigvalsh(np.concatenate(images)).reshape(len(masks), trials, -1)
+    spectra = np.linalg.eigvalsh(_images(masks, stokes.to_stokes(rho)))
     gaps = [_deviation(spectrum, rho.spectrum) for spectrum in spectra]
     return [_within(gaps, 1e-10, rho, functools.partial(_row_message, [m.name for m in masks]))]
 
@@ -336,10 +366,10 @@ def reflection_unitary_commutation(rng, trials):
         rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
         u = states.random_unitary(2**n, rng, at.size)
         u_dagger = u.conj().swapaxes(-1, -2)
-        mask = reflections.mask_total_reflection(n)
-        rotated = stokes.HermitianOperator(u @ rho.matrix @ u_dagger, stack=True)
-        lhs = reflections.apply_mask(mask, rotated).matrix
-        rhs = u @ reflections.apply_mask(mask, rho).matrix @ u_dagger
+        # The rotated states, then the states: one stack through one reflection.
+        joined = stokes.HermitianOperator._built(np.concatenate([u @ rho.matrix @ u_dagger, rho.matrix]), n)
+        lhs, image = np.split(reflections.apply_mask(reflections.mask_total_reflection(n), joined).matrix, 2)
+        rhs = u @ image @ u_dagger
         checks.append(_within(_deviation(lhs, rhs), 1e-10, rho, "commutation failed", at))
     return checks
 
@@ -373,18 +403,19 @@ def _classification_message(n: int, per_member, fixed, row: int, j: int) -> str:
 def operator_sums(rng, trials):
     one = states.random_density(1, "mixed_dirichlet", rng, size=trials)
     two = states.random_density(2, "mixed_dirichlet", rng, size=trials)
-    s_one, s_two = stokes.to_stokes(one), stokes.to_stokes(two)
-
-    def image(mask, s):
-        return stokes.from_stokes(reflections.apply_mask(mask, s)).matrix
-
+    transposed, flipped = _images(
+        (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,))), stokes.to_stokes(one)
+    )
+    two_body, double_flip = _images(
+        (reflections.mask_two_body_flip(), reflections.mask_spin_flip(2, (1, 2))), stokes.to_stokes(two)
+    )
     ones = [
-        (one_qubit_operator_sum("transpose", one), image(reflections.mask_partial_transpose(1, (1,)), s_one)),
-        (one_qubit_operator_sum("spin_flip", one), image(reflections.mask_spin_flip(1, (1,)), s_one)),
+        (one_qubit_operator_sum("transpose", one), transposed),
+        (one_qubit_operator_sum("spin_flip", one), flipped),
     ]
     twos = [
-        (two_body_flip_operator_sum(two), image(reflections.mask_two_body_flip(), s_two)),
-        (spin_flipped_partner(two), image(reflections.mask_spin_flip(2, (1, 2)), s_two)),
+        (two_body_flip_operator_sum(two), two_body),
+        (spin_flipped_partner(two), double_flip),
     ]
     return [
         _within([_deviation(lhs.matrix, rhs) for lhs, rhs in pairs], 1e-12, rho, "operator sum and mask disagreed")
@@ -443,10 +474,11 @@ def reflection_vs_ppt(rng, trials):
     rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
     lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng, size=trials))
     s = stokes.to_stokes(rho)
-    generic = stokes.from_stokes(reflections.apply_local_orthogonal(lomap, s)).matrix
-    transposed = stokes.from_stokes(reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), s)).matrix
+    generic = reflections.apply_local_orthogonal(lomap, s).values
+    transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), s).values
+    images = stokes.from_stokes(stokes.StokesTensor._built(np.concatenate([generic, transposed]), 2)).matrix
     # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
-    generic_spectra, transposed_spectra = np.split(np.linalg.eigvalsh(np.concatenate([generic, transposed])), 2)
+    generic_spectra, transposed_spectra = np.split(np.linalg.eigvalsh(images), 2)
     gap = _deviation(generic_spectra, transposed_spectra)
     return [_within(gap, 1e-9, rho, "generic reflection spectrum diverged")]
 
@@ -502,14 +534,13 @@ def hermitian_kernels(rng, trials):
     for n, at in _qubit_groups(rng, trials):
         rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
         bits = rng.integers(1, 2**n, size=at.size)
-        distinct, which = np.unique(bits, return_inverse=True)
-        subsets = {b: tuple(q for q in range(1, n + 1) if b >> (q - 1) & 1) for b in distinct.tolist()}
-        # One checked mask per distinct subset, indexed by each member's subset: one transform for the whole stack.
-        named = (reflections.mask_partial_transpose, reflections.mask_total_reflection)
-        masks = [reflections.SignMask([build(n, q).signs for q in subsets.values()], stack=True) for build in named]
-        s = stokes.to_stokes(rho)
-        transposed, reflected = (stokes.from_stokes(reflections.apply_mask(m[which], s)).matrix for m in masks)
-        for b, subset in subsets.items():
+        # Each member picks its transpose and its reflection from the shared stack: one transform for both images.
+        masks = _subset_masks(n)[np.concatenate([bits - 1, bits - 2 + 2**n])]
+        s = stokes.to_stokes(rho)[np.tile(np.arange(at.size), 2)]
+        transposed, reflected = np.split(stokes.from_stokes(reflections.apply_mask(masks, s)).matrix, 2)
+        # The matrix kernels stay the oracle, one call per distinct subset.
+        for b in np.unique(bits).tolist():
+            subset = _bit_subset(b, n)
             where = np.flatnonzero(bits == b)
             sub = rho[where]
             pairs = (

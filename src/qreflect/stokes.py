@@ -511,10 +511,17 @@ def choi_reshuffle(m) -> np.ndarray:
 
 
 def _label(q, what: str = "qubit labels") -> int:
-    """A qubit label (or count) as an int; a bool, or what ``operator.index`` refuses (a float, a string), is an error."""
-    if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
-        raise ValueError(f"{what} must be integers, got {q!r}")
-    return operator.index(q)
+    """A qubit label (or count) as an int; a bool, or what ``operator.index`` refuses, is an error.
+
+    ``operator.index`` refuses a float, a string, and an array that is not one
+    integer (``np.array([2])``, ``np.array(1.5)``), though every array's class has ``__index__``.
+    """
+    if not isinstance(q, (bool, np.bool_)):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers, got {q!r}")
 
 
 def _count(x, what: str) -> int:

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from qreflect import io, properties, reflections, states
+from qreflect import io, properties, reflections, states, stokes
 
 
 def payload(results):
@@ -30,6 +30,8 @@ def test_every_invariant_reports_requested_trials_and_non_negative_worst(seed):
         (None, "seeds must be integers, got None"),
         (1.5, "seeds must be integers, got 1.5"),
         ("3", "seeds must be integers, got '3'"),
+        # a one-entry array has __index__ but is no integer; the message is a pattern, so its brackets are escaped
+        (np.array([3]), r"seeds must be integers, got array\(\[3\]\)"),
         (-1, "seeds must be at least 0, got -1"),
     ],
 )
@@ -199,3 +201,48 @@ def test_every_invariant_is_a_public_plain_function():
     for name, fn in properties._CHECKS:
         assert getattr(properties, name) is fn
         assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn)
+
+
+def counting_transforms(monkeypatch):
+    """A dict counting the calls of ``to_stokes`` and ``from_stokes``, patched where ``stokes`` and ``reflections``
+    bind them, filled as the calls happen."""
+    calls = {"to_stokes": 0, "from_stokes": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        original = getattr(stokes, name)
+        for module in (stokes, reflections):
+            monkeypatch.setattr(module, name, counting(name, original))
+    return calls
+
+
+# (to_stokes, from_stokes) calls per invariant at 8 trials: one of each per drawn stack or qubit-count group, whatever
+# the number of images it compares. operator_sums draws a one- and a two-qubit stack, and its one-qubit oracle,
+# one_qubit_operator_sum, makes one more of each per kind.
+TRANSFORMS_PER_INVARIANT = {
+    "one_qubit_reflection_spectra": (1, 1),
+    "operator_sums": (4, 4),
+    "reflection_vs_ppt": (1, 1),
+    "reflection_unitary_commutation": (2, 2),
+    "mask_isometries": (3, 3),
+    "hermitian_kernels": (3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMS_PER_INVARIANT))
+def test_the_images_an_invariant_compares_cross_one_transform(name, monkeypatch):
+    seed, trials = 0, 8
+    # At this seed a group-drawing invariant meets every qubit count it can draw.
+    for low in (1, 2):
+        groups = properties._qubit_groups(np.random.default_rng(seed), trials, low)
+        assert [n for n, _ in groups] == list(range(low, properties._QUBITS_STOP))
+    calls = counting_transforms(monkeypatch)
+    result = properties._run(name, getattr(properties, name), np.random.default_rng(seed), trials)
+    assert result.passed, result.to_dict()
+    assert (calls["to_stokes"], calls["from_stokes"]) == TRANSFORMS_PER_INVARIANT[name]

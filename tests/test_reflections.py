@@ -132,6 +132,8 @@ class TestNamedMaskCache:
             lambda: qr.ppt_test(qr.bell_state(), [1.7]),
             lambda: qr.reflection_report(qr.bell_state(), [True]),
             lambda: qr.relaxed_reflection(qr.bell_state(), ["1", 2]),
+            lambda: qr.mask_total_reflection(2, [np.array(1.5)]),
+            lambda: qr.ppt_test(qr.bell_state(), np.array([[1]])),
         ],
         ids=[
             "partial_transpose",
@@ -142,6 +144,8 @@ class TestNamedMaskCache:
             "ppt_test-float-label",
             "reflection_report-bool-label",
             "relaxed_reflection-string-label",
+            "total_reflection-float-array-label",
+            "ppt_test-array-label",
         ],
     )
     def test_bad_subset_rejected_on_every_call(self, build):
@@ -382,9 +386,13 @@ class TestLocalOrthogonal:
             pytest.param(2, True, "qubit labels must be integers", id="bool-qubit"),
             pytest.param(2, 1.0, "qubit labels must be integers", id="float-qubit"),
             pytest.param(2, "1", "qubit labels must be integers", id="string-qubit"),
+            # an array's class has __index__, but only a 0-d integer array is one integer
+            pytest.param(2, np.array([1]), "qubit labels must be integers", id="array-qubit"),
+            pytest.param(2, np.array(1.5), "qubit labels must be integers", id="float-array-qubit"),
             pytest.param(True, 1, "qubit counts must be integers", id="bool-n"),
             pytest.param(2.0, 1, "qubit counts must be integers", id="float-n"),
             pytest.param("2", 1, "qubit counts must be integers", id="string-n"),
+            pytest.param(np.array([2]), 1, "qubit counts must be integers", id="array-n"),
         ],
     )
     def test_single_qubit_out_of_range_rejected(self, n, qubit, match):

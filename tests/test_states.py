@@ -197,8 +197,9 @@ class TestCounts:
             (True, "must be integers, got True"),
             (2.5, "must be integers, got 2.5"),
             ("3", "must be integers, got '3'"),
+            (np.array([2]), "must be integers, got array([2])"),
         ],
-        ids=["zero", "negative", "bool", "float", "string"],
+        ids=["zero", "negative", "bool", "float", "string", "array"],
     )
     @pytest.mark.parametrize(
         "draw, what",
@@ -231,6 +232,7 @@ class TestCounts:
 
     def test_numpy_integers_are_counts(self):
         assert qr.random_density(np.int64(2), rng=1).n == 2
+        assert qr.random_density(np.array(2), rng=1).n == 2
         assert qr.maximally_mixed(np.int64(3)).n == 3
         assert qr.random_reflection(1, size=np.int64(2)).shape == (2, 3, 3)
 

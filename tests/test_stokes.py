@@ -640,6 +640,28 @@ class TestMemberBits:
             assert np.array_equal(qr.to_stokes(x[tiled]).values, s.values[tiled]), x.n
             assert np.array_equal(qr.from_stokes(s[tiled]).matrix, qr.from_stokes(s).matrix[tiled]), x.n
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_joined_stack_keeps_every_members_bits(self, n):
+        # Two checked stacks joined into one computed image, as the invariant suite joins the images it compares.
+        rng = np.random.default_rng(2029 + n)
+        for _ in range(10):
+            sizes = rng.integers(1, 7, size=2)
+            operators = [properties._random_hermitian(n, rng, int(k)) for k in sizes]
+            densities = [qr.random_density(n, "mixed_dirichlet", rng, size=int(k)) for k in sizes]
+            for parts in (operators, densities, [qr.to_stokes(x) for x in operators]):
+                joined = type(parts[0])._built(np.concatenate([x._array for x in parts]), n)
+                assert np.array_equal(joined._array, np.concatenate([x._array for x in parts])), type(joined)
+                if isinstance(joined, qr.DensityState):
+                    assert np.array_equal(joined.spectrum, np.concatenate([x.spectrum for x in parts]))
+
+    def test_two_masks_through_one_transform_give_each_images_bits(self):
+        for x, rng in self.draws(2030):
+            catalog = properties._mask_catalog(x.n)
+            masks = tuple(catalog[k] for k in rng.choice(len(catalog), size=2, replace=False))
+            s = qr.to_stokes(x)
+            for mask, image in zip(masks, properties._images(masks, s)):
+                assert np.array_equal(image, qr.from_stokes(qr.apply_mask(mask, s)).matrix), (x.n, mask.name)
+
     @pytest.mark.parametrize(
         "state",
         [
