@@ -55,6 +55,9 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIMENSION = 3
 
+# json.dumps(report, sort_keys=True) builds this encoder per call; encode() keeps no state, so one serves every report.
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _tolerance() -> float:
     raw = os.environ.get("QREFLECT_TOL")
@@ -348,7 +351,7 @@ def main(argv=None) -> int:
             "result": result,
             "wall_time_s": time.perf_counter() - started,
         }
-        text = json.dumps(report, sort_keys=True)
+        text = _REPORT_ENCODER.encode(report)
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -5,14 +5,17 @@ State files carry ``n``, a ``format`` of either ``hermitian`` (row-major
 of ``4**n`` entries in base-4 row-major multi-index order), plus free-form
 annotation fields such as ``seed`` or ``label``; an annotation may not reuse
 a schema field's name.  Every array is read shape first, then each entry
-once (:func:`_array`).  Floats are written at full double precision.
+once (:func:`_array`).  Floats are written at full double precision.  A
+path is anything :func:`os.fspath` accepts (``str``, ``bytes`` or
+``os.PathLike``); an ``int`` raises ``TypeError`` and is never read or
+written as a file descriptor.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -114,7 +117,8 @@ def parse_density(raw: bytes, source) -> DensityState:
 def read_state_file(path) -> bytes:
     """The bytes of a state file, read once; a path that cannot be read (missing, a directory) names itself."""
     try:
-        return Path(path).read_bytes()
+        with open(os.fspath(path), "rb") as file:
+            return file.read()
     except OSError as exc:
         raise StateFormatError(f"cannot read state file {path}: {exc}") from exc
 
@@ -125,5 +129,7 @@ def load_density(path) -> DensityState:
 
 
 def write_state(path, state, **annotations) -> None:
-    Path(path).write_text(json.dumps(state_to_dict(state, **annotations), indent=2) + "\n")
+    text = json.dumps(state_to_dict(state, **annotations), indent=2) + "\n"
+    with open(os.fspath(path), "w") as file:
+        file.write(text)
 

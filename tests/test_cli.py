@@ -547,7 +547,9 @@ class TestDriverContract:
     def test_json_envelope(self, command, capsys):
         argv, _ = self.COMMANDS[command]
         assert cli.main(argv) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
         assert set(doc) == {"command", "input_digest", "result", "wall_time_s"}
         assert doc["command"] == command
         assert (doc["input_digest"] is None) == (command != "analyze")

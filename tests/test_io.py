@@ -1,6 +1,7 @@
 """State and report serialisation."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -161,6 +162,31 @@ class TestStateFiles:
             load_density(path)
         with pytest.raises(StateFormatError, match="^cannot read state file "):
             read_state_file(path)
+
+    def test_a_file_descriptor_is_no_path(self):
+        # open() would take an int as a file descriptor: read a pipe and close it, or write into it
+        r, w = os.pipe()
+        os.write(w, json.dumps(state_to_dict(qr.bell_state())).encode())
+        os.close(w)
+        r2, w2 = os.pipe()
+        try:
+            with pytest.raises(TypeError):
+                read_state_file(r)
+            with pytest.raises(TypeError):
+                load_density(r)
+            os.fstat(r)
+            with pytest.raises(TypeError):
+                write_state(w2, qr.bell_state())
+            os.fstat(w2)
+        finally:
+            for fd in (r, r2, w2):
+                os.close(fd)
+
+    def test_a_bytes_path_is_read_and_written(self, tmp_path):
+        path = os.fsencode(tmp_path / "state.json")
+        write_state(path, qr.bell_state())
+        assert read_state_file(path) == (tmp_path / "state.json").read_bytes()
+        assert np.array_equal(load_density(path).matrix, qr.bell_state().matrix)
 
     @pytest.mark.parametrize(
         "doc",

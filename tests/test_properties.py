@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -30,15 +31,15 @@ def test_every_invariant_reports_requested_trials_and_non_negative_worst(seed):
         (None, "seeds must be integers, got None"),
         (1.5, "seeds must be integers, got 1.5"),
         ("3", "seeds must be integers, got '3'"),
-        # a one-entry array has __index__ but is no integer; the message is a pattern, so its brackets are escaped
-        (np.array([3]), r"seeds must be integers, got array\(\[3\]\)"),
+        # a one-entry array has __index__ but is no integer
+        (np.array([3]), "seeds must be integers, got array([3])"),
         (-1, "seeds must be at least 0, got -1"),
     ],
 )
 def test_a_seed_that_is_not_an_integer_at_least_0_is_refused_before_any_draw(seed, message, monkeypatch):
     # a bool would run as seed 0 or 1, and None on fresh entropy: neither is reproducible from the call
     monkeypatch.setattr(properties, "_run", lambda *args: pytest.fail("drew before checking the seed"))
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         properties.run_suite(seed, 2)
 
 
