@@ -1,11 +1,11 @@
 """Seeded randomised invariant suite spanning every layer of the package.
 
 Each invariant is one function of ``(rng, trials)`` that runs all its
-trials as stacks: it draws every trial's inputs from ``rng`` at once (one
-stack per qubit count, when the count is drawn per trial), and returns its
-checks, each built by ``_within`` from a ``(rows, trials)`` gap array (one
-row per catalog mask, kernel pair or other checked quantity) and the bound
-every gap must stay under.  One driver, ``_run``, reads the checks.  A
+trials as stacks: it takes every trial's inputs from ``rng`` at once (one
+stack per qubit count, when the count is drawn per trial) before it
+computes anything, and returns its checks, each built by ``_within`` from a
+``(rows, trials)`` gap array (one row per catalog mask, kernel pair or
+other checked quantity) and the bound every gap must stay under.  One driver, ``_run``, reads the checks.  A
 result reports ``trials`` as the requested count and ``worst`` as the
 largest non-negative gap of the checks that count toward it; the lowest
 trial with a gap over its bound (and, within that trial, its first such
@@ -23,7 +23,15 @@ same bits in any stack, so joining moves no bit.  Every mask stack an
 invariant applies is built once per qubit count.
 
 Each invariant draws its own deterministic substream from the master seed,
-so results are reproducible for a fixed ``(seed, trials)`` pair.
+so results are reproducible for a fixed ``(seed, trials)`` pair.  Its
+private draw (``_DRAWS``) takes the qubit counts, the states' numbers, the
+subset bits, the unitaries and the reflections from the substream in the
+order the invariant reads them.  :func:`run_suite` draws for every
+invariant first and then builds all random states of the run in one
+``states._build_densities`` call, one stack per qubit count and kind; each
+member is bit-identical to its own build, so every invariant gets the
+inputs, and reports the result, it gets when it runs alone.  Called with a
+generator alone, an invariant draws and builds its own inputs.
 
 It also holds the Hermitian-side operator sums and the reshuffle-related
 sign pair: independent oracles for the sign masks of :mod:`reflections`,
@@ -141,10 +149,78 @@ def _deviation(a, b) -> np.ndarray:
 def _random_hermitian(n: int, rng, size: int) -> stokes.HermitianOperator:
     """A stack of trace-one Hermitian operators that need not be positive."""
     dim = 2**n
-    z = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+    z = states._gaussian(rng, (size, dim, dim))
     h = (z + z.conj().swapaxes(-1, -2)) / 2
     h -= (np.trace(h, axis1=1, axis2=2).real - 1.0)[:, None, None] / dim * np.eye(dim)
     return stokes.HermitianOperator(h, stack=True)
+
+
+def _unitaries(n: int, rng, size: int) -> np.ndarray:
+    return states.random_unitary(2**n, rng, size)
+
+
+def _hermitian_pair(n: int, rng, size: int) -> tuple[stokes.HermitianOperator, stokes.HermitianOperator]:
+    return _random_hermitian(n, rng, size), _random_hermitian(n, rng, size)
+
+
+def _sign_factors(n: int, rng, size: int) -> np.ndarray:
+    """Per member, ``n`` random one-qubit sign vectors whose first sign is 1."""
+    factors = rng.choice([-1, 1], size=(size, n, 4)).astype(np.int8)
+    factors[:, :, 0] = 1
+    return factors
+
+
+def _subset_bits(n: int, rng, size: int) -> np.ndarray:
+    """Per member, a nonempty qubit subset as the bits of ``_bit_subset``."""
+    return rng.integers(1, 2**n, size=size)
+
+
+def _group_draws(rng, trials: int, low: int = 1, mode: str | None = "mixed_dirichlet", then=None):
+    """Every trial's qubit count, then per count its stack of ``mode`` states (none for None) and ``then``'s draw.
+
+    A bounded mode caps the spectrum at ``2**(1 - n)``.  Returns the state
+    draws and one ``(n, at, then(n, rng, at.size))`` per count (None
+    without ``then``).
+    """
+    draws, groups = [], []
+    for n, at in _qubit_groups(rng, trials, low):
+        if mode is not None:
+            c = 2.0 ** (1 - n) if mode == "bounded_spectrum" else None
+            draws.append(states._draw_density(n, mode, rng, c=c, size=at.size))
+        groups.append((n, at, None if then is None else then(n, rng, at.size)))
+    return draws, groups
+
+
+def _stack_draws(qubits: tuple[int, ...], rng, trials: int, mode: str = "mixed_dirichlet"):
+    """One stack of ``trials`` states per qubit count of ``qubits``, in that order, and nothing else."""
+    return [states._draw_density(n, mode, rng, size=trials) for n in qubits], None
+
+
+def _ccn_draws(rng, trials: int):
+    """Two-qubit states, then every tenth trial's separable mixture: term counts, weights and one-qubit factors."""
+    rho = states._draw_density(2, "mixed_dirichlet", rng, size=trials)
+    at = np.arange(0, trials, 10)
+    terms = rng.integers(1, 5, size=at.size)
+    weights = np.concatenate([rng.dirichlet(np.ones(t)) for t in terms])
+    factors = states._draw_density(1, "mixed_dirichlet", rng, size=2 * weights.size)
+    return [rho, factors], (at, terms, weights)
+
+
+def _reflection_draws(rng, trials: int):
+    """Two-qubit states, then one random reflection per state."""
+    return [states._draw_density(2, "mixed_dirichlet", rng, size=trials)], states.random_reflection(rng, size=trials)
+
+
+def _inputs(name: str, rng, trials: int, inputs):
+    """The inputs of invariant ``name``: ``inputs`` as :func:`run_suite` built them, else its own draw, built alone.
+
+    An invariant's inputs are its built states, in draw order, and the rest
+    of its draw (see ``_DRAWS``).
+    """
+    if inputs is None:
+        draws, rest = _DRAWS[name](rng, trials)
+        inputs = states._build_densities(draws), rest
+    return inputs
 
 
 def choi_related_mask_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -268,27 +344,27 @@ def _images(masks: tuple[reflections.SignMask, ...], s: stokes.StokesTensor) -> 
     return matrices.reshape(len(masks), size, *matrices.shape[1:])
 
 
-def stokes_round_trip(rng, trials):
+def stokes_round_trip(rng, trials, inputs=None):
+    rhos, groups = _inputs("stokes_round_trip", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         back = stokes.from_stokes(stokes.to_stokes(rho))
         checks.append(_within(_deviation(back.matrix, rho.matrix), 1e-12, rho, "round trip exceeded its bound", at))
     return checks
 
 
-def norm_bridge(rng, trials):
+def norm_bridge(rng, trials, inputs=None):
+    rhos, groups = _inputs("norm_bridge", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         sigma = stokes.to_real_density(stokes.to_stokes(rho)).entries
         gap = np.abs(np.linalg.norm(sigma, axis=(1, 2)) / 2 ** (n / 2) - np.linalg.norm(rho.matrix, axis=(1, 2)))
         checks.append(_within(gap, 1e-12, rho, "unfolding changed the norm", at))
     return checks
 
 
-def one_qubit_spectrum(rng, trials):
-    rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
+def one_qubit_spectrum(rng, trials, inputs=None):
+    (rho,), _ = _inputs("one_qubit_spectrum", rng, trials, inputs)
     v = stokes.to_stokes(rho).values
     radius = np.sqrt((v[:, 1:] ** 2).sum(axis=1))
     closed = (1 / math.sqrt(2)) * (1 / math.sqrt(2) + radius[:, None] * [-1.0, 1.0])
@@ -296,18 +372,18 @@ def one_qubit_spectrum(rng, trials):
     return [_within(_deviation(rho.spectrum, closed), 1e-12, rho, "closed form disagreed")]
 
 
-def stokes_matrix_choi(rng, trials):
-    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+def stokes_matrix_choi(rng, trials, inputs=None):
+    (rho,), _ = _inputs("stokes_matrix_choi", rng, trials, inputs)
     s = stokes.to_stokes(rho)
     lhs = stokes.choi_reshuffle(stokes.to_real_density(s).entries).swapaxes(-1, -2)
     same = (lhs == stokes.stokes_as_matrix(s)).all(axis=(1, 2))
     return [_holds(same, rho, "reshuffle correspondence broke")]
 
 
-def mask_involution(rng, trials, corrupt_mask=False):
+def mask_involution(rng, trials, corrupt_mask=False, inputs=None):
+    rhos, groups = _inputs("mask_involution", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         masks, pairs = _every_pair(_stacked(_mask_catalog(n)), stokes.to_stokes(rho), at.size)
         seconds, suffix = masks, ""
         if corrupt_mask:
@@ -321,11 +397,10 @@ def mask_involution(rng, trials, corrupt_mask=False):
     return checks
 
 
-def mask_isometries(rng, trials):
+def mask_isometries(rng, trials, inputs=None):
+    _, groups = _inputs("mask_isometries", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        a = _random_hermitian(n, rng, at.size)
-        b = _random_hermitian(n, rng, at.size)
+    for n, at, (a, b) in groups:
         inner = (a.matrix.conj() * b.matrix).sum(axis=(1, 2)).real
         catalog = _mask_catalog(n)
         joined = stokes.HermitianOperator._built(np.concatenate([a.matrix, b.matrix]), n)
@@ -344,8 +419,8 @@ def mask_isometries(rng, trials):
     return checks
 
 
-def one_qubit_reflection_spectra(rng, trials):
-    rho = states.random_density(1, "mixed_dirichlet", rng, size=trials)
+def one_qubit_reflection_spectra(rng, trials, inputs=None):
+    (rho,), _ = _inputs("one_qubit_reflection_spectra", rng, trials, inputs)
     masks = (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,)))
     # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
     spectra = np.linalg.eigvalsh(_images(masks, stokes.to_stokes(rho)))
@@ -353,18 +428,17 @@ def one_qubit_reflection_spectra(rng, trials):
     return [_within(gaps, 1e-10, rho, functools.partial(_row_message, [m.name for m in masks]))]
 
 
-def pure_reflection_spectrum(rng, trials):
-    rho = states.random_density(2, "haar_pure", rng, size=trials)
+def pure_reflection_spectrum(rng, trials, inputs=None):
+    (rho,), _ = _inputs("pure_reflection_spectrum", rng, trials, inputs)
     image = reflections.apply_mask(reflections.mask_total_reflection(2), rho)
     gap = _deviation(np.linalg.eigvalsh(image.matrix), np.array([-0.5, 0.5, 0.5, 0.5]))
     return [_within(gap, 1e-10, rho, "pure-state image spectrum off")]
 
 
-def reflection_unitary_commutation(rng, trials):
+def reflection_unitary_commutation(rng, trials, inputs=None):
+    rhos, groups = _inputs("reflection_unitary_commutation", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials, 2):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
-        u = states.random_unitary(2**n, rng, at.size)
+    for rho, (n, at, u) in zip(rhos, groups):
         u_dagger = u.conj().swapaxes(-1, -2)
         # The rotated states, then the states: one stack through one reflection.
         joined = stokes.HermitianOperator._built(np.concatenate([u @ rho.matrix @ u_dagger, rho.matrix]), n)
@@ -374,11 +448,10 @@ def reflection_unitary_commutation(rng, trials):
     return checks
 
 
-def classification(rng, trials):
+def classification(rng, trials, inputs=None):
+    _, groups = _inputs("classification", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials, 2):
-        factors = rng.choice([-1, 1], size=(at.size, n, 4)).astype(np.int8)
-        factors[:, :, 0] = 1
+    for n, at, factors in groups:
         outer = factors[:, 0].astype(np.int64)
         for q in range(1, n):
             outer = (outer[:, :, None] * factors[:, q, None, :]).reshape(at.size, -1)
@@ -400,9 +473,8 @@ def _classification_message(n: int, per_member, fixed, row: int, j: int) -> str:
     return f"n={n} checks={(*(bool(flag[j]) for flag in per_member), *map(bool, fixed))}"
 
 
-def operator_sums(rng, trials):
-    one = states.random_density(1, "mixed_dirichlet", rng, size=trials)
-    two = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+def operator_sums(rng, trials, inputs=None):
+    (one, two), _ = _inputs("operator_sums", rng, trials, inputs)
     transposed, flipped = _images(
         (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,))), stokes.to_stokes(one)
     )
@@ -423,19 +495,19 @@ def operator_sums(rng, trials):
     ]
 
 
-def bounded_reflection(rng, trials):
+def bounded_reflection(rng, trials, inputs=None):
+    rhos, groups = _inputs("bounded_reflection", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials, 2):
-        rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         witness = np.linalg.eigvalsh(criteria.complement(rho).matrix)[:, 0]
         checks.append(_within(-witness, 1e-10, rho, "reflection left the state cone", at))
     return checks
 
 
-def feasibility_bounds(rng, trials):
+def feasibility_bounds(rng, trials, inputs=None):
+    rhos, groups = _inputs("feasibility_bounds", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials, 2):
-        rho = states.random_density(n, "bounded_spectrum", rng, c=2.0 ** (1 - n), size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         _, flags = criteria.feasibility(rho)
         ok = (
             (~flags["sufficient_max_eig"] | flags["exact_psd"])
@@ -450,16 +522,11 @@ def _chain_message(flags: dict, row: int, j: int) -> str:
     return f"implication chain broke: { {name: bool(flag[j]) for name, flag in flags.items()} }"
 
 
-def ccn_dual_path(rng, trials):
-    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+def ccn_dual_path(rng, trials, inputs=None):
+    (rho, factors), (at, terms, weights) = _inputs("ccn_dual_path", rng, trials, inputs)
     s = stokes.to_stokes(rho)
     gap = np.abs(criteria.ccn(rho) - criteria.ccn_via_stokes(s))
-    # Every tenth trial also checks a random separable mixture.
-    at = np.arange(0, trials, 10)
-    terms = rng.integers(1, 5, size=at.size)
-    weights = np.concatenate([rng.dirichlet(np.ones(t)) for t in terms])
-    factors = states.random_density(1, "mixed_dirichlet", rng, size=2 * weights.size).matrix
-    left, right = factors[0::2], factors[1::2]
+    left, right = factors.matrix[0::2], factors.matrix[1::2]
     products = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
     mixes = np.add.reduceat(weights[:, None, None] * products, np.cumsum(terms) - terms)
     mix = stokes.HermitianOperator(mixes, stack=True)
@@ -470,9 +537,9 @@ def ccn_dual_path(rng, trials):
     ]
 
 
-def reflection_vs_ppt(rng, trials):
-    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
-    lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, states.random_reflection(rng, size=trials))
+def reflection_vs_ppt(rng, trials, inputs=None):
+    (rho,), reflected = _inputs("reflection_vs_ppt", rng, trials, inputs)
+    lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, reflected)
     s = stokes.to_stokes(rho)
     generic = reflections.apply_local_orthogonal(lomap, s).values
     transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), s).values
@@ -483,8 +550,8 @@ def reflection_vs_ppt(rng, trials):
     return [_within(gap, 1e-9, rho, "generic reflection spectrum diverged")]
 
 
-def partial_reflection_norm(rng, trials):
-    rho = states.random_density(3, "mixed_dirichlet", rng, size=trials)
+def partial_reflection_norm(rng, trials, inputs=None):
+    (rho,), _ = _inputs("partial_reflection_norm", rng, trials, inputs)
     s = stokes.to_stokes(rho)
     image = reflections.apply_mask(reflections.mask_total_reflection(3, (1, 2)), s)
     gap = np.abs(stokes.purity(image) - stokes.purity(s))
@@ -496,18 +563,18 @@ def partial_reflection_norm(rng, trials):
     ]
 
 
-def complement_mixture(rng, trials):
+def complement_mixture(rng, trials, inputs=None):
+    rhos, groups = _inputs("complement_mixture", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
+    for rho, (n, at, _) in zip(rhos, groups):
         mixed = (rho.matrix + criteria.complement(rho).matrix) / 2
         gap = _deviation(mixed, np.eye(2**n) / 2**n)
         checks.append(_within(gap, 1e-14, rho, "mixture missed the random state", at))
     return checks
 
 
-def relaxed_reflection(rng, trials):
-    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+def relaxed_reflection(rng, trials, inputs=None):
+    (rho,), _ = _inputs("relaxed_reflection", rng, trials, inputs)
     relaxed = reflections.relaxed_reflection(rho)
     via_remix = reflections.apply_mask(reflections.mask_total_reflection(2), states.remix(rho, 1.0 / 3.0))
     return [
@@ -516,8 +583,8 @@ def relaxed_reflection(rng, trials):
     ]
 
 
-def concurrence_lorentz(rng, trials):
-    rho = states.random_density(2, "mixed_dirichlet", rng, size=trials)
+def concurrence_lorentz(rng, trials, inputs=None):
+    (rho,), _ = _inputs("concurrence_lorentz", rng, trials, inputs)
     partner = spin_flipped_partner(rho).matrix
     direct = np.trace(rho.matrix @ partner, axis1=1, axis2=2).real
     s = stokes.to_stokes(rho)
@@ -529,11 +596,10 @@ def concurrence_lorentz(rng, trials):
     ]
 
 
-def hermitian_kernels(rng, trials):
+def hermitian_kernels(rng, trials, inputs=None):
+    rhos, groups = _inputs("hermitian_kernels", rng, trials, inputs)
     checks = []
-    for n, at in _qubit_groups(rng, trials):
-        rho = states.random_density(n, "mixed_dirichlet", rng, size=at.size)
-        bits = rng.integers(1, 2**n, size=at.size)
+    for rho, (n, at, bits) in zip(rhos, groups):
         # Each member picks its transpose and its reflection from the shared stack: one transform for both images.
         masks = _subset_masks(n)[np.concatenate([bits - 1, bits - 2 + 2**n])]
         s = stokes.to_stokes(rho)[np.tile(np.arange(at.size), 2)]
@@ -579,19 +645,53 @@ _CHECKS = [
 ]
 
 
+# Each invariant's draw: ``draw(rng, trials)`` takes every random input from the invariant's substream, in the order the
+# invariant reads them, and returns its state draws (built by ``states._build_densities``) and the rest of its inputs.
+_DRAWS = {
+    "stokes_round_trip": _group_draws,
+    "norm_bridge": _group_draws,
+    "one_qubit_spectrum": functools.partial(_stack_draws, (1,)),
+    "stokes_matrix_choi": functools.partial(_stack_draws, (2,)),
+    "mask_involution": _group_draws,
+    "mask_isometries": functools.partial(_group_draws, mode=None, then=_hermitian_pair),
+    "one_qubit_reflection_spectra": functools.partial(_stack_draws, (1,)),
+    "pure_reflection_spectrum": functools.partial(_stack_draws, (2,), mode="haar_pure"),
+    "reflection_unitary_commutation": functools.partial(_group_draws, low=2, then=_unitaries),
+    "classification": functools.partial(_group_draws, low=2, mode=None, then=_sign_factors),
+    "operator_sums": functools.partial(_stack_draws, (1, 2)),
+    "bounded_reflection": functools.partial(_group_draws, low=2, mode="bounded_spectrum"),
+    "feasibility_bounds": functools.partial(_group_draws, low=2, mode="bounded_spectrum"),
+    "ccn_dual_path": _ccn_draws,
+    "reflection_vs_ppt": _reflection_draws,
+    "partial_reflection_norm": functools.partial(_stack_draws, (3,)),
+    "complement_mixture": _group_draws,
+    "relaxed_reflection": functools.partial(_stack_draws, (2,)),
+    "concurrence_lorentz": functools.partial(_stack_draws, (2,)),
+    "hermitian_kernels": functools.partial(_group_draws, then=_subset_bits),
+}
+
+
 def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> list[InvariantResult]:
     """Run every invariant with per-check substreams spawned from ``seed``, an integer >= 0.
 
     The seed and the trial count are checked before anything is drawn, so a
-    fixed ``(seed, trials)`` always draws the same states.
+    fixed ``(seed, trials)`` always draws the same states.  Every invariant
+    draws from its substream first; then one ``states._build_densities``
+    call builds every state of the run, and each invariant runs on its
+    built inputs.  A state gets the bits it gets when its invariant runs
+    alone.
     """
     trials = stokes._count(trials, "trial counts")
     if (seed := stokes._label(seed, "seeds")) < 0:
         raise ValueError(f"seeds must be at least 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
+    drawn = [_DRAWS[name](np.random.default_rng(child), trials) for (name, _), child in zip(_CHECKS, children)]
+    built = iter(states._build_densities([draw for draws, _ in drawn for draw in draws]))
     results = []
-    for (name, invariant), child in zip(_CHECKS, children):
+    for (name, invariant), (draws, rest) in zip(_CHECKS, drawn):
+        invariant = functools.partial(invariant, inputs=([next(built) for _ in draws], rest))
         if corrupt_mask and name == "mask_involution":
             invariant = functools.partial(invariant, corrupt_mask=True)
-        results.append(_run(name, invariant, np.random.default_rng(child), trials))
+        # An invariant given its inputs draws nothing, so it gets no generator.
+        results.append(_run(name, invariant, None, trials))
     return results

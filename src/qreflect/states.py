@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,12 +109,17 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
+def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex standard Gaussian entries of ``shape``: every real part is drawn, then every imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix; ``size`` of them as one stack."""
     dim = _count(dim, "dimensions")
     rng = as_rng(rng)
     shape = (dim, dim) if size is None else (_count(size, "stack sizes"), dim, dim)
-    return _haar_qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return _haar_qr(_gaussian(rng, shape))
 
 
 def random_reflection(rng, size: int | None = None) -> np.ndarray:
@@ -124,6 +131,77 @@ def random_reflection(rng, size: int | None = None) -> np.ndarray:
     q = _haar_qr(as_rng(rng).standard_normal(shape))
     q[..., 0] *= np.where(np.linalg.det(q) > 0, -1.0, 1.0)[..., None]
     return q
+
+
+class _Draw(NamedTuple):
+    """The numbers of one :func:`random_density` call, before any state is built from them.
+
+    ``z`` holds the complex Gaussian kets of a pure draw, or the Gaussian
+    matrices whose Haar QR conjugates ``spectrum``; ``spectrum`` is None for
+    a pure draw.  Both lead with one axis of the draw's members, one member
+    when ``size`` is None.
+    """
+
+    n: int
+    size: int | None
+    z: np.ndarray
+    spectrum: np.ndarray | None
+
+
+def _draw_density(n, mode: str = "mixed_dirichlet", rng=None, c=None, size=None) -> _Draw:
+    """Check the arguments of :func:`random_density` and draw its numbers, in the order it always drew them."""
+    n = _qubits(n)
+    size = None if size is None else _count(size, "stack sizes")
+    if mode == "bounded_spectrum":
+        if not _is_real(c) or not 2.0**-n < c <= 1.0:
+            raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
+    elif c is not None:
+        raise ValueError(f"c bounds the spectrum in mode 'bounded_spectrum' only, got mode {mode!r}")
+    rng = as_rng(rng)
+    dim = 2**n
+    shape = (dim,) if size is None else (size, dim)
+    if mode == "haar_pure":
+        return _Draw(n, size, _gaussian(rng, shape).reshape(-1, dim), None)
+    if mode not in ("mixed_dirichlet", "bounded_spectrum"):
+        raise ValueError(f"unknown mode {mode!r}")
+    spectrum = rng.dirichlet(np.ones(dim), size=size)
+    if mode == "bounded_spectrum":
+        top = spectrum.max(axis=-1, keepdims=True)
+        mix = 2.0**-n
+        t = (c - mix) / (top - mix)
+        spectrum = np.where(top > c, mix + t * (spectrum - mix), spectrum)
+    return _Draw(n, size, _gaussian(rng, shape + (dim,)).reshape(-1, dim, dim), spectrum.reshape(-1, dim))
+
+
+def _build_densities(draws: list[_Draw]) -> list[DensityState]:
+    """The state of each draw, building every draw of one qubit count and kind (pure or not) as one stack.
+
+    A group takes one normalisation or one Haar QR, one product and one
+    :meth:`DensityState._built`, whose eigensolve gives the spectra; each
+    draw then gets its members, a single state for ``size=None``.  Every
+    step acts member by member, so a draw gets the same bits in any group.
+    """
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for k, draw in enumerate(draws):
+        groups.setdefault((draw.n, draw.spectrum is None), []).append(k)
+    built: list = [None] * len(draws)
+    for (n, pure), members in groups.items():
+        z = np.concatenate([draws[k].z for k in members])
+        if pure:
+            # Squared norm as two real dot products, the sum np.linalg.norm forms for one vector.
+            z /= np.sqrt(_squared_norms(z.real) + _squared_norms(z.imag))[:, None]
+            matrices = z[:, :, None] * z.conj()[:, None, :]
+        else:
+            u = _haar_qr(z)
+            spectrum = np.concatenate([draws[k].spectrum for k in members])
+            matrices = (u * spectrum[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        stack = DensityState._built(matrices, n)
+        start = 0
+        for k in members:
+            stop = start + len(draws[k].z)
+            built[k] = stack._image(operator.itemgetter(start if draws[k].size is None else slice(start, stop)))
+            start = stop
+    return built
 
 
 def random_density(
@@ -143,32 +221,7 @@ def random_density(
     ``size=None`` draws exactly the numbers one state always drew, so seeded
     results do not change; ``size=1`` draws the same numbers as a stack.
     """
-    n = _qubits(n)
-    size = None if size is None else _count(size, "stack sizes")
-    if mode == "bounded_spectrum":
-        if not _is_real(c) or not 2.0**-n < c <= 1.0:
-            raise ValueError(f"bounded_spectrum needs c in (2**-{n}, 1], got {c}")
-    elif c is not None:
-        raise ValueError(f"c bounds the spectrum in mode 'bounded_spectrum' only, got mode {mode!r}")
-    rng = as_rng(rng)
-    dim = 2**n
-    stack = size is not None
-    if mode == "haar_pure":
-        shape = (size, dim) if stack else (dim,)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # Squared norm as two real dot products, the sum np.linalg.norm forms for one vector.
-        z /= np.sqrt(_squared_norms(z.real) + _squared_norms(z.imag))[..., None]
-        return DensityState._built(z[..., :, None] * z.conj()[..., None, :], n)
-    if mode not in ("mixed_dirichlet", "bounded_spectrum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    spectrum = rng.dirichlet(np.ones(dim), size=size)
-    if mode == "bounded_spectrum":
-        top = spectrum.max(axis=-1, keepdims=True)
-        mix = 2.0**-n
-        t = (c - mix) / (top - mix)
-        spectrum = np.where(top > c, mix + t * (spectrum - mix), spectrum)
-    u = random_unitary(dim, rng, size)
-    return DensityState._built((u * spectrum[..., None, :]) @ u.conj().swapaxes(-1, -2), n)
+    return _build_densities([_draw_density(n, mode, rng, c, size)])[0]
 
 
 def remix(rho, w: float) -> DensityState:

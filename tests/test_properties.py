@@ -37,10 +37,38 @@ def test_every_invariant_reports_requested_trials_and_non_negative_worst(seed):
     ],
 )
 def test_a_seed_that_is_not_an_integer_at_least_0_is_refused_before_any_draw(seed, message, monkeypatch):
-    # a bool would run as seed 0 or 1, and None on fresh entropy: neither is reproducible from the call
-    monkeypatch.setattr(properties, "_run", lambda *args: pytest.fail("drew before checking the seed"))
+    # a bool would run as seed 0 or 1, and None on fresh entropy: neither is reproducible from the call. The suite
+    # draws every invariant's inputs before it runs any, so both steps fail if reached.
+    drew = lambda *args, **kwargs: pytest.fail("drew before checking the seed")  # noqa: E731
+    monkeypatch.setattr(properties, "_DRAWS", dict.fromkeys(properties._DRAWS, drew))
+    monkeypatch.setattr(properties, "_run", drew)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         properties.run_suite(seed, 2)
+
+
+@pytest.mark.parametrize("corrupt_mask", [False, True], ids=["clean", "corrupt"])
+@pytest.mark.parametrize("seed, trials", [(0, 1), (7, 2), (3, 8), (42, 25)])
+def test_the_suite_reports_what_each_invariant_reports_alone(seed, trials, corrupt_mask):
+    # run_suite draws every invariant's inputs and builds all their states together; an invariant run alone draws
+    # and builds its own from the same substream, so each state must keep its bits and each draw its place.
+    children = np.random.SeedSequence(seed).spawn(len(properties._CHECKS))
+    alone = []
+    for (name, fn), child in zip(properties._CHECKS, children):
+        if corrupt_mask and name == "mask_involution":
+            fn = functools.partial(fn, corrupt_mask=True)
+        alone.append(properties._run(name, fn, np.random.default_rng(child), trials).to_dict())
+    assert payload(properties.run_suite(seed, trials, corrupt_mask)) == alone
+
+
+def test_the_suite_builds_every_state_of_a_run_in_one_call(monkeypatch):
+    draws, sizes = [], []
+    draw, build = states._draw_density, states._build_densities
+    monkeypatch.setattr(states, "_draw_density", lambda *args, **kwargs: draws.append(draw(*args, **kwargs)) or draws[-1])
+    monkeypatch.setattr(states, "_build_densities", lambda given: sizes.append(len(given)) or build(given))
+    monkeypatch.setattr(states, "random_density", lambda *args, **kwargs: pytest.fail("built a state alone"))
+    assert all(r.passed for r in properties.run_suite(3, 8))
+    # Every stack of every invariant, one per qubit-count group or drawn stack, goes into one build.
+    assert len(draws) > len(properties._CHECKS) and sizes == [len(draws)]
 
 
 def test_corrupted_run_leaves_the_cached_catalog_intact():

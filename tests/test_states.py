@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qreflect as qr
-from qreflect import properties, stokes
+from qreflect import properties, states, stokes
 
 
 class TestPureStates:
@@ -321,6 +321,46 @@ class TestStackedDraws:
     def test_a_spectrum_cap_needs_the_bounded_mode(self, mode, rng):
         with pytest.raises(ValueError, match="bounded_spectrum"):
             qr.random_density(2, mode, rng, c=0.3)
+
+    def test_the_builder_gives_each_draw_the_bits_it_gets_alone(self):
+        # (n, mode, c, seed, size): stacks of every qubit count in every mode and a single state, joined in one build
+        calls = [
+            (1, "mixed_dirichlet", None, 1, 3),
+            (2, "haar_pure", None, 2, 2),
+            (3, "bounded_spectrum", 0.25, 3, 2),
+            (2, "mixed_dirichlet", None, 4, None),
+            (2, "mixed_dirichlet", None, 5, 4),
+            (3, "haar_pure", None, 6, 1),
+            (1, "bounded_spectrum", 0.75, 7, 2),
+            (2, "bounded_spectrum", 0.5, 8, 3),
+            (3, "mixed_dirichlet", None, 9, 2),
+            (1, "haar_pure", None, 10, 2),
+        ]
+        built = states._build_densities([states._draw_density(n, mode, seed, c, size) for n, mode, c, seed, size in calls])
+        for (n, mode, c, seed, size), rho in zip(calls, built):
+            alone = qr.random_density(n, mode, seed, c=c, size=size)
+            assert (rho.n, rho.is_stack) == (alone.n, size is not None)
+            assert np.array_equal(rho.matrix, alone.matrix) and np.array_equal(rho.spectrum, alone.spectrum)
+            # Both are the recipe's bits, member by member: a normalised ket's projector, or U diag(spectrum) U^dagger.
+            rng = np.random.default_rng(seed)
+            dim = 2**n
+            members = 1 if size is None else size
+            if mode == "haar_pure":
+                kets = rng.standard_normal((members, dim)) + 1j * rng.standard_normal((members, dim))
+                units = [z / np.linalg.norm(z) for z in kets]
+                products = [np.outer(v, v.conj()) for v in units]
+            else:
+                spectra = rng.dirichlet(np.ones(dim), size=members)
+                if c is not None:
+                    top, mix = spectra.max(axis=1, keepdims=True), 2.0**-n
+                    spectra = np.where(top > c, mix + (c - mix) / (top - mix) * (spectra - mix), spectra)
+                u = qr.random_unitary(dim, rng, members)
+                products = [(u[k] * spectra[k]) @ u[k].conj().T for k in range(members)]
+            for k, m in enumerate(products):
+                expected = (m + m.conj().T) / 2
+                member = rho if size is None else rho[k]
+                assert np.array_equal(member.matrix, expected)
+                assert np.array_equal(member.spectrum, np.linalg.eigvalsh(expected))
 
     def test_a_reflection_stack_draws_the_numbers_of_successive_calls(self):
         stack = qr.random_reflection(5, size=6)
