@@ -110,8 +110,15 @@ def _haar_qr(z: np.ndarray) -> np.ndarray:
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex standard Gaussian entries of ``shape``: every real part is drawn, then every imaginary part."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Complex standard Gaussian entries of ``shape``: every real part is drawn, then every imaginary part.
+
+    The two draws fill the parts of one complex array, in that order, so
+    the stream and the numbers are those of ``real + 1j * imaginary``.
+    """
+    z = np.empty(shape, complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 def random_unitary(dim: int, rng, size: int | None = None) -> np.ndarray:

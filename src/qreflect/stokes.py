@@ -406,8 +406,10 @@ def _apply_per_qubit(kernels, values: np.ndarray) -> np.ndarray:
     member with its own matrix.
 
     The Pauli kernels of the conversions multiply exactly, so a member's
-    bits do not depend on the stack's width; the general blocks of
-    :func:`reflections.apply_local_orthogonal` round, and theirs may.
+    bits do not depend on the stack's width.  The general blocks of
+    :func:`reflections.apply_local_orthogonal` round, but only one map
+    applied across a stack may move a member's bits: a map stack gives each
+    member the bits of its own map applied alone.
     """
     shape = values.shape
     values = values.T

@@ -197,6 +197,24 @@ def test_nan_gap_fails():
     assert not result.passed and result.detail == "nan" and result.counterexample is None
 
 
+def test_a_random_hermitian_stack_is_what_the_full_check_keeps(monkeypatch):
+    # The drawn stack skips the input checks; the full constructor keeps the same bits from the same draw.
+    drawn = []
+    built = stokes.HermitianOperator._built
+    monkeypatch.setattr(
+        stokes.HermitianOperator, "_built", classmethod(lambda cls, h, n: drawn.append(h.copy()) or built(h, n))
+    )
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 3):
+        for size in range(1, 13):
+            x = properties._random_hermitian(n, rng, size)
+            m = x.matrix
+            assert (x.n, m.shape) == (n, (size, 2**n, 2**n))
+            assert np.array_equal(m, stokes.HermitianOperator(drawn.pop(), stack=True).matrix), (n, size)
+            assert (m == m.conj().swapaxes(-1, -2)).all(), (n, size)
+            assert np.abs(np.trace(m, axis1=1, axis2=2) - 1.0).max() <= stokes.TRACE_TOL, (n, size)
+
+
 def test_classification_reports_the_flags_of_its_earliest_failing_trial(monkeypatch):
     # With a factorizable "total reflection" the three flags read off it fail in every trial.
     identity = lambda n, subset=None: reflections.SignMask(np.ones(4**n))  # noqa: E731

@@ -290,6 +290,15 @@ class TestStackedDraws:
             assert np.abs(stack[k] @ stack[k].conj().T - np.eye(8)).max() < 1e-13
         assert np.array_equal(qr.random_unitary(8, 5, size=1)[0], qr.random_unitary(8, 5))
 
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 4, 4)], ids=["scalar", "flat", "stack"])
+    def test_the_complex_gaussian_keeps_its_stream(self, shape):
+        # Every real part, then every imaginary part, as the sum of two draws takes them.
+        ours, theirs = np.random.default_rng(13), np.random.default_rng(13)
+        z = states._gaussian(ours, shape)
+        assert np.array_equal(z, theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape))
+        assert np.shape(z) == shape and np.iscomplexobj(z)
+        assert np.array_equal(ours.standard_normal(5), theirs.standard_normal(5))
+
     def test_stacked_spectra_are_the_drawn_simplex_points(self):
         spectra = np.random.default_rng(11).dirichlet(np.ones(8), size=6)
         rho = qr.random_density(3, "mixed_dirichlet", 11, size=6)

@@ -654,6 +654,18 @@ class TestMemberBits:
                 if isinstance(joined, qr.DensityState):
                     assert np.array_equal(joined.spectrum, np.concatenate([x.spectrum for x in parts]))
 
+    def test_a_map_stack_gives_each_member_the_bits_of_its_own_map(self):
+        # One map per member multiplies each member as its single call does; one map across a stack may not.
+        rng = np.random.default_rng(2031)
+        for _ in range(300):
+            n, size = int(rng.integers(1, 4)), int(rng.integers(2, 13))
+            s = qr.to_stokes(properties._random_hermitian(n, rng, size))
+            qubit = int(rng.integers(1, n + 1))
+            lomap = qr.LocalOrthogonalMap.single_qubit(n, qubit, qr.random_reflection(rng, size=size))
+            images = qr.apply_local_orthogonal(lomap, s).values
+            for k in range(size):
+                assert np.array_equal(images[k], qr.apply_local_orthogonal(lomap[k], s[k]).values), (n, qubit, k)
+
     def test_two_masks_through_one_transform_give_each_images_bits(self):
         for x, rng in self.draws(2030):
             catalog = properties._mask_catalog(x.n)
