@@ -4,8 +4,10 @@ State files carry ``n``, a ``format`` of either ``hermitian`` (row-major
 ``2**n x 2**n`` ``re``/``im`` arrays) or ``stokes`` (a flat ``values`` array
 of ``4**n`` entries in base-4 row-major multi-index order), plus free-form
 annotation fields such as ``seed`` or ``label``; an annotation may not reuse
-a schema field's name.  Every array is read shape first, then each entry
-once (:func:`_array`).  Floats are written at full double precision.  A
+a schema field's name.  So a document that carries the other format's arrays
+(``values`` beside ``re``/``im``, or the reverse) is refused, and so is an
+object that names one key twice.  Every array is read shape first, then each
+entry once (:func:`_array`).  Floats are written at full double precision.  A
 path is anything :func:`os.fspath` accepts (``str``, ``bytes`` or
 ``os.PathLike``); an ``int`` raises ``TypeError`` and is never read or
 written as a file descriptor.
@@ -88,6 +90,9 @@ def state_from_dict(doc: dict):
     fmt = doc.get("format")
     if fmt not in ("hermitian", "stokes"):
         raise StateFormatError("state document needs format 'hermitian' or 'stokes'")
+    # The other format's arrays are schema fields, which no annotation may reuse.
+    if carried := [field for field in (("re", "im") if fmt == "stokes" else ("values",)) if field in doc]:
+        raise StateFormatError(f"a {fmt} document must not carry {carried[0]!r}")
     try:
         n = _qubits(doc.get("n"))
         if fmt == "stokes":
@@ -100,10 +105,28 @@ def state_from_dict(doc: dict):
         raise StateFormatError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of the JSON ``pairs``; a key named twice is refused, where ``json`` would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise StateFormatError(f"field {repeated!r} appears more than once")
+    return doc
+
+
+# One decoder for every state file: json.loads(raw, object_pairs_hook=...) would build a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_density(raw: bytes, source) -> DensityState:
-    """Parse the bytes of a state file and validate them as a density operator; every refusal names ``source``."""
+    """Parse the bytes of a state file and validate them as a density operator; every refusal names ``source``.
+
+    The bytes are decoded as :func:`json.loads` decodes them, and a ``str`` is read as it is.
+    """
     try:
-        state = state_from_dict(json.loads(raw))
+        text = raw if isinstance(raw, str) else raw.decode(json.detect_encoding(raw), "surrogatepass")
+        state = state_from_dict(_DECODER.decode(text))
     except StateFormatError as exc:
         raise StateFormatError(f"{exc} (in {source})") from exc
     except (RecursionError, ValueError) as exc:

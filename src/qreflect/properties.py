@@ -28,10 +28,14 @@ private draw (``_DRAWS``) takes the qubit counts, the states' numbers, the
 subset bits, the unitaries and the reflections from the substream in the
 order the invariant reads them.  :func:`run_suite` draws for every
 invariant first and then builds all random states of the run in one
-``states._build_densities`` call, one stack per qubit count and kind; each
-member is bit-identical to its own build, so every invariant gets the
-inputs, and reports the result, it gets when it runs alone.  Called with a
-generator alone, an invariant draws and builds its own inputs.
+``states._build_densities`` call, one stack per qubit count and kind.  The
+states an invariant reads as Stokes values (``_READ_AS_STOKES``) then take
+one shared ``to_stokes`` per qubit count (:func:`_stokes_values`), and each
+invariant is given the tensors of its own states.  A member is
+bit-identical to its own build and its own transform, so every invariant
+gets the inputs, and reports the result, it gets when it runs alone.
+Called with a generator alone, an invariant draws, builds and transforms
+its own inputs through the same two calls.
 
 It also holds the Hermitian-side operator sums and the reshuffle-related
 sign pair: independent oracles for the sign masks of :mod:`reflections`,
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -216,15 +221,46 @@ def _reflection_draws(rng, trials: int):
     return [states._draw_density(2, "mixed_dirichlet", rng, size=trials)], states.random_reflection(rng, size=trials)
 
 
+def _read_as_stokes(name: str, rhos: list) -> list:
+    """The built state stacks that invariant ``name`` reads as Stokes values (see ``_READ_AS_STOKES``)."""
+    return rhos[_READ_AS_STOKES.get(name, slice(0))]
+
+
+def _stokes_values(stacks: list[list[stokes.DensityState]]) -> list[list[stokes.StokesTensor]]:
+    """The Stokes tensor of every state stack of ``stacks`` (one list per invariant), from one ``to_stokes`` per count.
+
+    The stacks of one qubit count are joined in the order given, and each
+    takes back the tensors of its own members.  The transform gives a
+    member the same bits in any stack, so each tensor is bit-identical to
+    ``to_stokes`` of its stack alone.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, rhos in enumerate(stacks):
+        for k, rho in enumerate(rhos):
+            groups.setdefault(rho.n, []).append((i, k))
+    tensors: list[list] = [[None] * len(rhos) for rhos in stacks]
+    for n, members in groups.items():
+        joined = np.concatenate([stacks[i][k].matrix for i, k in members])
+        values = stokes.to_stokes(stokes.HermitianOperator._built(joined, n))
+        start = 0
+        for i, k in members:
+            stop = start + len(stacks[i][k].matrix)
+            tensors[i][k] = values._image(operator.itemgetter(slice(start, stop)))
+            start = stop
+    return tensors
+
+
 def _inputs(name: str, rng, trials: int, inputs):
     """The inputs of invariant ``name``: ``inputs`` as :func:`run_suite` built them, else its own draw, built alone.
 
-    An invariant's inputs are its built states, in draw order, and the rest
-    of its draw (see ``_DRAWS``).
+    An invariant's inputs are its built states, in draw order, the Stokes
+    tensors of the states it reads as Stokes values (:func:`_stokes_values`),
+    and the rest of its draw (see ``_DRAWS``).
     """
     if inputs is None:
         draws, rest = _DRAWS[name](rng, trials)
-        inputs = states._build_densities(draws), rest
+        rhos = states._build_densities(draws)
+        inputs = rhos, _stokes_values([_read_as_stokes(name, rhos)])[0], rest
     return inputs
 
 
@@ -350,27 +386,27 @@ def _images(masks: tuple[reflections.SignMask, ...], s: stokes.StokesTensor) -> 
 
 
 def stokes_round_trip(rng, trials, inputs=None):
-    rhos, groups = _inputs("stokes_round_trip", rng, trials, inputs)
+    rhos, tensors, groups = _inputs("stokes_round_trip", rng, trials, inputs)
     checks = []
-    for rho, (n, at, _) in zip(rhos, groups):
-        back = stokes.from_stokes(stokes.to_stokes(rho))
+    for rho, s, (n, at, _) in zip(rhos, tensors, groups):
+        back = stokes.from_stokes(s)
         checks.append(_within(_deviation(back.matrix, rho.matrix), 1e-12, rho, "round trip exceeded its bound", at))
     return checks
 
 
 def norm_bridge(rng, trials, inputs=None):
-    rhos, groups = _inputs("norm_bridge", rng, trials, inputs)
+    rhos, tensors, groups = _inputs("norm_bridge", rng, trials, inputs)
     checks = []
-    for rho, (n, at, _) in zip(rhos, groups):
-        sigma = stokes.to_real_density(stokes.to_stokes(rho)).entries
+    for rho, s, (n, at, _) in zip(rhos, tensors, groups):
+        sigma = stokes.to_real_density(s).entries
         gap = np.abs(np.linalg.norm(sigma, axis=(1, 2)) / 2 ** (n / 2) - np.linalg.norm(rho.matrix, axis=(1, 2)))
         checks.append(_within(gap, 1e-12, rho, "unfolding changed the norm", at))
     return checks
 
 
 def one_qubit_spectrum(rng, trials, inputs=None):
-    (rho,), _ = _inputs("one_qubit_spectrum", rng, trials, inputs)
-    v = stokes.to_stokes(rho).values
+    (rho,), (s,), _ = _inputs("one_qubit_spectrum", rng, trials, inputs)
+    v = s.values
     radius = np.sqrt((v[:, 1:] ** 2).sum(axis=1))
     closed = (1 / math.sqrt(2)) * (1 / math.sqrt(2) + radius[:, None] * [-1.0, 1.0])
     # rho.spectrum is the ascending eigensolve the state was validated with.
@@ -378,18 +414,17 @@ def one_qubit_spectrum(rng, trials, inputs=None):
 
 
 def stokes_matrix_choi(rng, trials, inputs=None):
-    (rho,), _ = _inputs("stokes_matrix_choi", rng, trials, inputs)
-    s = stokes.to_stokes(rho)
+    (rho,), (s,), _ = _inputs("stokes_matrix_choi", rng, trials, inputs)
     lhs = stokes.choi_reshuffle(stokes.to_real_density(s).entries).swapaxes(-1, -2)
     same = (lhs == stokes.stokes_as_matrix(s)).all(axis=(1, 2))
     return [_holds(same, rho, "reshuffle correspondence broke")]
 
 
 def mask_involution(rng, trials, corrupt_mask=False, inputs=None):
-    rhos, groups = _inputs("mask_involution", rng, trials, inputs)
+    rhos, tensors, groups = _inputs("mask_involution", rng, trials, inputs)
     checks = []
-    for rho, (n, at, _) in zip(rhos, groups):
-        masks, pairs = _every_pair(_stacked(_mask_catalog(n)), stokes.to_stokes(rho), at.size)
+    for rho, s, (n, at, _) in zip(rhos, tensors, groups):
+        masks, pairs = _every_pair(_stacked(_mask_catalog(n)), s, at.size)
         seconds, suffix = masks, ""
         if corrupt_mask:
             tampered = masks.signs.copy()
@@ -403,7 +438,7 @@ def mask_involution(rng, trials, corrupt_mask=False, inputs=None):
 
 
 def mask_isometries(rng, trials, inputs=None):
-    _, groups = _inputs("mask_isometries", rng, trials, inputs)
+    _, _, groups = _inputs("mask_isometries", rng, trials, inputs)
     checks = []
     for n, at, (a, b) in groups:
         inner = (a.matrix.conj() * b.matrix).sum(axis=(1, 2)).real
@@ -426,23 +461,23 @@ def mask_isometries(rng, trials, inputs=None):
 
 
 def one_qubit_reflection_spectra(rng, trials, inputs=None):
-    (rho,), _ = _inputs("one_qubit_reflection_spectra", rng, trials, inputs)
+    (rho,), (s,), _ = _inputs("one_qubit_reflection_spectra", rng, trials, inputs)
     masks = (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,)))
     # One batched eigensolve of both images; each member's spectrum is the one it gets alone.
-    spectra = np.linalg.eigvalsh(_images(masks, stokes.to_stokes(rho)))
+    spectra = np.linalg.eigvalsh(_images(masks, s))
     gaps = [_deviation(spectrum, rho.spectrum) for spectrum in spectra]
     return [_within(gaps, 1e-10, rho, functools.partial(_row_message, [m.name for m in masks]))]
 
 
 def pure_reflection_spectrum(rng, trials, inputs=None):
-    (rho,), _ = _inputs("pure_reflection_spectrum", rng, trials, inputs)
-    image = reflections.apply_mask(reflections.mask_total_reflection(2), rho)
+    (rho,), (s,), _ = _inputs("pure_reflection_spectrum", rng, trials, inputs)
+    image = stokes.from_stokes(reflections.apply_mask(reflections.mask_total_reflection(2), s))
     gap = _deviation(np.linalg.eigvalsh(image.matrix), np.array([-0.5, 0.5, 0.5, 0.5]))
     return [_within(gap, 1e-10, rho, "pure-state image spectrum off")]
 
 
 def reflection_unitary_commutation(rng, trials, inputs=None):
-    rhos, groups = _inputs("reflection_unitary_commutation", rng, trials, inputs)
+    rhos, _, groups = _inputs("reflection_unitary_commutation", rng, trials, inputs)
     checks = []
     for rho, (n, at, u) in zip(rhos, groups):
         u_dagger = u.conj().swapaxes(-1, -2)
@@ -456,7 +491,7 @@ def reflection_unitary_commutation(rng, trials, inputs=None):
 
 
 def classification(rng, trials, inputs=None):
-    _, groups = _inputs("classification", rng, trials, inputs)
+    _, _, groups = _inputs("classification", rng, trials, inputs)
     checks = []
     for n, at, factors in groups:
         outer = factors[:, 0].astype(np.int64)
@@ -481,12 +516,12 @@ def _classification_message(n: int, per_member, fixed, row: int, j: int) -> str:
 
 
 def operator_sums(rng, trials, inputs=None):
-    (one, two), _ = _inputs("operator_sums", rng, trials, inputs)
+    (one, two), (s_one, s_two), _ = _inputs("operator_sums", rng, trials, inputs)
     transposed, flipped = _images(
-        (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,))), stokes.to_stokes(one)
+        (reflections.mask_partial_transpose(1, (1,)), reflections.mask_spin_flip(1, (1,))), s_one
     )
     two_body, double_flip = _images(
-        (reflections.mask_two_body_flip(), reflections.mask_spin_flip(2, (1, 2))), stokes.to_stokes(two)
+        (reflections.mask_two_body_flip(), reflections.mask_spin_flip(2, (1, 2))), s_two
     )
     ones = [
         (one_qubit_operator_sum("transpose", one), transposed),
@@ -503,7 +538,7 @@ def operator_sums(rng, trials, inputs=None):
 
 
 def bounded_reflection(rng, trials, inputs=None):
-    rhos, groups = _inputs("bounded_reflection", rng, trials, inputs)
+    rhos, _, groups = _inputs("bounded_reflection", rng, trials, inputs)
     checks = []
     for rho, (n, at, _) in zip(rhos, groups):
         witness = np.linalg.eigvalsh(criteria.complement(rho).matrix)[:, 0]
@@ -512,7 +547,7 @@ def bounded_reflection(rng, trials, inputs=None):
 
 
 def feasibility_bounds(rng, trials, inputs=None):
-    rhos, groups = _inputs("feasibility_bounds", rng, trials, inputs)
+    rhos, _, groups = _inputs("feasibility_bounds", rng, trials, inputs)
     checks = []
     for rho, (n, at, _) in zip(rhos, groups):
         _, flags = criteria.feasibility(rho)
@@ -530,8 +565,7 @@ def _chain_message(flags: dict, row: int, j: int) -> str:
 
 
 def ccn_dual_path(rng, trials, inputs=None):
-    (rho, factors), (at, terms, weights) = _inputs("ccn_dual_path", rng, trials, inputs)
-    s = stokes.to_stokes(rho)
+    (rho, factors), (s,), (at, terms, weights) = _inputs("ccn_dual_path", rng, trials, inputs)
     gap = np.abs(criteria.ccn(rho) - criteria.ccn_via_stokes(s))
     left, right = factors.matrix[0::2], factors.matrix[1::2]
     products = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(-1, 4, 4)
@@ -545,9 +579,8 @@ def ccn_dual_path(rng, trials, inputs=None):
 
 
 def reflection_vs_ppt(rng, trials, inputs=None):
-    (rho,), reflected = _inputs("reflection_vs_ppt", rng, trials, inputs)
+    (rho,), (s,), reflected = _inputs("reflection_vs_ppt", rng, trials, inputs)
     lomap = reflections.LocalOrthogonalMap.single_qubit(2, 1, reflected)
-    s = stokes.to_stokes(rho)
     generic = reflections.apply_local_orthogonal(lomap, s).values
     transposed = reflections.apply_mask(reflections.mask_partial_transpose(2, (1,)), s).values
     images = stokes.from_stokes(stokes.StokesTensor._built(np.concatenate([generic, transposed]), 2)).matrix
@@ -558,8 +591,7 @@ def reflection_vs_ppt(rng, trials, inputs=None):
 
 
 def partial_reflection_norm(rng, trials, inputs=None):
-    (rho,), _ = _inputs("partial_reflection_norm", rng, trials, inputs)
-    s = stokes.to_stokes(rho)
+    (rho,), (s,), _ = _inputs("partial_reflection_norm", rng, trials, inputs)
     image = reflections.apply_mask(reflections.mask_total_reflection(3, (1, 2)), s)
     gap = np.abs(stokes.purity(image) - stokes.purity(s))
     moved = np.linalg.eigvalsh(stokes.from_stokes(image).matrix)
@@ -571,7 +603,7 @@ def partial_reflection_norm(rng, trials, inputs=None):
 
 
 def complement_mixture(rng, trials, inputs=None):
-    rhos, groups = _inputs("complement_mixture", rng, trials, inputs)
+    rhos, _, groups = _inputs("complement_mixture", rng, trials, inputs)
     checks = []
     for rho, (n, at, _) in zip(rhos, groups):
         mixed = (rho.matrix + criteria.complement(rho).matrix) / 2
@@ -581,7 +613,7 @@ def complement_mixture(rng, trials, inputs=None):
 
 
 def relaxed_reflection(rng, trials, inputs=None):
-    (rho,), _ = _inputs("relaxed_reflection", rng, trials, inputs)
+    (rho,), _, _ = _inputs("relaxed_reflection", rng, trials, inputs)
     relaxed = reflections.relaxed_reflection(rho)
     via_remix = reflections.apply_mask(reflections.mask_total_reflection(2), states.remix(rho, 1.0 / 3.0))
     return [
@@ -591,10 +623,9 @@ def relaxed_reflection(rng, trials, inputs=None):
 
 
 def concurrence_lorentz(rng, trials, inputs=None):
-    (rho,), _ = _inputs("concurrence_lorentz", rng, trials, inputs)
+    (rho,), (s,), _ = _inputs("concurrence_lorentz", rng, trials, inputs)
     partner = spin_flipped_partner(rho).matrix
     direct = np.trace(rho.matrix @ partner, axis1=1, axis2=2).real
-    s = stokes.to_stokes(rho)
     metric = criteria.lorentz_metric(s)
     concurrence = criteria.concurrence(rho)
     return [
@@ -604,13 +635,12 @@ def concurrence_lorentz(rng, trials, inputs=None):
 
 
 def hermitian_kernels(rng, trials, inputs=None):
-    rhos, groups = _inputs("hermitian_kernels", rng, trials, inputs)
+    rhos, tensors, groups = _inputs("hermitian_kernels", rng, trials, inputs)
     checks = []
-    for rho, (n, at, bits) in zip(rhos, groups):
+    for rho, s, (n, at, bits) in zip(rhos, tensors, groups):
         # Each member picks its transpose and its reflection from the shared stack: one transform for both images.
         masks = _subset_masks(n)[np.concatenate([bits - 1, bits - 2 + 2**n])]
-        s = stokes.to_stokes(rho)[np.tile(np.arange(at.size), 2)]
-        images = stokes.from_stokes(reflections.apply_mask(masks, s)).matrix
+        images = stokes.from_stokes(reflections.apply_mask(masks, s[np.tile(np.arange(at.size), 2)])).matrix
         transposed, reflected = images[: at.size], images[at.size :]
         # The matrix kernels stay the oracle, one call per distinct subset.
         for b in sorted(set(bits.tolist())):
@@ -678,6 +708,29 @@ _DRAWS = {
     "hermitian_kernels": functools.partial(_group_draws, then=_subset_bits),
 }
 
+# The state draws each invariant reads as Stokes values, as a slice of its state draws; any other invariant reads
+# none.  ccn_dual_path reads its two-qubit states only: its one-qubit factors build a separable mixture.
+_READ_AS_STOKES = {
+    **dict.fromkeys(
+        (
+            "stokes_round_trip",
+            "norm_bridge",
+            "one_qubit_spectrum",
+            "stokes_matrix_choi",
+            "mask_involution",
+            "one_qubit_reflection_spectra",
+            "pure_reflection_spectrum",
+            "operator_sums",
+            "reflection_vs_ppt",
+            "partial_reflection_norm",
+            "concurrence_lorentz",
+            "hermitian_kernels",
+        ),
+        slice(None),
+    ),
+    "ccn_dual_path": slice(1),
+}
+
 
 def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> list[InvariantResult]:
     """Run every invariant with per-check substreams spawned from ``seed``, an integer >= 0.
@@ -685,9 +738,10 @@ def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> 
     The seed and the trial count are checked before anything is drawn, so a
     fixed ``(seed, trials)`` always draws the same states.  Every invariant
     draws from its substream first; then one ``states._build_densities``
-    call builds every state of the run, and each invariant runs on its
-    built inputs.  A state gets the bits it gets when its invariant runs
-    alone.
+    call builds every state of the run, one :func:`_stokes_values` call
+    takes every state read as Stokes values through one transform per qubit
+    count, and each invariant runs on its built inputs.  A state and its
+    tensor get the bits they get when their invariant runs alone.
     """
     trials = stokes._count(trials, "trial counts")
     if (seed := stokes._label(seed, "seeds")) < 0:
@@ -695,9 +749,11 @@ def run_suite(seed: int = 42, trials: int = 500, corrupt_mask: bool = False) -> 
     children = np.random.SeedSequence(seed).spawn(len(_CHECKS))
     drawn = [_DRAWS[name](np.random.default_rng(child), trials) for (name, _), child in zip(_CHECKS, children)]
     built = iter(states._build_densities([draw for draws, _ in drawn for draw in draws]))
+    rhos = [[next(built) for _ in draws] for draws, _ in drawn]
+    tensors = _stokes_values([_read_as_stokes(name, stacks) for (name, _), stacks in zip(_CHECKS, rhos)])
     results = []
-    for (name, invariant), (draws, rest) in zip(_CHECKS, drawn):
-        invariant = functools.partial(invariant, inputs=([next(built) for _ in draws], rest))
+    for (name, invariant), stacks, read, (_, rest) in zip(_CHECKS, rhos, tensors, drawn):
+        invariant = functools.partial(invariant, inputs=(stacks, read, rest))
         if corrupt_mask and name == "mask_involution":
             invariant = functools.partial(invariant, corrupt_mask=True)
         # An invariant given its inputs draws nothing, so it gets no generator.

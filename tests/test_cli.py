@@ -295,6 +295,14 @@ class TestAnalyze:
             ({"n": 1, "format": "hermitian", "re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}, "negative"),
             ({"n": 1, "format": "stokes", "values": 5}, "'values' must be a flat array of 4 entries"),
             ({"n": 1, "format": "stokes", "values": [10**400, 0, 0, 0]}, "entries must be at most 1e+150 in magnitude"),
+            (
+                {"n": 1, "format": "hermitian", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "values": [1, 2, 3]},
+                "a hermitian document must not carry 'values'",
+            ),
+            (
+                {"n": 1, "format": "stokes", "values": [2**-0.5, 0, 0, 0], "re": [[1, 0], [0, 0]], "im": [[0, 0]]},
+                "a stokes document must not carry 're'",
+            ),
         ],
         ids=[
             "nan",
@@ -306,6 +314,8 @@ class TestAnalyze:
             "not-a-density",
             "values-5",
             "big-int",
+            "hermitian-with-values",
+            "stokes-with-re-im",
         ],
     )
     def test_every_load_refusal_names_the_file(self, tmp_path, doc, message):
@@ -317,6 +327,15 @@ class TestAnalyze:
         assert proc.stdout == ""
         assert message in proc.stderr
         assert str(path) in proc.stderr
+
+    def test_a_repeated_key_exits_2(self, tmp_path):
+        # json.loads keeps the last value, so this file once read as n = 2 and failed on the length of 'values'
+        path = tmp_path / "twice.json"
+        path.write_text('{"n": 1, "format": "stokes", "values": [0.7071067811865476, 0, 0, 0], "n": 2}')
+        proc = run_cli("analyze", str(path), "--feasible")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: field 'n' appears more than once (in {path})\n"
 
 
 class TestSolveOnce:

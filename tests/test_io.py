@@ -230,6 +230,46 @@ class TestStateFiles:
         assert not (tmp_path / "state.json").exists()
         assert state_to_dict(qr.bell_state(), label="x", seed=7)["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (
+                {"n": 1, "format": "hermitian", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "values": [1, 2, 3]},
+                "values",
+            ),
+            ({"n": 1, "format": "stokes", "values": [2**-0.5, 0, 0, 0], "re": [[1, 0], [0, 0]]}, "re"),
+            ({"n": 1, "format": "stokes", "values": [2**-0.5, 0, 0, 0], "im": None}, "im"),
+        ],
+        ids=["hermitian-with-values", "stokes-with-re", "stokes-with-im"],
+    )
+    def test_a_document_carrying_the_other_formats_arrays_is_refused(self, doc, field):
+        # the other format's arrays were once ignored, so the document read as if they were not there
+        message = f"^a {doc['format']} document must not carry '{field}'"
+        with pytest.raises(StateFormatError, match=message + "$"):
+            state_from_dict(doc)
+        with pytest.raises(StateFormatError, match=message + r" \(in doc\)$"):
+            parse_density(json.dumps(doc).encode(), "doc")
+
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            (b'{"n": 1, "format": "stokes", "values": [0.7071067811865476, 0, 0, 0], "n": 2}', "n"),
+            (b'{"format": "hermitian", "format": "stokes", "n": 1, "values": [0.7071067811865476, 0, 0, 0]}', "format"),
+            (b'{"n": 1, "format": "stokes", "values": [0.7071067811865476, 0, 0, 0], "label": {"a": 1, "a": 2}}', "a"),
+        ],
+        ids=["n", "format", "nested"],
+    )
+    def test_a_key_named_twice_is_refused(self, raw, field):
+        # json keeps the last value of a repeated key: {"n": 1, ..., "n": 2} once read as n = 2
+        with pytest.raises(StateFormatError, match=f"^field '{field}' appears more than once \\(in doc\\)$"):
+            parse_density(raw, "doc")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32-le"])
+    def test_a_state_file_decodes_as_json_loads_decodes_it(self, encoding):
+        text = json.dumps(state_to_dict(qr.to_stokes(qr.bell_state())))
+        rho = parse_density(text.encode(encoding), "doc")
+        assert np.array_equal(rho.matrix, parse_density(text, "doc").matrix)
+
     def test_serialising_other_types_rejected(self):
         with pytest.raises(TypeError):
             state_to_dict(np.eye(2))

@@ -293,3 +293,59 @@ def test_the_images_an_invariant_compares_cross_one_transform(name, monkeypatch)
     result = properties._run(name, getattr(properties, name), np.random.default_rng(seed), trials)
     assert result.passed, result.to_dict()
     assert (calls["to_stokes"], calls["from_stokes"]) == TRANSFORMS_PER_INVARIANT[name]
+
+
+# The invariants whose states take the shared transform, in suite order.
+READ_AS_STOKES = [
+    "stokes_round_trip",
+    "norm_bridge",
+    "one_qubit_spectrum",
+    "stokes_matrix_choi",
+    "mask_involution",
+    "one_qubit_reflection_spectra",
+    "pure_reflection_spectrum",
+    "operator_sums",
+    "ccn_dual_path",
+    "reflection_vs_ppt",
+    "partial_reflection_norm",
+    "concurrence_lorentz",
+    "hermitian_kernels",
+]
+
+
+def test_a_run_makes_one_shared_transform_per_qubit_count(monkeypatch):
+    # Every state an invariant reads as Stokes values joins the others of its qubit count in one to_stokes.
+    given, shared = [], []
+    helper, transform = properties._stokes_values, stokes.to_stokes
+
+    def counted(stacks):
+        given.append(stacks)
+        with monkeypatch.context() as patch:
+            patch.setattr(stokes, "to_stokes", lambda op: shared.append((op.n, len(op.matrix))) or transform(op))
+            return helper(stacks)
+
+    monkeypatch.setattr(properties, "_stokes_values", counted)
+    assert all(r.passed for r in properties.run_suite(0, 8))
+    (stacks,) = given
+    assert [name for (name, _), rhos in zip(properties._CHECKS, stacks) if rhos] == READ_AS_STOKES
+    members = {n: sum(len(rho.matrix) for rhos in stacks for rho in rhos if rho.n == n) for n in (1, 2, 3)}
+    assert sorted(shared) == list(members.items())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_tensor_handed_to_an_invariant_is_the_transform_of_its_state_alone(seed, monkeypatch):
+    handed = {}
+    run = properties._run
+
+    def recorded(name, invariant, rng, trials):
+        handed[name] = invariant.keywords["inputs"]
+        return run(name, invariant, rng, trials)
+
+    monkeypatch.setattr(properties, "_run", recorded)
+    properties.run_suite(seed, 8)
+    assert list(handed) == [name for name, _ in properties._CHECKS]
+    for name, (rhos, tensors, _) in handed.items():
+        read = properties._read_as_stokes(name, rhos)
+        assert len(tensors) == len(read) and bool(read) == (name in READ_AS_STOKES), name
+        for rho, s in zip(read, tensors):
+            assert np.array_equal(s.values, stokes.to_stokes(rho).values), name
